@@ -50,7 +50,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cell-cap", type=int, default=_env_int("SDEPTH_CELL_CAP", 10**6),
-        help="max box volume for poset construction (default 1e6, env SDEPTH_CELL_CAP)",
+        help="max box volume for poset construction and box checks (default 1e6, env SDEPTH_CELL_CAP)",
     )
     parser.add_argument(
         "--gen-cap", type=int, default=_env_int("SDEPTH_GEN_CAP", 5000),

@@ -6,13 +6,21 @@ decide, for each k, whether a partition of the poset into intervals [c, d]
 with rho(d) = #{j : d_j = g_j} >= k exists.  Stanley depth is the largest
 such k; every positive answer ships an interval partition that converts to
 an independently checkable Stanley decomposition.
+
+Every box walk goes through one kernel: an ideal becomes a Python-int
+bitmask over a box (:func:`ideal_mask`), bit p set when the point with
+row-major index p lies in the ideal.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
+import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Monomial, MonomialIdeal, QuotientModule, RingContext
 
@@ -21,13 +29,19 @@ class ResourceCapError(RuntimeError):
     """A configured cell/volume cap was exceeded."""
 
 
+class CertificateError(RuntimeError):
+    """A witness the search returned failed its exact-cover check: a bug,
+    never an 'unknown' outcome."""
+
+
 class _BudgetExhausted(Exception):
     """Internal: search ran out of time; surfaces as an 'unknown' outcome."""
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for poset construction and partition search."""
+    """Resource limits for poset construction, partition search and box
+    checks; cell_cap bounds the volume of every box walked."""
 
     cell_cap: int = 10**6
     time_limit: float = 60.0
@@ -37,14 +51,118 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
+# --- box-membership kernel ----------------------------------------------------
+
+
+def require_volume(dims: tuple[int, ...], budget: Budget, what: str = "box") -> None:
+    """Raise ResourceCapError if a box with side lengths dims has more
+    points than the cell cap."""
+    volume = math.prod(dims)
+    if volume > budget.cell_cap:
+        raise ResourceCapError(f"{what} volume {volume} exceeds cell cap {budget.cell_cap}")
+
+
+def box_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Row-major strides: the last axis varies fastest."""
+    strides = []
+    stride = 1
+    for d in reversed(dims):
+        strides.append(stride)
+        stride *= d
+    return tuple(reversed(strides))
+
+
+def _repunit(count: int, step: int) -> int:
+    """sum_{i < count} 2^(i*step), count >= 1: one bit every step positions."""
+    return int(("0" * (step - 1) + "1") * count, 2)
+
+
+@functools.lru_cache(maxsize=32)
+def _keep_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Per axis, the points whose coordinate on it is below d-1: one block
+    of (d-1)*stride ones under stride zeros, repeated over the box."""
+    volume = math.prod(dims)
+    out = []
+    for d, stride in zip(dims, box_strides(dims)):
+        block = "0" * stride + "1" * ((d - 1) * stride)
+        out.append(int(block * (volume // (d * stride)), 2) if d > 1 else 0)
+    return tuple(out)
+
+
+def ideal_mask(ideal: MonomialIdeal, dims: tuple[int, ...]) -> int:
+    """Bitmask of the box points (row-major, see :func:`box_strides`) that
+    lie in the ideal.
+
+    Sets the bits of the generators inside the box, then closes upwards by
+    a shift-OR sweep, d-1 unit steps along each axis; the keep-mask stops a
+    step from wrapping past the axis' last coordinate.
+    """
+    strides = box_strides(dims)
+    mask = 0
+    for gen in ideal.gens:
+        e = gen.exponents
+        if all(ej < d for ej, d in zip(e, dims)):
+            mask |= 1 << sum(ej * s for ej, s in zip(e, strides))
+    for d, stride, keep in zip(dims, strides, _keep_masks(dims)):
+        for _ in range(d - 1):
+            mask |= (mask & keep) << stride
+    return mask
+
+
+def module_mask(module: QuotientModule, dims: tuple[int, ...]) -> int:
+    """Bitmask of the box points that lie in the module I/J."""
+    return ideal_mask(module.outer, dims) & ~ideal_mask(module.inner, dims)
+
+
+def mask_points(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    return [m.start() for m in re.finditer("1", format(mask, "b")[::-1])]
+
+
+def kron_mask(high: int, low: int, low_volume: int) -> int:
+    """Mask of the product set on box_H x box_L (H axes first) of a mask on
+    box_H and one on box_L of low_volume points.  Spreading high to one bit
+    per box_L block makes the product carry-free."""
+    spread = int(("0" * (low_volume - 1)).join(format(high, "b")), 2)
+    return spread * low
+
+
+# --- the characteristic poset -------------------------------------------------
+
+
 class CharPoset:
-    """Cells of the box [0, g] whose monomials lie in outer but not inner."""
+    """Cells of the box [0, g] whose monomials lie in outer but not inner.
+
+    ``succ[i]`` lists the cells one unit step above cell i; ``preds[i]``
+    lists (axis, cell index or None) for each unit step below it inside the
+    box.  The cells of I/J form a convex set, so these unit steps are
+    exactly the cover relations.
+    """
 
     def __init__(self, context: RingContext, g: tuple[int, ...], cells: list[tuple[int, ...]]):
         self.context = context
         self.g = g
-        self.cells = sorted(cells, key=lambda c: (sum(c), c))
+        # graded-lex: a stable sort by degree of the lex-sorted cells
+        self.cells = sorted(sorted(cells), key=sum)
         self.index = {c: i for i, c in enumerate(self.cells)}
+        strides = box_strides(tuple(gj + 1 for gj in g))
+        columns = list(zip(*self.cells))
+        points = [0] * len(self.cells)
+        for column, s in zip(columns, strides):
+            points = list(map(operator.add, points, map(s.__mul__, column)))
+        at = {p: i for i, p in enumerate(points)}
+        # per axis, the cell one step up (None: off the box or not a cell)
+        # and (axis, cell) one step down (None: off the box; (axis, None):
+        # inside the box but not a cell)
+        up, down = [], []
+        for j, (column, s, gj) in enumerate(zip(columns, strides, g)):
+            up.append([at.get(p + s) if cj < gj else None for p, cj in zip(points, column)])
+            down.append([(j, at.get(p - s)) if cj > 0 else None for p, cj in zip(points, column)])
+        present = functools.partial(operator.is_not, None)
+        self.succ: list[list[int]] = [list(filter(present, row)) for row in zip(*up)]
+        self.preds: list[list[tuple[int, int | None]]] = [
+            list(filter(present, row)) for row in zip(*down)
+        ]
 
     @property
     def arity(self) -> int:
@@ -57,18 +175,7 @@ class CharPoset:
         return point in self.index
 
     def maximal_cells(self) -> list[tuple[int, ...]]:
-        out = []
-        for c in self.cells:
-            top = True
-            for j in range(self.arity):
-                if c[j] < self.g[j]:
-                    q = c[:j] + (c[j] + 1,) + c[j + 1 :]
-                    if q in self.index:
-                        top = False
-                        break
-            if top:
-                out.append(c)
-        return out
+        return [c for c, succ in zip(self.cells, self.succ) if not succ]
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -164,18 +271,11 @@ def build_poset(
         g = gmin
     elif any(a < b for a, b in zip(g, gmin)):
         raise ValueError(f"g must dominate the generator exponents {gmin}")
-    volume = 1
-    for gj in g:
-        volume *= gj + 1
-    if volume > budget.cell_cap:
-        raise ResourceCapError(f"box volume {volume} exceeds cell cap {budget.cell_cap}")
-    ctx = module.context
-    cells = [
-        p
-        for p in itertools.product(*(range(gj + 1) for gj in g))
-        if module.contains(Monomial(ctx, p))
-    ]
-    return CharPoset(ctx, g, cells)
+    dims = tuple(gj + 1 for gj in g)
+    require_volume(dims, budget)
+    points = mask_points(module_mask(module, dims))
+    cells = list(zip(*([p // s % d for p in points] for s, d in zip(box_strides(dims), dims))))
+    return CharPoset(module.context, g, cells)
 
 
 class _PartitionSearch:
@@ -195,30 +295,12 @@ class _PartitionSearch:
         self.failed: set[int] = set()
         self.order = self._order_greedy
         cells = poset.cells
-        n = poset.arity
-        g = poset.g
         self.ncells = len(cells)
         self.rho = [poset.rho(c) for c in cells]
-        index = poset.index
-        # successors/predecessors restricted to the box; predecessor entries
-        # keep the step direction so "pred >= branch cell" is a coordinate test
-        self.succ: list[list[int]] = []
-        self.preds: list[list[tuple[int, int | None]]] = []
-        for c in cells:
-            succ = []
-            for j in range(n):
-                if c[j] < g[j]:
-                    q = c[:j] + (c[j] + 1,) + c[j + 1 :]
-                    qi = index.get(q)
-                    if qi is not None:
-                        succ.append(qi)
-            self.succ.append(succ)
-            preds = []
-            for j in range(n):
-                if c[j] > 0:
-                    q = c[:j] + (c[j] - 1,) + c[j + 1 :]
-                    preds.append((j, index.get(q)))
-            self.preds.append(preds)
+        # predecessor entries keep the step direction, so "pred >= branch
+        # cell" is a coordinate test
+        self.succ = poset.succ
+        self.preds = poset.preds
 
     def _candidates(self, ci: int, uncovered: int) -> list[tuple[int, int]]:
         """Interval tops d >= cell ci with [c, d] inside the uncovered set.
@@ -350,10 +432,15 @@ def sdepth_exact(
     budget: Budget = DEFAULT_BUDGET,
 ) -> SdepthResult:
     """Largest k admitting an interval partition, walking down from the
-    maximal-cell upper bound; 'unknown' outcomes carry a verified bracket."""
+    maximal-cell upper bound; 'unknown' outcomes carry a verified bracket.
+
+    The witness returned, exact or lower bound, has passed
+    :func:`verify_decomposition`; a rejected one raises CertificateError.
+    """
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
     poset = build_poset(module, g, budget)
+    require_volume(_certifying_dims(module), budget, "certifying box")
     ub = min(poset.rho(c) for c in poset.maximal_cells())
     nodes = 0
     elapsed = 0.0
@@ -364,6 +451,11 @@ def sdepth_exact(
         nodes += decision.nodes
         elapsed += decision.elapsed
         if decision.status == "true":
+            decomposition = partition_to_decomposition(poset, decision.partition)
+            if not verify_decomposition(decomposition, module, budget):
+                raise CertificateError(
+                    f"the witness for sdepth >= {k} of {module} fails the exact-cover check"
+                )
             if saw_unknown:
                 return SdepthResult("unknown", None, k, hi, decision.partition, nodes, elapsed)
             return SdepthResult("exact", k, k, k, decision.partition, nodes, elapsed)
@@ -397,63 +489,50 @@ def partition_to_decomposition(
     return StanleyDecomposition(ctx, tuple(spaces))
 
 
+def _certifying_dims(module: QuotientModule) -> tuple[int, ...]:
+    return tuple(gj + 2 for gj in degree_bound_g(module))
+
+
 def verify_decomposition(
     decomposition: StanleyDecomposition,
     module: QuotientModule,
     budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
-    """Pointwise direct-sum check on the certifying box [0, g+1].
+    """Exact-cover check on the certifying box [0, g+1].
 
     One step beyond g separates free from capped directions; membership in a
     monomial ideal is determined by truncation at g, so exact cover on this
-    box certifies exact cover everywhere.
+    box certifies exact cover everywhere.  Each space is one sub-box mask:
+    its corner bit copied along every free axis by a repunit product.  The
+    copies never overlap, so the products make no carries.
     """
     if decomposition.context != module.context:
         return False
-    g = degree_bound_g(module)
-    n = module.context.arity
-    bounds = [gj + 1 for gj in g]
-    volume = 1
-    for b in bounds:
-        volume *= b + 1
-    if volume > budget.cell_cap:
-        raise ResourceCapError(f"certifying box volume {volume} exceeds cap {budget.cell_cap}")
-    counts: dict[tuple[int, ...], int] = {}
+    dims = _certifying_dims(module)
+    require_volume(dims, budget, "certifying box")
+    strides = box_strides(dims)
+    axes = list(zip(dims, strides))
+    covered = 0
     for mono, free in decomposition.spaces:
-        ranges = []
-        empty = False
-        for j in range(n):
+        e = mono.exponents
+        if any(ej >= d for ej, d in zip(e, dims)):
+            continue  # the space misses the box
+        space = 1 << sum(ej * s for ej, s in zip(e, strides))
+        for j, (d, s) in enumerate(axes):
             if j in free:
-                ranges.append(range(mono.exponents[j], bounds[j] + 1))
-            elif mono.exponents[j] <= bounds[j]:
-                ranges.append(range(mono.exponents[j], mono.exponents[j] + 1))
-            else:
-                empty = True
-                break
-        if empty:
-            continue
-        for p in itertools.product(*ranges):
-            counts[p] = counts.get(p, 0) + 1
-    ctx = module.context
-    for p in itertools.product(*(range(b + 1) for b in bounds)):
-        expected = 1 if module.contains(Monomial(ctx, p)) else 0
-        if counts.get(p, 0) != expected:
+                space *= _repunit(d - e[j], s)
+        if covered & space:
             return False
-    return True
+        covered |= space
+    return covered == module_mask(module, dims)
 
 
 def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -> str:
     """DOT rendering of the Hasse diagram; optional partition coloring.
 
-    Cover relations are computed pairwise, so keep this to diagnostic-size
-    posets (a few hundred cells).
+    The cover relations are the unit steps of the poset's adjacency.
     """
     cells = poset.cells
-    lower: dict[tuple[int, ...], list[tuple[int, ...]]] = {c: [] for c in cells}
-    for p in cells:
-        for q in cells:
-            if p != q and all(a <= b for a, b in zip(p, q)):
-                lower[q].append(p)
     palette = [
         "lightblue", "lightyellow", "lightpink", "lightgreen", "orange",
         "cyan", "violet", "khaki", "salmon", "palegreen",
@@ -472,10 +551,10 @@ def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -
         label = str(Monomial(poset.context, p)) + label_extra.get(p, "")
         fill = color.get(p, "white")
         lines.append(f'  {node_id(p)} [label="{label}", fillcolor={fill}];')
-    for q in cells:
-        below = lower[q]
-        covers = [p for p in below if not any(all(a <= b for a, b in zip(p, r)) and r != p for r in below)]
-        for p in covers:
-            lines.append(f"  {node_id(p)} -> {node_id(q)};")
+    # predecessors come in axis order, which is the cells' order
+    for q, preds in zip(cells, poset.preds):
+        for _, pi in preds:
+            if pi is not None:
+                lines.append(f"  {node_id(cells[pi])} -> {node_id(q)};")
     lines.append("}")
     return "\n".join(lines)

@@ -2,14 +2,15 @@
 
 These deliberately avoid the production search machinery: partitions are
 enumerated exhaustively, dimension scans all variable subsets, colon and
-membership go through degree-bounded monomial enumeration.
+membership go through degree-bounded monomial enumeration, and box checks
+walk the box point by point with ``contains``.
 """
 from __future__ import annotations
 
 import itertools
 
-from sdepth.core import Monomial, MonomialIdeal, QuotientModule
-from sdepth.poset import CharPoset
+from sdepth.core import Monomial, MonomialIdeal, QuotientModule, tensor_join
+from sdepth.poset import CharPoset, degree_bound_g
 
 
 def brute_sdepth(poset: CharPoset) -> int:
@@ -80,3 +81,71 @@ def module_members_box(module: QuotientModule, bounds) -> "set[tuple[int, ...]]"
         if module.contains(Monomial(module.context, p)):
             out.add(p)
     return out
+
+
+def pointwise_prop_2_3_mismatches(ideal_a: MonomialIdeal, ideal_b: MonomialIdeal, n: int) -> int:
+    """Points of [0, g+1] where the strata (I^i/I^(i+1)) (x) (J^j/J^(j+1)),
+    i + j = n, fail to cover the shell (I+J)^n/(I+J)^(n+1) exactly once."""
+    _, ia, ib = tensor_join(ideal_a, ideal_b)
+    total = ia.add(ib)
+    shell = QuotientModule(total.power(n), total.power(n + 1))
+    pow_a = [ideal_a.power(i) for i in range(n + 2)]
+    pow_b = [ideal_b.power(i) for i in range(n + 2)]
+    r = ideal_a.context.arity
+    ctx_a, ctx_b = ideal_a.context, ideal_b.context
+    mismatches = 0
+    for p in itertools.product(*(range(gj + 2) for gj in degree_bound_g(shell))):
+        member = shell.contains(Monomial(shell.context, p))
+        a_part, b_part = Monomial(ctx_a, p[:r]), Monomial(ctx_b, p[r:])
+        hits = 0
+        for i in range(n + 1):
+            j = n - i
+            if (
+                pow_a[i].contains(a_part)
+                and not pow_a[i + 1].contains(a_part)
+                and pow_b[j].contains(b_part)
+                and not pow_b[j + 1].contains(b_part)
+            ):
+                hits += 1
+        if hits != (1 if member else 0):
+            mismatches += 1
+    return mismatches
+
+
+def pointwise_thm_2_11_mismatches(ideal_a: MonomialIdeal, v: Monomial, n: int) -> int:
+    """Points of [0, g+1] where the v-adic strata fail to cover the
+    complement of (I, v)^n exactly once."""
+    principal = MonomialIdeal.from_gens(v.context, [v])
+    ctx, ia, iv = tensor_join(ideal_a, principal)
+    total_n = ia.add(iv).power(n)
+    v_ext = iv.gens[0]
+    powers_a = [ia.power(i) for i in range(n + 1)]
+    g = degree_bound_g(QuotientModule.of_quotient_ring(total_n))
+    mismatches = 0
+    for p in itertools.product(*(range(gj + 2) for gj in g)):
+        w = Monomial(ctx, p)
+        member = not total_n.contains(w)
+        hits = 0
+        for alpha in range(n):
+            va = v_ext**alpha
+            if not va.divides(w):
+                continue
+            if (v_ext ** (alpha + 1)).divides(w):
+                continue
+            if not powers_a[n - alpha].contains(w / va):
+                hits += 1
+        if hits != (1 if member else 0):
+            mismatches += 1
+    return mismatches
+
+
+def pointwise_hasse_edges(poset: CharPoset) -> "set[tuple[tuple[int, ...], tuple[int, ...]]]":
+    """Cover pairs (p, q) of the poset by the pairwise definition: p < q
+    with no cell strictly between."""
+    cells = poset.cells
+    below = lambda p, q: p != q and all(a <= b for a, b in zip(p, q))
+    edges = set()
+    for q in cells:
+        lower = [p for p in cells if below(p, q)]
+        edges.update((p, q) for p in lower if not any(below(p, r) for r in lower))
+    return edges

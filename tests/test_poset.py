@@ -1,10 +1,15 @@
 import random
+import re
 
 import pytest
 
+import sdepth.poset as poset_module
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
 from sdepth.poset import (
     Budget,
+    CertificateError,
+    Decision,
+    IntervalPartition,
     ResourceCapError,
     build_poset,
     degree_bound_g,
@@ -16,7 +21,9 @@ from sdepth.poset import (
     StanleyDecomposition,
 )
 
-from oracles import brute_sdepth
+from sdepth.verifier import check_prop_2_5
+
+from oracles import brute_sdepth, pointwise_hasse_edges
 
 X1 = make_context("x1")
 X2 = make_context("x1", "x2")
@@ -169,6 +176,58 @@ class TestCertificates:
             assert dec.sdepth >= res.value
 
 
+class TestRuntimeCertificate:
+    """sdepth_exact re-checks every witness it returns."""
+
+    @staticmethod
+    def _break_witnesses(monkeypatch, unknown_at_top: bool = False):
+        """Make every 'true' decision drop its last interval; optionally
+        answer 'unknown' at the first k tried."""
+        real = poset_module.sdepth_decision
+        tried: list[int] = []
+
+        def broken(poset, k, budget=poset_module.DEFAULT_BUDGET):
+            tried.append(k)
+            if unknown_at_top and len(tried) == 1:
+                return Decision("unknown", None, 0, 0.0)
+            decision = real(poset, k, budget)
+            if decision.status != "true":
+                return decision
+            part = decision.partition
+            return Decision("true", IntervalPartition(part.intervals[:-1], part.rho_min),
+                            decision.nodes, decision.elapsed)
+
+        monkeypatch.setattr(poset_module, "sdepth_decision", broken)
+
+    def test_broken_exact_witness_raises(self, monkeypatch):
+        self._break_witnesses(monkeypatch)
+        with pytest.raises(CertificateError):
+            sdepth_exact(QuotientModule.of_quotient_ring(ideal(X2, (1, 1))))
+
+    def test_broken_lower_bound_witness_raises(self, monkeypatch):
+        self._break_witnesses(monkeypatch, unknown_at_top=True)
+        maximal3 = MonomialIdeal.from_gens(X3, [X3.variable(j) for j in range(3)])
+        with pytest.raises(CertificateError):
+            sdepth_exact(QuotientModule.of_ideal(maximal3))
+
+    def test_verifier_does_not_turn_it_into_unknown(self, monkeypatch):
+        self._break_witnesses(monkeypatch)
+        with pytest.raises(CertificateError):
+            check_prop_2_5(ideal(X2, (1, 0), (0, 2)), 1)
+
+    def test_certifying_box_counts_against_the_cap(self):
+        # [0, g] has 4 points, the certifying box [0, g+1] has 9
+        mod = QuotientModule.of_quotient_ring(ideal(X2, (1, 1)))
+        assert sdepth_exact(mod, budget=Budget(cell_cap=9)).value == 1
+        with pytest.raises(ResourceCapError):
+            sdepth_exact(mod, budget=Budget(cell_cap=8))
+
+
+def _dot_edges(dot: str) -> set:
+    point = lambda node: tuple(int(x) for x in node.split("_")[1:])
+    return {(point(a), point(b)) for a, b in re.findall(r"(c_[\d_]+) -> (c_[\d_]+);", dot)}
+
+
 class TestDotExport:
     def test_poset_dot_renders(self):
         mod = QuotientModule.of_quotient_ring(ideal(X2, (1, 1)))
@@ -177,6 +236,20 @@ class TestDotExport:
         dot = poset_to_dot(p, res.witness)
         assert dot.startswith("digraph")
         assert dot.count("->") == 2  # two covers below (0,0)
+
+    def test_edges_are_the_pairwise_covers(self):
+        rng = random.Random(23)
+        for _ in range(25):
+            p = build_poset(_random_module(rng))
+            dot = poset_to_dot(p)
+            unit_steps = sum(
+                1
+                for a in p.cells
+                for b in p.cells
+                if sum(y - x for x, y in zip(a, b)) == 1 and all(x <= y for x, y in zip(a, b))
+            )
+            assert dot.count("->") == unit_steps == len(pointwise_hasse_edges(p))
+            assert _dot_edges(dot) == pointwise_hasse_edges(p)
 
 
 def _random_module(rng: random.Random, max_vars: int = 3) -> QuotientModule:

@@ -1,11 +1,18 @@
+import itertools
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
 from sdepth.poset import (
     Budget,
+    StanleyDecomposition,
+    box_strides,
     build_poset,
+    degree_bound_g,
+    ideal_mask,
+    mask_points,
+    module_mask,
     partition_to_decomposition,
     sdepth_decision,
     sdepth_exact,
@@ -57,8 +64,6 @@ def small_modules(draw, max_volume=120):
             module = QuotientModule.of_ideal(outer)
         else:
             module = QuotientModule(outer, inner)
-    from sdepth.poset import degree_bound_g
-
     volume = math.prod(e + 1 for e in degree_bound_g(module))
     if volume > max_volume or module.outer.is_zero:
         module = QuotientModule.of_ideal(
@@ -147,3 +152,102 @@ def test_witness_always_verifies(module):
     decomposition = partition_to_decomposition(poset, res.witness)
     assert verify_decomposition(decomposition, module)
     assert decomposition.sdepth >= res.value
+
+
+# --- the box-membership kernel -------------------------------------------------
+
+
+@st.composite
+def kernel_ideals(draw, ctx):
+    """Ideals with generators inside and outside small boxes, plus the zero
+    and unit ideals."""
+    style = draw(st.integers(0, 5))
+    if style == 0:
+        return MonomialIdeal.zero(ctx)
+    if style == 1:
+        return MonomialIdeal.unit(ctx)
+    return draw(ideals(ctx=ctx, max_gens=4, max_exp=4))
+
+
+@st.composite
+def boxes(draw, ctx):
+    """Side lengths of at most 5, often 1."""
+    return tuple(draw(st.sampled_from([1, 1, 2, 3, 4, 5])) for _ in range(ctx.arity))
+
+
+def _box_points(dims):
+    """Box points in row-major order, so their position is the bit index."""
+    return enumerate(itertools.product(*(range(d) for d in dims)))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_ideal_mask_matches_contains(data):
+    ctx = data.draw(contexts())
+    ideal = data.draw(kernel_ideals(ctx))
+    dims = data.draw(boxes(ctx))
+    mask = ideal_mask(ideal, dims)
+    assert mask >> math.prod(dims) == 0
+    for index, p in _box_points(dims):
+        assert (mask >> index) & 1 == ideal.contains(Monomial(ctx, p))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_module_mask_matches_contains(data):
+    ctx = data.draw(contexts())
+    outer = data.draw(kernel_ideals(ctx))
+    inner = outer.intersect(data.draw(kernel_ideals(ctx)))
+    module = QuotientModule(outer, inner)
+    dims = data.draw(boxes(ctx))
+    mask = module_mask(module, dims)
+    for index, p in _box_points(dims):
+        assert (mask >> index) & 1 == module.contains(Monomial(ctx, p))
+
+
+@given(small_modules())
+@settings(max_examples=40, deadline=None)
+def test_poset_cells_are_the_members_of_the_box(module):
+    poset = build_poset(module, budget=BUDGET)
+    g = degree_bound_g(module)
+    members = [p for p in itertools.product(*(range(gj + 1) for gj in g))
+               if module.contains(Monomial(module.context, p))]
+    assert poset.cells == sorted(members, key=lambda c: (sum(c), c))
+    strides = box_strides(tuple(gj + 1 for gj in g))
+    assert mask_points(module_mask(module, tuple(gj + 1 for gj in g))) == [
+        sum(a * s for a, s in zip(c, strides)) for c in sorted(members)
+    ]
+
+
+def _certified(module):
+    res = sdepth_exact(module, budget=BUDGET)
+    return partition_to_decomposition(build_poset(module, budget=BUDGET), res.witness)
+
+
+@given(small_modules())
+@settings(max_examples=25, deadline=None)
+def test_verify_rejects_a_duplicated_space(module):
+    dec = _certified(module)
+    broken = StanleyDecomposition(dec.context, dec.spaces + dec.spaces[-1:])
+    assert not verify_decomposition(broken, module)
+
+
+@given(small_modules())
+@settings(max_examples=25, deadline=None)
+def test_verify_rejects_a_dropped_space(module):
+    dec = _certified(module)
+    broken = StanleyDecomposition(dec.context, dec.spaces[:-1])
+    assert not verify_decomposition(broken, module)
+
+
+@given(small_modules())
+@settings(max_examples=25, deadline=None)
+def test_verify_rejects_a_space_on_a_non_member(module):
+    dec = _certified(module)
+    ctx = module.context
+    outside = [p for p in itertools.product(*(range(gj + 2) for gj in degree_bound_g(module)))
+               if not module.contains(Monomial(ctx, p))]
+    assume(outside)
+    for p in (outside[0], outside[-1]):
+        broken = StanleyDecomposition(ctx, dec.spaces + ((Monomial(ctx, p), frozenset()),))
+        assert not verify_decomposition(broken, module)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sdepth.verifier as verifier
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context, tensor_join
 from sdepth.poset import Budget, sdepth_exact
 from sdepth.verifier import (
@@ -10,18 +11,23 @@ from sdepth.verifier import (
     check_cor_2_12,
     check_cor_2_13,
     check_lemma_2_1,
+    check_prop_2_3,
     check_prop_2_14,
     check_thm_2_11,
     check_thm_2_11_decomposition,
     check_thm_2_15,
     depth_sequence,
     q_chain,
+    random_ideal,
+    random_monomial,
     random_pair,
     run_random,
     sdepth_ci_power_via_transfer,
     sdepth_sequence,
     stanley_inequality_report,
 )
+
+from oracles import pointwise_prop_2_3_mismatches, pointwise_thm_2_11_mismatches
 
 BUDGET = Budget(time_limit=30.0)
 
@@ -133,6 +139,62 @@ class TestStatementChecks:
                 QuotientModule.of_ideal(j.power(k)), budget=BUDGET
             ).value
             assert sdepth_ci_power_via_transfer(j, k, budget=BUDGET) == direct
+
+
+def _random_decomposition_instance(rng: random.Random):
+    ia = random_ideal(rng, make_context(*[f"x{i + 1}" for i in range(rng.randint(1, 2))]))
+    v = random_monomial(rng, make_context(*[f"y{i + 1}" for i in range(rng.randint(1, 2))]), 2)
+    return ia, v
+
+
+def _mismatches(report) -> int:
+    (item,) = report.items
+    return item.lhs
+
+
+class TestStratumChecks:
+    """The mask checks of prop_2_3 and thm_2_11_decomposition against the
+    pointwise loops they replaced."""
+
+    def test_prop_2_3_matches_the_pointwise_count(self):
+        rng = random.Random(31)
+        for _ in range(12):
+            ia, ib = random_pair(rng, max_vars=2)
+            n = rng.randint(1, 2)
+            assert _mismatches(check_prop_2_3(ia, ib, n)) == pointwise_prop_2_3_mismatches(ia, ib, n)
+
+    def test_thm_2_11_decomposition_matches_the_pointwise_count(self):
+        rng = random.Random(37)
+        for _ in range(12):
+            ia, v = _random_decomposition_instance(rng)
+            n = rng.randint(1, 3)
+            assert _mismatches(check_thm_2_11_decomposition(ia, v, n)) == (
+                pointwise_thm_2_11_mismatches(ia, v, n)
+            )
+
+    @pytest.mark.parametrize("tamper", ["drop", "double"])
+    def test_a_wrong_stratum_list_is_caught(self, monkeypatch, tamper):
+        real = verifier.cover_mismatches
+
+        def tampered(strata, member):
+            strata = strata[:-1] if tamper == "drop" else strata + strata[:1]
+            return real(strata, member)
+
+        monkeypatch.setattr(verifier, "cover_mismatches", tampered)
+        rng = random.Random(41)
+        for _ in range(6):
+            ia, ib = random_pair(rng, max_vars=2)
+            assert check_prop_2_3(ia, ib, rng.randint(1, 2)).verdict == "fails"
+            ia, v = _random_decomposition_instance(rng)
+            assert check_thm_2_11_decomposition(ia, v, rng.randint(1, 3)).verdict == "fails"
+
+    def test_cover_mismatches_counts_points(self):
+        member = 0b0111
+        assert verifier.cover_mismatches([0b0011, 0b0100], member) == 0
+        assert verifier.cover_mismatches([0b0011], member) == 1  # gap
+        assert verifier.cover_mismatches([0b0011, 0b0110], member) == 1  # overlap
+        assert verifier.cover_mismatches([0b0011, 0b1100], member) == 1  # non-member
+        assert verifier.cover_mismatches([0b0111, 0b0111, 0b0111], member) == 3
 
 
 class TestRandomDriver:
