@@ -1,9 +1,13 @@
 """Command-line surface.
 
 Subcommands: sdepth, depth, dim, power, verify, sequence, export.  Exit
-codes: 0 success/holds, 1 input error, 2 verdict "fails", 3 "unknown"
-(budget exhausted).  Budgets come from flags, falling back to the
-SDEPTH_TIME_LIMIT / SDEPTH_CELL_CAP / SDEPTH_GEN_CAP environment variables.
+codes: 0 success/holds (and --help), 1 input or usage error, 2 verdict
+"fails", 3 "unknown" (budget exhausted).  Each subcommand takes only the
+budget flags it reads: --time-limit and --cell-cap for sdepth, sequence
+and verify, --cell-cap for export, --gen-cap for power, none for depth and
+dim; unset flags fall back to the SDEPTH_TIME_LIMIT / SDEPTH_CELL_CAP /
+SDEPTH_GEN_CAP environment variables.  ``verify all`` runs every catalogued
+statement on random instances.
 """
 from __future__ import annotations
 
@@ -11,18 +15,19 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from .core import GeneratorCapError, MonomialIdeal, QuotientModule, krull_dim_quotient
 from .lattice import build_lcm_lattice, lattice_to_dot
 from .parsing import ParseError, format_ideal, parse_ideal, parse_module_expr, split_blocks
 from .poset import Budget, ResourceCapError, build_poset, poset_to_dot, sdepth_exact
-from .taylor import TaylorCapError, depth_ideal, depth_quotient
+from .taylor import TaylorCapError, depth_quotient
 from .verifier import (
     STATEMENTS,
     HypothesisError,
-    TheoremReport,
     depth_sequence,
+    run_on_ideal,
     run_random,
     sdepth_sequence,
 )
@@ -43,25 +48,27 @@ def _env_int(name: str, default: int) -> int:
     return int(raw) if raw else default
 
 
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
+def _add_time_limit(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--time-limit", type=float, default=_env_float("SDEPTH_TIME_LIMIT", 60.0),
         help="seconds per sdepth decision (default 60, env SDEPTH_TIME_LIMIT)",
     )
+
+
+def _add_cell_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cell-cap", type=int, default=_env_int("SDEPTH_CELL_CAP", 10**6),
         help="max box volume for poset construction and box checks (default 1e6, env SDEPTH_CELL_CAP)",
     )
-    parser.add_argument(
-        "--gen-cap", type=int, default=_env_int("SDEPTH_GEN_CAP", 5000),
-        help="max generators in ideal products (default 5000, env SDEPTH_GEN_CAP)",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers where supported")
+
+
+def _require_positive(*values) -> None:
+    if any(v <= 0 for v in values):
+        raise ParseError("budgets must be positive")
 
 
 def _budget(args) -> Budget:
-    if args.time_limit <= 0 or args.cell_cap <= 0 or args.gen_cap <= 0:
-        raise ParseError("budgets must be positive")
+    _require_positive(args.time_limit, args.cell_cap)
     return Budget(cell_cap=args.cell_cap, time_limit=args.time_limit)
 
 
@@ -162,6 +169,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_power(args) -> int:
+    _require_positive(args.gen_cap)
     ideal = _load_ideal(args.path)
     try:
         power = ideal.power(args.n, cap=args.gen_cap)
@@ -202,86 +210,50 @@ def _print_report(args, report_dict: dict) -> None:
             print(f"    {key} = {val!r}")
 
 
+def _print_summary(reports: list[dict]) -> None:
+    verdicts = ("holds", "vacuous", "unknown", "fails")
+    counts: dict[str, Counter] = {}
+    for rep in reports:
+        counts.setdefault(rep["statement"], Counter())[rep["verdict"]] += 1
+    width = max(len(s) for s in counts)
+    print(f"{'statement':<{width}} " + " ".join(f"{v:>8}" for v in verdicts))
+    for statement, row in counts.items():
+        print(f"{statement:<{width}} " + " ".join(f"{row[v]:>8}" for v in verdicts))
+
+
 def cmd_verify(args) -> int:
-    if args.statement not in STATEMENTS:
+    if args.statement != "all" and args.statement not in STATEMENTS:
         print(
-            f"error: unknown statement {args.statement!r}; known: "
+            f"error: unknown statement {args.statement!r}; known: all, "
             + ", ".join(sorted(STATEMENTS)),
             file=sys.stderr,
         )
         return EXIT_INPUT
     budget = _budget(args)
-    kind, fn = STATEMENTS[args.statement]
-    reports: list[dict] = []
-    if args.random is not None:
-        tasks = [
-            (args.statement, args.random + i, args.n, budget) for i in range(args.count)
-        ]
+    if (args.ideal is None) == (args.random is None):
+        raise ParseError("verify needs exactly one of --ideal FILE and --random SEED")
+    if args.random is None:
+        if args.statement == "all":
+            raise ParseError("verify all needs --random SEED")
+        report = run_on_ideal(args.statement, _load_ideal(args.ideal), args.n, budget)
+        reports = [report.to_json_dict()]
+    else:
+        if args.count < 1:
+            raise ParseError("--count must be positive")
+        names = sorted(STATEMENTS) if args.statement == "all" else [args.statement]
+        tasks = [(s, args.random + i, args.n, budget) for s in names for i in range(args.count)]
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(pool.map(_verify_worker, tasks))
         else:
             reports = [_verify_worker(t) for t in tasks]
-    else:
-        if args.ideal is None:
-            raise ParseError("verify needs --ideal FILE or --random SEED")
-        ideal = _load_ideal(args.ideal)
-        report = _verify_on_ideal(args, kind, fn, ideal, budget)
-        reports = [report.to_json_dict()]
+    summary = args.statement == "all" and not args.json
     for rep in reports:
-        _print_report(args, rep)
+        if not summary or rep["verdict"] == "fails":
+            _print_report(args, rep)
+    if summary:
+        _print_summary(reports)
     return _report_exit([r["verdict"] for r in reports])
-
-
-def _verify_on_ideal(args, kind, fn, ideal, budget) -> TheoremReport:
-    n = args.n if args.n is not None else (args.n_max or 2)
-    if kind in ("pair", "pair_n", "pair_ci_nmax"):
-        if ideal.context.split is None:
-            raise ParseError("this statement needs a split ideal file (vars: ... | ...)")
-        ctx = ideal.context
-        part_a, part_b = split_blocks(ideal)
-        from .core import Monomial, RingContext
-
-        ctx_a = RingContext(ctx.block_a)
-        ctx_b = RingContext(ctx.block_b)
-        r = ctx.split
-        ia = MonomialIdeal.from_gens(
-            ctx_a, [Monomial(ctx_a, g.exponents[:r]) for g in part_a.gens]
-        )
-        ib = MonomialIdeal.from_gens(
-            ctx_b, [Monomial(ctx_b, g.exponents[r:]) for g in part_b.gens]
-        )
-        if kind == "pair":
-            return fn(ia, ib, budget=budget)
-        return fn(ia, ib, n, budget=budget)
-    if kind == "ci_n":
-        return fn(ideal, args.n_max if args.n_max is not None else (args.k_max or n), budget=budget)
-    if kind == "colon_shift":
-        last_error = None
-        for v in ideal.gens:
-            try:
-                return fn(ideal, v, args.n_max or n, budget=budget)
-            except HypothesisError as exc:
-                last_error = exc
-        raise last_error or HypothesisError("no generator satisfies the hypothesis")
-    if kind == "decomp":
-        if ideal.context.split is None:
-            raise ParseError("this statement needs a split ideal file (vars: ... | ...)")
-        ctx = ideal.context
-        part_a, part_b = split_blocks(ideal)
-        if len(part_b.gens) != 1:
-            raise HypothesisError("needs exactly one block-B generator v")
-        from .core import Monomial, RingContext
-
-        ctx_a = RingContext(ctx.block_a)
-        ctx_b = RingContext(ctx.block_b)
-        r = ctx.split
-        ia = MonomialIdeal.from_gens(
-            ctx_a, [Monomial(ctx_a, g.exponents[:r]) for g in part_a.gens]
-        )
-        v = Monomial(ctx_b, part_b.gens[0].exponents[r:])
-        return fn(ia, v, n, budget=budget)
-    raise AssertionError(f"unhandled statement kind {kind}")
 
 
 def cmd_sequence(args) -> int:
@@ -316,10 +288,10 @@ def cmd_sequence(args) -> int:
 
 def cmd_export(args) -> int:
     ideal = _load_ideal(args.path)
-    budget = _budget(args)
+    _require_positive(args.cell_cap)
     if args.what == "poset":
         module = _resolve_module(args, ideal)
-        dot = poset_to_dot(build_poset(module, budget=budget))
+        dot = poset_to_dot(build_poset(module, budget=Budget(cell_cap=args.cell_cap)))
     else:
         dot = lattice_to_dot(build_lcm_lattice(ideal))
     if args.output:
@@ -342,39 +314,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", help="module expression, e.g. 'S/I^2' (default: I)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--export-poset", metavar="DOT", help="write poset + witness DOT file")
-    _add_budget_flags(p)
+    _add_time_limit(p)
+    _add_cell_cap(p)
     p.set_defaults(fn=cmd_sdepth)
 
     p = sub.add_parser("depth", help="depth of S/I and I")
     p.add_argument("path")
     p.add_argument("--module", help="module expression (cyclic modules only)")
     p.add_argument("--json", action="store_true")
-    _add_budget_flags(p)
     p.set_defaults(fn=cmd_depth)
 
     p = sub.add_parser("dim", help="Krull dimension of S/I")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
-    _add_budget_flags(p)
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("power", help="dump I^n in the ideal file format")
     p.add_argument("path")
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true")
-    _add_budget_flags(p)
+    p.add_argument(
+        "--gen-cap", type=int, default=_env_int("SDEPTH_GEN_CAP", 5000),
+        help="max generators of I^n (default 5000, env SDEPTH_GEN_CAP)",
+    )
     p.set_defaults(fn=cmd_power)
 
     p = sub.add_parser("verify", help="check a catalogued statement")
-    p.add_argument("statement", help="e.g. lemma_2_1, thm_2_15; see docs/statement-catalog.md")
+    p.add_argument(
+        "statement",
+        help="e.g. lemma_2_1, thm_2_15, or all (with --random); see docs/statement-catalog.md",
+    )
     p.add_argument("--ideal", help="ideal file (split file for two-block statements)")
     p.add_argument("--random", type=int, metavar="SEED", help="random instances from SEED")
-    p.add_argument("--count", type=int, default=1, help="number of random instances")
-    p.add_argument("--n", type=int, help="power n for single-power statements")
-    p.add_argument("--n-max", type=int, help="largest power for sequence statements")
-    p.add_argument("--k-max", type=int, help="largest power for prop_2_14")
+    p.add_argument("--count", type=int, default=1, help="random instances per statement")
+    p.add_argument(
+        "--n", "--n-max", "--k-max", dest="n", type=int,
+        help="the statement's power: n, n_max or k_max (default 2; drawn for random"
+        " single-power instances)",
+    )
     p.add_argument("--json", action="store_true", help="one JSON line per report")
-    _add_budget_flags(p)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for --random")
+    _add_time_limit(p)
+    _add_cell_cap(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sequence", help="tabulate sdepth/depth of powers")
@@ -382,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, help="largest power")
     p.add_argument("--depth", action="store_true", help="depth instead of sdepth")
     p.add_argument("--json", action="store_true")
-    _add_budget_flags(p)
+    _add_time_limit(p)
+    _add_cell_cap(p)
     p.set_defaults(fn=cmd_sequence)
 
     p = sub.add_parser("export", help="DOT export of the poset or lcm-lattice")
@@ -390,14 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--module", help="module expression for poset export")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
-    _add_budget_flags(p)
+    _add_cell_cap(p)
     p.set_defaults(fn=cmd_export)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 for --help, 2 for a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (ParseError, HypothesisError, ValueError) as exc:

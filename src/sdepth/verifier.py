@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from typing import Callable
 
 from .core import (
     GeneratorCapError,
@@ -26,12 +26,11 @@ from .core import (
     tensor_join,
 )
 from .lattice import build_lcm_lattice, ci_power_atom_map, sdepth_transfer
-from .parsing import format_ideal
+from .parsing import format_ideal, split_blocks
 from .poset import (
     Budget,
     DEFAULT_BUDGET,
     ResourceCapError,
-    SdepthResult,
     degree_bound_g,
     ideal_mask,
     kron_mask,
@@ -39,16 +38,6 @@ from .poset import (
     sdepth_exact,
 )
 from .taylor import TaylorCapError, depth_ideal, depth_quotient
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """A verification instance: block-A ideal, block-B ideal, power range."""
-
-    ideal_a: MonomialIdeal
-    ideal_b: MonomialIdeal
-    n_max: int = 1
-    budget: Budget = DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -571,11 +560,9 @@ def check_cor_2_12(
     return report
 
 
-def check_cor_2_13(
-    ideal: MonomialIdeal, v: Monomial, n_max: int, budget: Budget = DEFAULT_BUDGET
-) -> TheoremReport:
-    """Monotone growth of depth(R/L^n) when G(L) = {v_1..v_m, v} with
-    gcd(v, v_i) = w constant in block A and v/w in block B."""
+def _require_colon_shift(ideal: MonomialIdeal, v: Monomial) -> None:
+    """The hypothesis of cor_2_13 on (L, v); raises HypothesisError naming
+    the first condition that fails."""
     ctx = ideal.context
     if ctx.split is None:
         raise HypothesisError("context must carry a block split")
@@ -593,6 +580,14 @@ def check_cor_2_13(
         raise HypothesisError("w must lie in block A")
     if any(j < r for j in (v / w).support()):
         raise HypothesisError("v/w must lie in block B")
+
+
+def check_cor_2_13(
+    ideal: MonomialIdeal, v: Monomial, n_max: int, budget: Budget = DEFAULT_BUDGET
+) -> TheoremReport:
+    """Monotone growth of depth(R/L^n) when G(L) = {v_1..v_m, v} with
+    gcd(v, v_i) = w constant in block A and v/w in block B."""
+    _require_colon_shift(ideal, v)
     report = TheoremReport(
         "cor_2_13", {"L": format_ideal(ideal), "v": str(v), "n_max": str(n_max)}
     )
@@ -868,60 +863,129 @@ def random_colon_shift_instance(
         return ideal, v
 
 
-# --- statement registry and random driver ------------------------------------
+# --- statement table: random and file instances -----------------------------
 
-# statement -> (kind, callable); kinds describe the expected arguments
-STATEMENTS: dict[str, tuple[str, object]] = {
-    "lemma_2_1": ("pair", check_lemma_2_1),
-    "prop_2_2": ("pair", check_prop_2_2),
-    "prop_2_3": ("pair_n", check_prop_2_3),
-    "prop_2_4": ("pair_n", check_prop_2_4),
-    "prop_2_5": ("ci_n", check_prop_2_5),
-    "prop_2_6": ("pair_n", check_prop_2_6),
-    "prop_2_7": ("pair_n", check_prop_2_7),
-    "obs_2_8": ("pair_n", check_obs_2_8),
-    "prop_2_9": ("pair", check_prop_2_9),
-    "thm_2_11": ("pair_ci_nmax", check_thm_2_11),
-    "thm_2_11_decomposition": ("decomp", check_thm_2_11_decomposition),
-    "cor_2_12": ("ci_n", check_cor_2_12),
-    "cor_2_13": ("colon_shift", check_cor_2_13),
-    "prop_2_14": ("ci_n", check_prop_2_14),
-    "thm_2_15": ("ci_n", check_thm_2_15),
+
+def block_ideals(ideal: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """The inverse of :func:`tensor_join`: the generators of a split-context
+    ideal in each block, as ideals of that block's own ring."""
+    ctx = ideal.context
+    if ctx.split is None:
+        raise HypothesisError("this statement needs a split ideal file (vars: ... | ...)")
+    r = ctx.split
+    part_a, part_b = split_blocks(ideal)
+    ctx_a, ctx_b = RingContext(ctx.block_a), RingContext(ctx.block_b)
+    return (
+        MonomialIdeal.from_gens(ctx_a, [Monomial(ctx_a, g.exponents[:r]) for g in part_a.gens]),
+        MonomialIdeal.from_gens(ctx_b, [Monomial(ctx_b, g.exponents[r:]) for g in part_b.gens]),
+    )
+
+
+def _random_ci(rng: random.Random) -> tuple:
+    ctx = RingContext(tuple(f"y{i + 1}" for i in range(rng.randint(1, 4))))
+    return (random_ci(rng, ctx),)
+
+
+def _random_pair_ci(rng: random.Random) -> tuple:
+    ctx_a, ctx_b = _block_contexts(rng, 2)
+    return random_ideal(rng, ctx_a, max_gens=2, max_exp=2), random_ci(rng, ctx_b, max_t=2)
+
+
+def _random_decomp(rng: random.Random) -> tuple:
+    ctx_a, ctx_b = _block_contexts(rng, 2)
+    return random_ideal(rng, ctx_a, max_gens=2, max_exp=2), random_monomial(rng, ctx_b, 2)
+
+
+def _file_decomp(ideal: MonomialIdeal) -> tuple:
+    ideal_a, ideal_b = block_ideals(ideal)
+    if len(ideal_b.gens) != 1:
+        raise HypothesisError("needs exactly one block-B generator v")
+    return ideal_a, ideal_b.gens[0]
+
+
+def _file_colon_shift(ideal: MonomialIdeal) -> tuple:
+    """(L, v) for the first generator v of L that meets the hypothesis."""
+    last_error = None
+    for v in ideal.gens:
+        try:
+            _require_colon_shift(ideal, v)
+            return ideal, v
+        except HypothesisError as exc:
+            last_error = exc
+    raise last_error or HypothesisError("no generator satisfies the hypothesis")
+
+
+@dataclass(frozen=True)
+class Statement:
+    """How to check one catalogued statement.
+
+    ``random_instance(rng)`` and ``file_instance(ideal)`` build the leading
+    arguments of ``check``.  ``power`` says how its power argument (n, n_max
+    or k_max) is chosen when the caller gives none: ``"none"`` (``check``
+    takes no power), ``"fixed"`` (2) or ``"drawn"`` (from the instance's rng
+    after the instance, 2 for a file).
+    """
+
+    check: Callable[..., TheoremReport]
+    random_instance: Callable[[random.Random], tuple]
+    file_instance: Callable[[MonomialIdeal], tuple]
+    power: str
+
+
+_PAIR = dict(random_instance=random_pair, file_instance=block_ideals)
+_SMALL_PAIR = dict(random_instance=lambda rng: random_pair(rng, max_vars=2), file_instance=block_ideals)
+_CI = dict(random_instance=_random_ci, file_instance=lambda ideal: (ideal,), power="fixed")
+
+STATEMENTS: dict[str, Statement] = {
+    "lemma_2_1": Statement(check_lemma_2_1, **_PAIR, power="none"),
+    "prop_2_2": Statement(check_prop_2_2, **_PAIR, power="none"),
+    "prop_2_3": Statement(check_prop_2_3, **_PAIR, power="drawn"),
+    "prop_2_4": Statement(check_prop_2_4, **_PAIR, power="drawn"),
+    "prop_2_5": Statement(check_prop_2_5, **_CI),
+    "prop_2_6": Statement(check_prop_2_6, **_SMALL_PAIR, power="drawn"),
+    "prop_2_7": Statement(check_prop_2_7, **_PAIR, power="drawn"),
+    "obs_2_8": Statement(check_obs_2_8, **_SMALL_PAIR, power="drawn"),
+    "prop_2_9": Statement(check_prop_2_9, **_PAIR, power="none"),
+    "thm_2_11": Statement(check_thm_2_11, _random_pair_ci, block_ideals, "fixed"),
+    "thm_2_11_decomposition": Statement(
+        check_thm_2_11_decomposition, _random_decomp, _file_decomp, "fixed"
+    ),
+    "cor_2_12": Statement(check_cor_2_12, **_CI),
+    "cor_2_13": Statement(check_cor_2_13, random_colon_shift_instance, _file_colon_shift, "fixed"),
+    "prop_2_14": Statement(check_prop_2_14, **_CI),
+    "thm_2_15": Statement(check_thm_2_15, **_CI),
 }
+
+
+def _statement(name: str) -> Statement:
+    if name not in STATEMENTS:
+        raise ValueError(f"unknown statement {name!r}")
+    return STATEMENTS[name]
+
+
+def _run(
+    entry: Statement, args: tuple, n: int | None, budget: Budget, rng: random.Random | None = None
+) -> TheoremReport:
+    if entry.power == "none":
+        return entry.check(*args, budget=budget)
+    if n is None:
+        n = rng.choice([1, 1, 2]) if entry.power == "drawn" and rng is not None else 2
+    return entry.check(*args, n, budget=budget)
 
 
 def run_random(
     statement: str, seed: int, n: int | None = None, budget: Budget = DEFAULT_BUDGET
 ) -> TheoremReport:
     """Check one statement on a reproducible random instance."""
-    if statement not in STATEMENTS:
-        raise ValueError(f"unknown statement {statement!r}")
-    kind, fn = STATEMENTS[statement]
+    entry = _statement(statement)
     rng = random.Random(f"{statement}:{seed}")
-    if kind == "pair":
-        ia, ib = random_pair(rng)
-        return fn(ia, ib, budget=budget)
-    if kind == "pair_n":
-        max_vars = 2 if statement in ("prop_2_6", "obs_2_8") else 3
-        ia, ib = random_pair(rng, max_vars=max_vars)
-        nn = n if n is not None else rng.choice([1, 1, 2])
-        return fn(ia, ib, nn, budget=budget)
-    if kind == "ci_n":
-        ctx = RingContext(tuple(f"y{i + 1}" for i in range(rng.randint(1, 4))))
-        ideal_b = random_ci(rng, ctx)
-        nn = n if n is not None else 2
-        return fn(ideal_b, nn, budget=budget)
-    if kind == "pair_ci_nmax":
-        ctx_a, ctx_b = _block_contexts(rng, 2)
-        ia = random_ideal(rng, ctx_a, max_gens=2, max_exp=2)
-        ib = random_ci(rng, ctx_b, max_t=2)
-        return fn(ia, ib, n if n is not None else 2, budget=budget)
-    if kind == "colon_shift":
-        ideal, v = random_colon_shift_instance(rng)
-        return fn(ideal, v, n if n is not None else 2, budget=budget)
-    if kind == "decomp":
-        ctx_a, ctx_b = _block_contexts(rng, 2)
-        ia = random_ideal(rng, ctx_a, max_gens=2, max_exp=2)
-        v = random_monomial(rng, ctx_b, 2)
-        return fn(ia, v, n if n is not None else 2, budget=budget)
-    raise AssertionError(f"unhandled statement kind {kind}")
+    return _run(entry, entry.random_instance(rng), n, budget, rng)
+
+
+def run_on_ideal(
+    statement: str, ideal: MonomialIdeal, n: int | None = None, budget: Budget = DEFAULT_BUDGET
+) -> TheoremReport:
+    """Check one statement on the instance an ideal file describes: a split
+    file for the two-block statements, a single ideal for the others."""
+    entry = _statement(statement)
+    return _run(entry, entry.file_instance(ideal), n, budget)

@@ -1,11 +1,14 @@
 import json
 import pathlib
+import re
+import shlex
 
 import jsonschema
 import pytest
 
-from sdepth.cli import EXIT_FAILS, EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, main
+from sdepth.cli import EXIT_FAILS, EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, build_parser, main
 from sdepth.parsing import parse_ideal
+from sdepth.verifier import STATEMENTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CI = str(ROOT / "ideals" / "ci.ideal")
@@ -110,6 +113,12 @@ class TestPowerCommand:
         code, _, err = run(capsys, "power", EXAMPLE, "4", "--gen-cap", "10")
         assert code == EXIT_UNKNOWN
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_nonpositive_gen_cap_rejected(self, capsys, cap):
+        code, _, err = run(capsys, "power", CI, "2", "--gen-cap", cap)
+        assert code == EXIT_INPUT
+        assert "budgets must be positive" in err
+
 
 class TestVerifyCommand:
     def test_thm_2_15_on_file(self, capsys):
@@ -150,6 +159,87 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "lemma_2_1")
         assert code == EXIT_INPUT
 
+    def test_zero_count_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "lemma_2_1", "--random", "0", "--count", "0")
+        assert code == EXIT_INPUT
+        assert out == ""
+
+    def test_random_and_ideal_rejected(self, capsys):
+        code, out, _ = run(capsys, "verify", "lemma_2_1", "--random", "0", "--ideal", PAIR)
+        assert code == EXIT_INPUT
+        assert out == ""
+
+    def test_power_flag_reaches_random_instances(self, capsys):
+        code, payloads = run_json(capsys, "verify", "thm_2_11", "--random", "0", "--n-max", "3")
+        assert code == EXIT_OK
+        assert payloads[0]["instance"]["n_max"] == "3"
+
+    def test_power_spellings_are_one_option(self, capsys):
+        reports = [
+            run_json(capsys, "verify", "prop_2_3", "--ideal", PAIR, flag, "1")[1]
+            for flag in ("--n", "--n-max", "--k-max")
+        ]
+        assert reports[0][0]["instance"]["n"] == "1"
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_colon_shift_file_picks_generator(self, capsys, tmp_path):
+        # v = x1*x2 fails the hypothesis (v/w = x2 is in block A); v = x1*y1 meets it
+        path = tmp_path / "colon.ideal"
+        path.write_text("vars: x1 x2 | y1 y2\nx1*x2\nx1*y1\n")
+        code, payloads = run_json(capsys, "verify", "cor_2_13", "--ideal", str(path))
+        assert code == EXIT_OK
+        assert payloads[0]["instance"]["v"] == "x1*y1"
+
+    def test_colon_shift_file_reports_last_generator_error(self, capsys, tmp_path):
+        # x4 sorts first and fails on v/w; x1*x3, the last generator, fails on gcds
+        path = tmp_path / "nocolon.ideal"
+        path.write_text("vars: x1 x2 x3 x4 | y1\nx1*x2\nx1*x3\nx4\n")
+        code, _, err = run(capsys, "verify", "cor_2_13", "--ideal", str(path))
+        assert code == EXIT_INPUT
+        assert "gcd(v, v_i) must be the same monomial w for all i" in err
+
+    def test_all_statements_summary(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--random", "0", "--count", "2", "--time-limit", "10")
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:]
+        assert sorted(row.split()[0] for row in rows) == sorted(STATEMENTS)
+        assert all(row.split()[1:] == ["2", "0", "0", "0"] for row in rows)
+
+    def test_all_statements_json(self, capsys):
+        code, payloads = run_json(capsys, "verify", "all", "--random", "3", "--time-limit", "10")
+        assert code == EXIT_OK
+        assert [p["statement"] for p in payloads] == sorted(STATEMENTS)
+
+    def test_all_needs_random(self, capsys):
+        code, _, _ = run(capsys, "verify", "all", "--ideal", PAIR)
+        assert code == EXIT_INPUT
+
+
+# the file each statement is checked on: pair and CI statements use the
+# shipped files; the rest need a shape of their own
+STATEMENT_FILES = {
+    "thm_2_11": "vars: x1 x2 | y1 y2\nx1*x2\nx1^2\ny1\ny2^2\n",  # block B a CI
+    "thm_2_11_decomposition": "vars: x1 x2 | y1\nx1*x2\nx1^2\ny1^2\n",  # one block-B generator
+    "cor_2_13": "vars: x1 x2 | y1 y2\nx1*x2\nx1*y1\n",  # colon shift with v = x1*y1
+    **{s: CI for s in ("prop_2_5", "cor_2_12", "prop_2_14", "thm_2_15")},
+}
+
+
+@pytest.mark.parametrize("statement", sorted(STATEMENTS))
+def test_every_statement_runs_from_a_file(capsys, tmp_path, statement):
+    path = STATEMENT_FILES.get(statement, PAIR)
+    if path.startswith("vars:"):
+        (tmp_path / "instance.ideal").write_text(path)
+        path = str(tmp_path / "instance.ideal")
+    # prop_2_7 on the pair file is decided only in the search's second phase,
+    # which starts at half the time limit
+    code, payloads = run_json(
+        capsys, "verify", statement, "--ideal", path, "--n", "1", "--time-limit", "4"
+    )
+    assert code in (EXIT_OK, EXIT_UNKNOWN)
+    assert payloads[0]["statement"] == statement
+    assert payloads[0]["verdict"] != "fails"
+
 
 class TestSequenceCommand:
     def test_sdepth_table(self, capsys):
@@ -188,3 +278,41 @@ class TestEnvBudgets:
     def test_nonpositive_budget_rejected(self, capsys):
         code, _, err = run(capsys, "sdepth", CI, "--time-limit", "0")
         assert code == EXIT_INPUT
+
+
+class TestUsage:
+    def test_bogus_flag_is_input_error(self, capsys):
+        code, _, err = run(capsys, "verify", "lemma_2_1", "--ideal", PAIR, "--bogus")
+        assert code == EXIT_INPUT
+        assert "unrecognized arguments" in err
+
+    def test_flag_a_subcommand_does_not_read_is_input_error(self, capsys):
+        code, _, _ = run(capsys, "sdepth", CI, "--gen-cap", "2")
+        assert code == EXIT_INPUT
+
+    def test_help_exits_ok(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == EXIT_OK
+        assert "--n-max" in out
+
+
+def readme_commands() -> list[str]:
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    return [
+        line.split("#", 1)[0].strip()
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("sdepth ")
+    ]
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert commands
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {command}")
