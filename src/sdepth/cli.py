@@ -6,7 +6,8 @@ codes: 0 success/holds (and --help), 1 input or usage error, 2 verdict
 budget flags it reads: --time-limit and --cell-cap for sdepth, sequence
 and verify, --cell-cap for export, --gen-cap for power, none for depth and
 dim; unset flags fall back to the SDEPTH_TIME_LIMIT / SDEPTH_CELL_CAP /
-SDEPTH_GEN_CAP environment variables.  ``verify all`` runs every catalogued
+SDEPTH_GEN_CAP environment variables, which are read only for those flags
+(a malformed value is an input error).  ``verify all`` runs every catalogued
 statement on random instances.
 """
 from __future__ import annotations
@@ -38,26 +39,37 @@ EXIT_FAILS = 2
 EXIT_UNKNOWN = 3
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw else default
+# flag dest -> (environment variable, type, default) for unset budget flags
+ENV_DEFAULTS = {
+    "time_limit": ("SDEPTH_TIME_LIMIT", float, 60.0),
+    "cell_cap": ("SDEPTH_CELL_CAP", int, 10**6),
+    "gen_cap": ("SDEPTH_GEN_CAP", int, 5000),
+}
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
+def _fill_env_defaults(args) -> None:
+    """Set each unset budget flag of the subcommand from its environment
+    variable or default; a variable the subcommand does not read is ignored."""
+    for dest, (var, kind, default) in ENV_DEFAULTS.items():
+        if dest not in vars(args) or getattr(args, dest) is not None:
+            continue
+        raw = os.environ.get(var)
+        try:
+            setattr(args, dest, kind(raw) if raw else default)
+        except ValueError:
+            raise ParseError(f"{var}={raw!r} is not a valid {kind.__name__}") from None
 
 
 def _add_time_limit(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--time-limit", type=float, default=_env_float("SDEPTH_TIME_LIMIT", 60.0),
+        "--time-limit", type=float,
         help="seconds per sdepth decision (default 60, env SDEPTH_TIME_LIMIT)",
     )
 
 
 def _add_cell_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--cell-cap", type=int, default=_env_int("SDEPTH_CELL_CAP", 10**6),
+        "--cell-cap", type=int,
         help="max box volume for poset construction and box checks (default 1e6, env SDEPTH_CELL_CAP)",
     )
 
@@ -334,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true")
     p.add_argument(
-        "--gen-cap", type=int, default=_env_int("SDEPTH_GEN_CAP", 5000),
+        "--gen-cap", type=int,
         help="max generators of I^n (default 5000, env SDEPTH_GEN_CAP)",
     )
     p.set_defaults(fn=cmd_power)
@@ -383,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for a usage error
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
+        _fill_env_defaults(args)
         return args.fn(args)
     except (ParseError, HypothesisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,19 +3,19 @@
 The Taylor complex on the minimal generators of I, tensored with the base
 field, splits into strands indexed by lcm multidegrees; the homology rank of
 each strand is the corresponding multigraded Betti number of S/I.  Depth
-then follows from depth + pd = n (Auslander-Buchsbaum).  Ranks are computed
-by exact rational elimination; the sign of the differential is the position
-of the dropped generator in the sorted subset (any consistent convention
-gives the same ranks).
+then follows from depth + pd = n (Auslander-Buchsbaum).  Ranks are over the
+rationals, computed by exact fraction-free sparse elimination over the
+integers (``rational_rank``), so depth is the characteristic-0 value; the
+sign of the differential is the position of the dropped generator in the
+sorted subset (any consistent convention gives the same ranks).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
+from math import gcd
 
-from .core import Monomial, MonomialIdeal
+from .core import MonomialIdeal
 
 
 DEFAULT_TAYLOR_CAP = 20
@@ -26,26 +26,45 @@ class TaylorCapError(RuntimeError):
 
 
 def rational_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over the rationals, by Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        for r in range(row + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
+    """Rank over the rationals of an integer matrix given as dense rows.
+
+    Fraction-free sparse elimination over the integers: each row is a dict
+    of its nonzero entries, and pivot rows are kept by their leading
+    column.  An incoming row is reduced against the pivot at its leading
+    column until it becomes a new pivot or vanishes.  With a leading entry
+    a and a pivot entry pv, the update is row = (pv/g)*row - (a/g)*pivot
+    for g = gcd(a, pv) signed like pv: row -= a*pv*pivot when pv = +-1;
+    otherwise the row is scaled, and then divided by the gcd of its
+    entries so that integers stay small.  Every step replaces a row by a
+    nonzero integer multiple of itself plus a multiple of a pivot row, so
+    the row space over Q, and hence the rank, is unchanged; the pivots have
+    distinct leading columns, so the rank is their number.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for dense in rows:
+        row = {c: a for c, a in enumerate(dense) if a}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, pv = row[lead], pivot[lead]
+            g = gcd(a, pv) if pv > 0 else -gcd(a, pv)
+            scale, f = pv // g, a // g  # scale > 0, and scale*a == f*pv
+            if scale != 1:
+                row = {c: scale * v for c, v in row.items()}
+            for c, b in pivot.items():
+                v = row.get(c, 0) - f * b
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            if scale != 1:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {c: v // content for c, v in row.items()}
+    return len(pivots)
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,13 @@ def _require_ci(ideal: MonomialIdeal, name: str = "J") -> None:
         raise HypothesisError(f"{name} must be a monomial complete intersection")
 
 
+def _require_power(n: int, name: str = "n", least: int = 1) -> None:
+    """A power bound below ``least`` leaves nothing to check, and an empty
+    report would read as ``holds``."""
+    if n < least:
+        raise HypothesisError(f"needs {name} >= {least}")
+
+
 def q_chain(
     ideal_a: MonomialIdeal, ideal_b: MonomialIdeal, n: int
 ) -> list[MonomialIdeal]:
@@ -330,6 +337,7 @@ def check_prop_2_5(
     """All shells J^m/J^(m+1) of a complete intersection have sdepth equal to
     dim(B/J), for m = 0..n."""
     _require_ci(ideal_b)
+    _require_power(n, least=0)
     report = TheoremReport("prop_2_5", {"J": format_ideal(ideal_b), "n": str(n)})
     dim = krull_dim_quotient(ideal_b)
     for m in range(n + 1):
@@ -345,8 +353,7 @@ def check_prop_2_6(
 ) -> TheoremReport:
     """sdepth((I+J)^n) against the minimum over the filtration factors."""
     _require_blocks(ideal_a, ideal_b)
-    if n < 1:
-        raise HypothesisError("needs n >= 1")
+    _require_power(n)
     _, ia, ib = tensor_join(ideal_a, ideal_b)
     report = TheoremReport("prop_2_6", _dump_pair(ideal_a, ideal_b, n=n))
     total = ia.add(ib)
@@ -390,8 +397,7 @@ def check_obs_2_8(
 ) -> TheoremReport:
     """Filtration bounds along the chain Q_0 ⊂ ... ⊂ Q_n."""
     _require_blocks(ideal_a, ideal_b)
-    if n < 1:
-        raise HypothesisError("needs n >= 1")
+    _require_power(n)
     _, ia, ib = tensor_join(ideal_a, ideal_b)
     report = TheoremReport("obs_2_8", _dump_pair(ideal_a, ideal_b, n=n))
     chain = q_chain(ia, ib, n)
@@ -462,6 +468,7 @@ def check_thm_2_11(
     sdepth bounds, and monotonicity of the three sdepth sequences."""
     _require_blocks(ideal_a, ideal_b)
     _require_ci(ideal_b)
+    _require_power(n_max, "n_max")
     _, ia, ib = tensor_join(ideal_a, ideal_b)
     report = TheoremReport("thm_2_11", _dump_pair(ideal_a, ideal_b, n_max=n_max))
     total = ia.add(ib)
@@ -516,6 +523,7 @@ def check_thm_2_11_decomposition(
     I^(n-alpha) cover the complement exactly once."""
     if ideal_a.is_zero or ideal_a.is_unit:
         raise HypothesisError("I must be nonzero and proper")
+    _require_power(n)
     principal = MonomialIdeal.from_gens(v.context, [v])
     _require_blocks(ideal_a, principal)
     _, ia, iv = tensor_join(ideal_a, principal)
@@ -547,6 +555,7 @@ def check_cor_2_12(
 ) -> TheoremReport:
     """sdepth(B/J^n) = depth(B/J^n) = s - t for a complete intersection."""
     _require_ci(ideal_b)
+    _require_power(n_max, "n_max")
     report = TheoremReport("cor_2_12", {"J": format_ideal(ideal_b), "n_max": str(n_max)})
     s = ideal_b.context.arity
     t = len(ideal_b.gens)
@@ -588,6 +597,7 @@ def check_cor_2_13(
     """Monotone growth of depth(R/L^n) when G(L) = {v_1..v_m, v} with
     gcd(v, v_i) = w constant in block A and v/w in block B."""
     _require_colon_shift(ideal, v)
+    _require_power(n_max, "n_max")
     report = TheoremReport(
         "cor_2_13", {"L": format_ideal(ideal), "v": str(v), "n_max": str(n_max)}
     )
@@ -627,6 +637,7 @@ def check_prop_2_14(
     intersection, with equality from k = t-1 on; the direct value must agree
     with the lcm-lattice transfer from the maximal-ideal case."""
     _require_ci(ideal_b)
+    _require_power(k_max, "k_max")
     report = TheoremReport("prop_2_14", {"J": format_ideal(ideal_b), "k_max": str(k_max)})
     s = ideal_b.context.arity
     t = len(ideal_b.gens)
@@ -652,6 +663,7 @@ def check_thm_2_15(
     equal dim(B/J) at every power; sdepth(J^n) stabilizes at dim(B/J)+1 from
     n = t-1 on."""
     _require_ci(ideal_b)
+    _require_power(n_max, "n_max", least=0)
     report = TheoremReport("thm_2_15", {"J": format_ideal(ideal_b), "n_max": str(n_max)})
     dim = krull_dim_quotient(ideal_b)
     t = len(ideal_b.gens)
@@ -701,6 +713,7 @@ def sdepth_sequence(
     ideal: MonomialIdeal, n_max: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[SequenceRow]:
     """Rows (n, sdepth(R/L^n), sdepth(L^n), sdepth(L^n/L^(n+1)))."""
+    _require_power(n_max, "n_max")
     rows = []
     for n in range(1, n_max + 1):
         try:
@@ -728,6 +741,7 @@ def depth_sequence(
     The depth engine resolves cyclic quotients only, so the shell column is
     reported as n/a rather than approximated.
     """
+    _require_power(n_max, "n_max")
     rows = []
     for n in range(1, n_max + 1):
         try:

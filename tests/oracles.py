@@ -3,11 +3,13 @@
 These deliberately avoid the production search machinery: partitions are
 enumerated exhaustively, dimension scans all variable subsets, colon and
 membership go through degree-bounded monomial enumeration, and box checks
-walk the box point by point with ``contains``.
+walk the box point by point with ``contains``, and ranks go through dense
+``Fraction`` Gaussian elimination.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, tensor_join
 from sdepth.poset import CharPoset, degree_bound_g
@@ -149,3 +151,27 @@ def pointwise_hasse_edges(poset: CharPoset) -> "set[tuple[tuple[int, ...], tuple
         lower = [p for p in cells if below(p, q)]
         edges.update((p, q) for p in lower if not any(below(p, r) for r in lower))
     return edges
+
+
+def fraction_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix over the rationals, by dense Gaussian
+    elimination in ``Fraction`` arithmetic."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        pv = mat[row][col]
+        for r in range(row + 1, len(mat)):
+            if mat[r][col] != 0:
+                factor = mat[r][col] / pv
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        row += 1
+        rank += 1
+        if row == len(mat):
+            break
+    return rank

@@ -225,12 +225,17 @@ STATEMENT_FILES = {
 }
 
 
-@pytest.mark.parametrize("statement", sorted(STATEMENTS))
-def test_every_statement_runs_from_a_file(capsys, tmp_path, statement):
+def statement_file(tmp_path, statement: str) -> str:
     path = STATEMENT_FILES.get(statement, PAIR)
     if path.startswith("vars:"):
         (tmp_path / "instance.ideal").write_text(path)
         path = str(tmp_path / "instance.ideal")
+    return path
+
+
+@pytest.mark.parametrize("statement", sorted(STATEMENTS))
+def test_every_statement_runs_from_a_file(capsys, tmp_path, statement):
+    path = statement_file(tmp_path, statement)
     # prop_2_7 on the pair file is decided only in the search's second phase,
     # which starts at half the time limit
     code, payloads = run_json(
@@ -241,6 +246,36 @@ def test_every_statement_runs_from_a_file(capsys, tmp_path, statement):
     assert payloads[0]["verdict"] != "fails"
 
 
+# statements whose check loops over powers 1..n (0..n for prop_2_5 and
+# thm_2_15): a bound below the first power would leave nothing to check
+EMPTY_POWERS = [
+    ("thm_2_11", "0", "needs n_max >= 1"),
+    ("thm_2_11_decomposition", "0", "needs n >= 1"),
+    ("cor_2_12", "0", "needs n_max >= 1"),
+    ("cor_2_13", "0", "needs n_max >= 1"),
+    ("prop_2_14", "0", "needs k_max >= 1"),
+    ("prop_2_6", "0", "needs n >= 1"),
+    ("obs_2_8", "0", "needs n >= 1"),
+    ("prop_2_5", "-1", "needs n >= 0"),
+    ("thm_2_15", "-1", "needs n_max >= 0"),
+]
+
+
+@pytest.mark.parametrize("statement,power,message", EMPTY_POWERS)
+def test_power_bound_that_checks_nothing_is_input_error(capsys, tmp_path, statement, power, message):
+    path = statement_file(tmp_path, statement)
+    code, out, err = run(capsys, "verify", statement, "--ideal", path, "--n", power)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert message in err
+
+
+def test_power_bound_on_random_instance_is_input_error(capsys):
+    code, out, err = run(capsys, "verify", "cor_2_12", "--random", "0", "--n", "0")
+    assert code == EXIT_INPUT
+    assert "needs n_max >= 1" in err
+
+
 class TestSequenceCommand:
     def test_sdepth_table(self, capsys):
         code, payloads = run_json(capsys, "sequence", CI, "2")
@@ -248,6 +283,13 @@ class TestSequenceCommand:
         rows = payloads[0]["rows"]
         assert [r["n"] for r in rows] == [1, 2]
         assert all(r["ring_quotient"] == 1 and r["shell"] == 1 for r in rows)
+
+    @pytest.mark.parametrize("extra", [[], ["--depth"]])
+    def test_empty_table_is_input_error(self, capsys, extra):
+        code, out, err = run(capsys, "sequence", CI, "0", *extra)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "needs n_max >= 1" in err
 
     def test_depth_table(self, capsys):
         code, payloads = run_json(capsys, "sequence", CI, "2", "--depth")
@@ -274,6 +316,33 @@ class TestEnvBudgets:
         monkeypatch.setenv("SDEPTH_CELL_CAP", "10")
         code, _, _ = run(capsys, "sdepth", EXAMPLE, "--module", "S/I")
         assert code == EXIT_UNKNOWN
+
+    @pytest.mark.parametrize("var", ["SDEPTH_TIME_LIMIT", "SDEPTH_CELL_CAP"])
+    def test_malformed_env_read_by_subcommand_is_input_error(self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "abc")
+        code, out, err = run(capsys, "sdepth", CI)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert var in err
+
+    def test_malformed_gen_cap_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SDEPTH_GEN_CAP", "1.5")
+        code, _, err = run(capsys, "power", CI, "2")
+        assert code == EXIT_INPUT
+        assert "SDEPTH_GEN_CAP" in err
+
+    def test_flag_overrides_malformed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("SDEPTH_TIME_LIMIT", "abc")
+        code, _, _ = run(capsys, "sdepth", CI, "--time-limit", "5")
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("command", [["dim", CI], ["depth", CI]])
+    def test_malformed_env_not_read_is_ignored(self, capsys, monkeypatch, command):
+        for var in ("SDEPTH_TIME_LIMIT", "SDEPTH_CELL_CAP", "SDEPTH_GEN_CAP"):
+            monkeypatch.setenv(var, "abc")
+        code, out, err = run(capsys, *command)
+        assert code == EXIT_OK
+        assert out and not err
 
     def test_nonpositive_budget_rejected(self, capsys):
         code, _, err = run(capsys, "sdepth", CI, "--time-limit", "0")

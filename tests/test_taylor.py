@@ -1,8 +1,12 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sdepth.taylor as taylor
+from oracles import fraction_rank
 from sdepth.core import Monomial, MonomialIdeal, make_context, tensor_join
 from sdepth.taylor import (
     TaylorCapError,
@@ -30,7 +34,89 @@ class TestRationalRank:
         assert rational_rank(rows) == 2
 
 
+# mostly small and sparse, with the occasional entry up to 10^15
+ENTRIES = st.one_of(
+    st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, 6]),
+    st.integers(-(10**15), 10**15),
+)
+
+
+@st.composite
+def int_matrices(draw):
+    """Rectangular integer matrices with zero rows and columns, and rows
+    repeated or scaled from earlier rows."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    rows = [[0 if c in zero_cols else a for c, a in enumerate(row)] for row in rows]
+    if rows:
+        copies = draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(-3, 3)), max_size=3))
+        rows += [[k * a for a in rows[i]] for i, k in copies]
+    return draw(st.permutations(rows)) if rows else rows
+
+
+class TestRationalRankOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_matches_fraction_elimination(self, rows):
+        assert rational_rank(rows) == fraction_rank(rows)
+
+    def test_non_unit_pivots(self):
+        assert rational_rank([[2, 3], [4, 7]]) == 2
+        assert rational_rank([[2, 4], [3, 6]]) == 1
+        assert rational_rank([[6, 10, 15], [10, 15, 6], [15, 6, 10], [31, 31, 31]]) == 3
+        assert rational_rank([[0, 4, 6], [0, 6, 9], [5, 0, 0]]) == 2
+
+    def test_low_rank_products(self):
+        # B (m x r) times C (r x n) has rank at most r: rank-deficient
+        # matrices with no visible dependency
+        rng = random.Random(41)
+        for _ in range(40):
+            m, n, r = rng.randint(1, 30), rng.randint(1, 30), rng.randint(1, 8)
+            pick = lambda: rng.choice([0, 0, 0, 1, -1, 2, -3, 10**12])
+            b = [[pick() for _ in range(r)] for _ in range(m)]
+            c = [[pick() for _ in range(n)] for _ in range(r)]
+            rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+            assert rational_rank(rows) == fraction_rank(rows)
+
+
+def rp2_ideal():
+    """Stanley-Reisner ideal of the 6-vertex real projective plane: the ten
+    triangles of K_6 that are not facets."""
+    facets = {(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+              (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)}
+    ctx = make_context(*[f"x{i}" for i in range(1, 7)])
+    return ideal(ctx, *(
+        tuple(int(j in tri) for j in range(6))
+        for tri in itertools.combinations(range(6), 3)
+        if tri not in facets
+    ))
+
+
 class TestTaylorRanks:
+    def test_tables_match_fraction_rank_build(self, monkeypatch):
+        # equal-degree generators are all minimal; squares of the small ones
+        # give strands up to 60 x 37
+        rng = random.Random(43)
+        ideals = []
+        for _ in range(60):
+            n, d = rng.randint(2, 5), rng.randint(2, 3)
+            ctx = make_context(*[f"x{i}" for i in range(n)])
+            degree_d = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+            gens = rng.sample(degree_d, min(len(degree_d), rng.randint(2, 9)))
+            i = ideal(ctx, *gens)
+            ideals.append(i.power(2) if len(gens) <= 4 else i)
+        tables = [taylor_tor_ranks(i).entries for i in ideals]
+        monkeypatch.setattr(taylor, "rational_rank", fraction_rank)
+        assert tables == [taylor_tor_ranks(i).entries for i in ideals]
+
+    def test_rp2_over_q(self):
+        rp2 = rp2_ideal()
+        assert len(rp2.gens) == 10
+        report = depth_quotient(rp2)
+        assert (report.depth_quotient, report.pd, report.method) == (3, 3, "taylor")
+        assert taylor_tor_ranks(rp2).totals() == [1, 10, 15, 6]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_koszul_binomials(self, n):
         ctx = make_context(*[f"x{i}" for i in range(n)])
