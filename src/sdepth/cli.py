@@ -19,10 +19,16 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
-from .core import GeneratorCapError, MonomialIdeal, QuotientModule, krull_dim_quotient
-from .lattice import build_lcm_lattice, lattice_to_dot
+from .core import (
+    DEFAULT_GENERATOR_CAP,
+    GeneratorCapError,
+    MonomialIdeal,
+    QuotientModule,
+    krull_dim_quotient,
+)
+from .lattice import LatticeCapError, build_lcm_lattice, lattice_to_dot
 from .parsing import ParseError, format_ideal, parse_ideal, parse_module_expr, split_blocks
-from .poset import Budget, ResourceCapError, build_poset, poset_to_dot, sdepth_exact
+from .poset import DEFAULT_BUDGET, Budget, ResourceCapError, build_poset, poset_to_dot, sdepth_exact
 from .taylor import TaylorCapError, depth_quotient
 from .verifier import (
     STATEMENTS,
@@ -38,12 +44,14 @@ EXIT_INPUT = 1
 EXIT_FAILS = 2
 EXIT_UNKNOWN = 3
 
+# a budget cap ran out: the answer is unknown, not wrong
+CAP_ERRORS = (ResourceCapError, GeneratorCapError, TaylorCapError, LatticeCapError)
 
 # flag dest -> (environment variable, type, default) for unset budget flags
 ENV_DEFAULTS = {
-    "time_limit": ("SDEPTH_TIME_LIMIT", float, 60.0),
-    "cell_cap": ("SDEPTH_CELL_CAP", int, 10**6),
-    "gen_cap": ("SDEPTH_GEN_CAP", int, 5000),
+    "time_limit": ("SDEPTH_TIME_LIMIT", float, DEFAULT_BUDGET.time_limit),
+    "cell_cap": ("SDEPTH_CELL_CAP", int, DEFAULT_BUDGET.cell_cap),
+    "gen_cap": ("SDEPTH_GEN_CAP", int, DEFAULT_GENERATOR_CAP),
 }
 
 
@@ -63,14 +71,15 @@ def _fill_env_defaults(args) -> None:
 def _add_time_limit(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--time-limit", type=float,
-        help="seconds per sdepth decision (default 60, env SDEPTH_TIME_LIMIT)",
+        help=f"seconds per sdepth decision (default {DEFAULT_BUDGET.time_limit:g}, env SDEPTH_TIME_LIMIT)",
     )
 
 
 def _add_cell_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cell-cap", type=int,
-        help="max box volume for poset construction and box checks (default 1e6, env SDEPTH_CELL_CAP)",
+        help="max box volume for poset construction and box checks"
+        f" (default {DEFAULT_BUDGET.cell_cap:,}, env SDEPTH_CELL_CAP)",
     )
 
 
@@ -124,11 +133,7 @@ def cmd_sdepth(args) -> int:
     ideal = _load_ideal(args.path)
     module = _resolve_module(args, ideal)
     budget = _budget(args)
-    try:
-        result = sdepth_exact(module, budget=budget)
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
+    result = sdepth_exact(module, budget=budget)
     payload = {"command": "sdepth", "module": getattr(args, "module", None) or "I"}
     payload.update(result.to_json_dict())
     if result.status == "exact":
@@ -149,14 +154,10 @@ def cmd_depth(args) -> int:
     if not module.outer.is_unit and not module.inner.is_zero:
         raise ParseError("depth handles cyclic modules only: use S/expr or a plain ideal")
     target = module.inner if module.outer.is_unit else module.outer
-    try:
-        report = depth_quotient(target)
-        ideal_depth = None
-        if not target.is_zero and target.is_proper:
-            ideal_depth = report.depth_quotient + 1
-    except (TaylorCapError, GeneratorCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
+    report = depth_quotient(target)
+    ideal_depth = None
+    if not target.is_zero and target.is_proper:
+        ideal_depth = report.depth_quotient + 1
     payload = {
         "command": "depth",
         "depth_quotient": report.depth_quotient,
@@ -183,11 +184,7 @@ def cmd_dim(args) -> int:
 def cmd_power(args) -> int:
     _require_positive(args.gen_cap)
     ideal = _load_ideal(args.path)
-    try:
-        power = ideal.power(args.n, cap=args.gen_cap)
-    except GeneratorCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
+    power = ideal.power(args.n, cap=args.gen_cap)
     text = format_ideal(power)
     _emit(args, {"command": "power", "n": args.n, "ideal": text}, text.rstrip("\n"))
     return EXIT_OK
@@ -244,6 +241,8 @@ def cmd_verify(args) -> int:
     budget = _budget(args)
     if (args.ideal is None) == (args.random is None):
         raise ParseError("verify needs exactly one of --ideal FILE and --random SEED")
+    if args.n is not None and args.statement != "all" and STATEMENTS[args.statement].power == "none":
+        raise ParseError(f"{args.statement} takes no power: drop --n")
     if args.random is None:
         if args.statement == "all":
             raise ParseError("verify all needs --random SEED")
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument(
         "--gen-cap", type=int,
-        help="max generators of I^n (default 5000, env SDEPTH_GEN_CAP)",
+        help=f"max generators of I^n (default {DEFAULT_GENERATOR_CAP}, env SDEPTH_GEN_CAP)",
     )
     p.set_defaults(fn=cmd_power)
 
@@ -400,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, HypothesisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CAP_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ import itertools
 import math
 import operator
 import re
-import sys
 import time
 from dataclasses import dataclass
 
@@ -34,10 +33,6 @@ class CertificateError(RuntimeError):
     never an 'unknown' outcome."""
 
 
-class _BudgetExhausted(Exception):
-    """Internal: search ran out of time; surfaces as an 'unknown' outcome."""
-
-
 @dataclass(frozen=True)
 class Budget:
     """Resource limits for poset construction, partition search and box
@@ -45,10 +40,13 @@ class Budget:
 
     cell_cap: int = 10**6
     time_limit: float = 60.0
-    memo_cap: int = 200_000
 
 
 DEFAULT_BUDGET = Budget()
+
+# failed uncovered sets the search remembers per decision; beyond this many
+# the memo is lossy (it stops growing)
+MEMO_CAP = 200_000
 
 
 # --- box-membership kernel ----------------------------------------------------
@@ -133,36 +131,40 @@ def kron_mask(high: int, low: int, low_volume: int) -> int:
 class CharPoset:
     """Cells of the box [0, g] whose monomials lie in outer but not inner.
 
-    ``succ[i]`` lists the cells one unit step above cell i; ``preds[i]``
-    lists (axis, cell index or None) for each unit step below it inside the
-    box.  The cells of I/J form a convex set, so these unit steps are
-    exactly the cover relations.
+    Built from the cells' row-major box indices in ascending (lex) order;
+    ``cells`` lists them in graded-lex order as exponent tuples and
+    ``rhos[i]`` is the rho of cell i.  ``succ[i]`` lists the cells one unit
+    step above cell i; ``preds[i]`` lists (axis, cell index) for each cell
+    one unit step below it.  The cells of I/J form a convex set, so these
+    unit steps are exactly the cover relations.
     """
 
-    def __init__(self, context: RingContext, g: tuple[int, ...], cells: list[tuple[int, ...]]):
+    def __init__(self, context: RingContext, g: tuple[int, ...], points: list[int]):
         self.context = context
         self.g = g
-        # graded-lex: a stable sort by degree of the lex-sorted cells
-        self.cells = sorted(sorted(cells), key=sum)
-        self.index = {c: i for i, c in enumerate(self.cells)}
-        strides = box_strides(tuple(gj + 1 for gj in g))
+        dims = tuple(gj + 1 for gj in g)
+        strides = box_strides(dims)
+        lex = list(zip(*([p // s % d for p in points] for s, d in zip(strides, dims))))
+        # graded-lex: a stable sort by degree of the lex-ordered cells
+        degree = list(map(sum, lex))
+        order = sorted(range(len(lex)), key=degree.__getitem__)
+        self.cells = [lex[i] for i in order]
+        points = [points[i] for i in order]
         columns = list(zip(*self.cells))
-        points = [0] * len(self.cells)
-        for column, s in zip(columns, strides):
-            points = list(map(operator.add, points, map(s.__mul__, column)))
         at = {p: i for i, p in enumerate(points)}
+        self.rhos = [0] * len(points)
+        self.preds: list[list[tuple[int, int]]] = [[] for _ in points]
         # per axis, the cell one step up (None: off the box or not a cell)
-        # and (axis, cell) one step down (None: off the box; (axis, None):
-        # inside the box but not a cell)
-        up, down = [], []
+        up = []
         for j, (column, s, gj) in enumerate(zip(columns, strides, g)):
-            up.append([at.get(p + s) if cj < gj else None for p, cj in zip(points, column)])
-            down.append([(j, at.get(p - s)) if cj > 0 else None for p, cj in zip(points, column)])
+            self.rhos = list(map(operator.add, self.rhos, map(gj.__eq__, column)))
+            row = [at.get(p + s) if cj < gj else None for p, cj in zip(points, column)]
+            for i, above in enumerate(row):
+                if above is not None:
+                    self.preds[above].append((j, i))
+            up.append(row)
         present = functools.partial(operator.is_not, None)
         self.succ: list[list[int]] = [list(filter(present, row)) for row in zip(*up)]
-        self.preds: list[list[tuple[int, int | None]]] = [
-            list(filter(present, row)) for row in zip(*down)
-        ]
 
     @property
     def arity(self) -> int:
@@ -170,9 +172,6 @@ class CharPoset:
 
     def rho(self, point: tuple[int, ...]) -> int:
         return sum(1 for pj, gj in zip(point, self.g) if pj == gj)
-
-    def is_cell(self, point: tuple[int, ...]) -> bool:
-        return point in self.index
 
     def maximal_cells(self) -> list[tuple[int, ...]]:
         return [c for c, succ in zip(self.cells, self.succ) if not succ]
@@ -273,43 +272,36 @@ def build_poset(
         raise ValueError(f"g must dominate the generator exponents {gmin}")
     dims = tuple(gj + 1 for gj in g)
     require_volume(dims, budget)
-    points = mask_points(module_mask(module, dims))
-    cells = list(zip(*([p // s % d for p in points] for s, d in zip(box_strides(dims), dims))))
-    return CharPoset(module.context, g, cells)
+    return CharPoset(module.context, g, mask_points(module_mask(module, dims)))
 
 
 class _PartitionSearch:
     """Backtracking interval-partition search for a fixed rho target k.
 
     Branches on the graded-lex smallest uncovered cell; candidate tops are
-    tried in decreasing rho, ties broken lex.  Failed uncovered-set bitmasks
-    are memoized (lossy beyond the cap).
+    tried in the phase's order.  Failed uncovered-set bitmasks are memoized
+    (lossy beyond MEMO_CAP).
     """
 
     def __init__(self, poset: CharPoset, k: int, budget: Budget):
         self.poset = poset
         self.k = k
         self.budget = budget
-        self.deadline = time.monotonic() + budget.time_limit
         self.nodes = 0
         self.failed: set[int] = set()
-        self.order = self._order_greedy
-        cells = poset.cells
-        self.ncells = len(cells)
-        self.rho = [poset.rho(c) for c in cells]
-        # predecessor entries keep the step direction, so "pred >= branch
-        # cell" is a coordinate test
-        self.succ = poset.succ
-        self.preds = poset.preds
+        self.rho = poset.rhos
 
-    def _candidates(self, ci: int, uncovered: int) -> list[tuple[int, int]]:
+    def _candidates(self, ci: int, uncovered: int, order) -> list[tuple[int, int]]:
         """Interval tops d >= cell ci with [c, d] inside the uncovered set.
 
-        Returns (top index, interval bitmask) pairs, best rho first.  The
+        Returns (top index, interval bitmask) pairs sorted by order.  The
         reachability recursion: [c,d] is uncovered iff d is uncovered and
-        every predecessor of d above c spans an uncovered interval.
+        every predecessor of d above c spans an uncovered interval.  Such a
+        predecessor lies in [c, d], so by convexity it is a cell.
         """
         cells = self.poset.cells
+        succ = self.poset.succ
+        preds = self.poset.preds
         cc = cells[ci]
         reach: dict[int, int] = {ci: 1 << ci}
         level = [ci]
@@ -319,7 +311,7 @@ class _PartitionSearch:
         while level:
             proposed: set[int] = set()
             for di in level:
-                for si in self.succ[di]:
+                for si in succ[di]:
                     if si not in reach:
                         proposed.add(si)
             nxt = []
@@ -329,9 +321,9 @@ class _PartitionSearch:
                 sc = cells[si]
                 mask = 1 << si
                 ok = True
-                for j, pi in self.preds[si]:
+                for j, pi in preds[si]:
                     if sc[j] > cc[j]:  # predecessor lies in [c, d]
-                        pm = None if pi is None else reach.get(pi)
+                        pm = reach.get(pi)
                         if pm is None:
                             ok = False
                             break
@@ -342,7 +334,7 @@ class _PartitionSearch:
                     if self.rho[si] >= self.k:
                         out.append((si, mask))
             level = nxt
-        out.sort(key=self.order)
+        out.sort(key=order)
         return out
 
     def _order_greedy(self, cand: tuple[int, int]) -> tuple:
@@ -361,60 +353,59 @@ class _PartitionSearch:
         if self.k == 0:
             # singleton intervals always work
             intervals = tuple(Interval(c, c) for c in self.poset.cells)
-            rho_min = min((self.rho[i] for i in range(self.ncells)), default=0)
-            part = IntervalPartition(intervals, rho_min)
+            part = IntervalPartition(intervals, min(self.rho, default=0))
             return Decision("true", part, 0, time.monotonic() - start)
-        full = (1 << self.ncells) - 1
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 2 * self.ncells + 10_000))
         # two-phase portfolio: restart with the frugal ordering when the
         # greedy one times out; the failure memo states ordering-independent
         # facts, so it carries over
         phases = [
             (self._order_greedy, start + 0.5 * self.budget.time_limit),
-            (self._order_frugal, self.deadline),
+            (self._order_frugal, start + self.budget.time_limit),
         ]
-        chosen: list[tuple[int, int]] | None = None
-        exhausted = True
-        try:
-            for order, deadline in phases:
-                self.order = order
-                self.deadline = deadline
-                try:
-                    chosen = self._solve(full)
-                    exhausted = False
-                    break
-                except _BudgetExhausted:
-                    continue
-        finally:
-            sys.setrecursionlimit(old_limit)
-        if exhausted:
-            return Decision("unknown", None, self.nodes, time.monotonic() - start)
-        if chosen is None:
-            return Decision("false", None, self.nodes, time.monotonic() - start)
+        for order, deadline in phases:
+            status, chosen = self._solve(order, deadline)
+            if status != "unknown":
+                break
+        if status != "true":
+            return Decision(status, None, self.nodes, time.monotonic() - start)
         cells = self.poset.cells
         intervals = tuple(Interval(cells[ci], cells[di]) for ci, di in chosen)
         rho_min = min(self.rho[di] for _, di in chosen) if chosen else self.poset.arity
         part = IntervalPartition(intervals, rho_min)
         return Decision("true", part, self.nodes, time.monotonic() - start)
 
-    def _solve(self, uncovered: int) -> list[tuple[int, int]] | None:
-        if uncovered == 0:
-            return []
-        if uncovered in self.failed:
-            return None
-        self.nodes += 1
-        if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
-            raise _BudgetExhausted
-        ci = (uncovered & -uncovered).bit_length() - 1
-        for di, mask in self._candidates(ci, uncovered):
-            rest = self._solve(uncovered & ~mask)
-            if rest is not None:
-                rest.append((ci, di))
-                return rest
-        if len(self.failed) < self.budget.memo_cap:
-            self.failed.add(uncovered)
-        return None
+    def _solve(self, order, deadline: float) -> tuple[str, list[tuple[int, int]] | None]:
+        """Depth-first search from the full cell set, on an explicit stack.
+
+        Each open node is [uncovered set, branch cell, chosen top, its
+        remaining candidates].  Returns ("true", (cell, top) pairs deepest
+        first), ("false", None) when the search is exhaustive, or
+        ("unknown", None) once the deadline has passed.
+        """
+        stack: list[list] = []
+        uncovered = (1 << len(self.rho)) - 1
+        while True:
+            if uncovered == 0:
+                return "true", [(ci, di) for _, ci, di, _ in reversed(stack)]
+            if uncovered not in self.failed:
+                self.nodes += 1
+                if self.nodes % 256 == 0 and time.monotonic() > deadline:
+                    return "unknown", None
+                ci = (uncovered & -uncovered).bit_length() - 1
+                stack.append([uncovered, ci, None, iter(self._candidates(ci, uncovered, order))])
+            # backtrack to the deepest open node with a candidate left
+            while stack:
+                node = stack[-1]
+                cand = next(node[3], None)
+                if cand is not None:
+                    node[2] = cand[0]
+                    uncovered = node[0] & ~cand[1]
+                    break
+                stack.pop()
+                if len(self.failed) < MEMO_CAP:
+                    self.failed.add(node[0])
+            else:
+                return "false", None
 
 
 def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -> Decision:
@@ -554,7 +545,6 @@ def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -
     # predecessors come in axis order, which is the cells' order
     for q, preds in zip(cells, poset.preds):
         for _, pi in preds:
-            if pi is not None:
-                lines.append(f"  {node_id(cells[pi])} -> {node_id(q)};")
+            lines.append(f"  {node_id(cells[pi])} -> {node_id(q)};")
     lines.append("}")
     return "\n".join(lines)

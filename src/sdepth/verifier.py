@@ -25,7 +25,7 @@ from .core import (
     krull_dim_quotient,
     tensor_join,
 )
-from .lattice import build_lcm_lattice, ci_power_atom_map, sdepth_transfer
+from .lattice import LatticeCapError, build_lcm_lattice, ci_power_atom_map, sdepth_transfer
 from .parsing import format_ideal, split_blocks
 from .poset import (
     Budget,
@@ -481,7 +481,9 @@ def check_thm_2_11(
     ]
     sd_rq = {}
     sd_pow = {}
-    sd_shell = {}
+    # shell n is (I+J)^n/(I+J)^(n+1); only the items (4) read them
+    shells = range(1, n_max + 1) if n_max >= 2 else ()
+    sd_shell = {n: _sd(QuotientModule(total.power(n), total.power(n + 1)), budget) for n in shells}
     for n in range(1, n_max + 1):
         p_n = total.power(n)
         sd_rq[n] = _sd(QuotientModule.of_quotient_ring(p_n), budget)
@@ -501,8 +503,6 @@ def check_thm_2_11(
                   sd_rq[n], None if sd_min is None else sd_min + dim_bj, ">=")
         )
     for n in range(1, n_max):
-        sd_shell[n] = _sd(QuotientModule(total.power(n), total.power(n + 1)), budget)
-        sd_shell[n + 1] = _sd(QuotientModule(total.power(n + 1), total.power(n + 2)), budget)
         report.items.append(
             _item(f"(4) sdepth(R/(I+J)^{n + 1}) <= sdepth(R/(I+J)^{n})", sd_rq[n + 1], sd_rq[n], "<=")
         )
@@ -613,7 +613,8 @@ def sdepth_ci_power_via_transfer(
     ideal_b: MonomialIdeal, k: int, budget: Budget = DEFAULT_BUDGET
 ) -> int | None:
     """sdepth(J^k) for a complete intersection, computed in t variables on
-    the maximal-ideal side and moved along the verified lattice isomorphism."""
+    the maximal-ideal side and moved along the verified lattice isomorphism;
+    None when the budget or the lattice cap runs out."""
     _require_ci(ideal_b)
     t = len(ideal_b.gens)
     s = ideal_b.context.arity
@@ -625,9 +626,11 @@ def sdepth_ci_power_via_transfer(
         return None
     j_k = ideal_b.power(k)
     phi = ci_power_atom_map(m_k, j_k, ideal_b.gens)
-    return sdepth_transfer(
-        source_value, t, s, build_lcm_lattice(m_k), build_lcm_lattice(j_k), phi
-    )
+    try:
+        source, target = build_lcm_lattice(m_k), build_lcm_lattice(j_k)
+    except LatticeCapError:
+        return None
+    return sdepth_transfer(source_value, t, s, source, target, phi)
 
 
 def check_prop_2_14(

@@ -214,6 +214,25 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "all", "--ideal", PAIR)
         assert code == EXIT_INPUT
 
+    def test_power_flag_on_statement_without_power_from_file(self, capsys):
+        code, out, err = run(capsys, "verify", "lemma_2_1", "--ideal", PAIR, "--n", "0")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "lemma_2_1 takes no power" in err
+
+    def test_power_flag_on_statement_without_power_at_random(self, capsys):
+        code, out, err = run(capsys, "verify", "prop_2_2", "--random", "0", "--n", "2")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "prop_2_2 takes no power" in err
+
+    def test_power_flag_reaches_all_statements(self, capsys):
+        code, payloads = run_json(
+            capsys, "verify", "all", "--random", "0", "--n", "1", "--time-limit", "10"
+        )
+        assert code == EXIT_OK
+        assert [p["statement"] for p in payloads] == sorted(STATEMENTS)
+
 
 # the file each statement is checked on: pair and CI statements use the
 # shipped files; the rest need a shape of their own
@@ -236,10 +255,12 @@ def statement_file(tmp_path, statement: str) -> str:
 @pytest.mark.parametrize("statement", sorted(STATEMENTS))
 def test_every_statement_runs_from_a_file(capsys, tmp_path, statement):
     path = statement_file(tmp_path, statement)
+    # a statement that takes no power rejects --n
+    power = [] if STATEMENTS[statement].power == "none" else ["--n", "1"]
     # prop_2_7 on the pair file is decided only in the search's second phase,
     # which starts at half the time limit
     code, payloads = run_json(
-        capsys, "verify", statement, "--ideal", path, "--n", "1", "--time-limit", "4"
+        capsys, "verify", statement, "--ideal", path, *power, "--time-limit", "4"
     )
     assert code in (EXIT_OK, EXIT_UNKNOWN)
     assert payloads[0]["statement"] == statement
@@ -309,6 +330,38 @@ class TestExportCommand:
         code, _, _ = run(capsys, "export", "lattice", CI, "-o", str(target))
         assert code == EXIT_OK
         assert target.read_text().startswith("digraph")
+
+
+def many_generator_file(tmp_path) -> str:
+    # 81 generators: any product of two of its ideals exceeds the 5000 cap
+    path = tmp_path / "wide.ideal"
+    path.write_text("vars: x1 x2\n" + "\n".join(f"x1^{i}*x2^{80 - i}" for i in range(81)) + "\n")
+    return str(path)
+
+
+class TestCapErrors:
+    """A cap that runs out makes the answer unknown: exit 3, not a traceback."""
+
+    def test_sdepth_module_over_generator_cap(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sdepth", many_generator_file(tmp_path), "--module", "I^2")
+        assert code == EXIT_UNKNOWN
+        assert out == ""
+        assert err.startswith("error: product would form 6561 generators (cap 5000)")
+
+    def test_depth_module_over_generator_cap(self, capsys, tmp_path):
+        code, out, err = run(capsys, "depth", many_generator_file(tmp_path), "--module", "S/I^2")
+        assert code == EXIT_UNKNOWN
+        assert out == ""
+        assert err.startswith("error: product would form 6561 generators (cap 5000)")
+
+    def test_transfer_over_lattice_cap_is_unknown(self, capsys, tmp_path):
+        # (t1, t2, t3)^5 has 21 generators, one more than the lattice cap
+        path = tmp_path / "m3.ideal"
+        path.write_text("vars: x1 x2 x3\nx1\nx2\nx3\n")
+        code, payloads = run_json(capsys, "verify", "prop_2_14", "--ideal", str(path), "--n", "5")
+        assert code == EXIT_UNKNOWN
+        unknown = [item["label"] for item in payloads[0]["items"] if item["verdict"] != "holds"]
+        assert unknown == ["transfer agreement at k=5"]
 
 
 class TestEnvBudgets:

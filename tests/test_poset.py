@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
 from sdepth.poset import (
     Budget,
     CertificateError,
+    CharPoset,
     Decision,
     IntervalPartition,
     ResourceCapError,
@@ -76,6 +78,26 @@ class TestBuildPoset:
         with pytest.raises(ValueError):
             build_poset(QuotientModule.of_ideal(ideal(X2, (2, 0))), g=(1, 1))
 
+    def test_no_box_indices_give_an_empty_poset(self):
+        p = CharPoset(X2, (2, 1), [])
+        assert len(p) == 0
+        assert p.cells == p.succ == p.preds == p.rhos == []
+
+    def test_adjacency_holds_only_cells(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            p = build_poset(_random_module(rng))
+            cells = set(p.cells)
+            for i, c in enumerate(p.cells):
+                below = [
+                    (j, c[:j] + (c[j] - 1,) + c[j + 1 :])
+                    for j in range(p.arity)
+                    if c[:j] + (c[j] - 1,) + c[j + 1 :] in cells
+                ]
+                assert [(j, p.cells[pi]) for j, pi in p.preds[i]] == below
+                assert all(0 <= pi < len(p) for _, pi in p.preds[i])
+                assert p.rhos[i] == p.rho(c)
+
 
 class TestDecision:
     def test_square_free_two_vars(self):
@@ -103,6 +125,18 @@ class TestDecision:
             p = build_poset(mod)
             statuses = [sdepth_decision(p, k).status for k in range(p.arity + 1)]
             assert "true" not in statuses[statuses.index("false"):] if "false" in statuses else True
+
+    def test_no_recursion_limit_needed(self, monkeypatch):
+        # the search keeps its open nodes on an explicit stack
+        def refuse(limit):
+            raise AssertionError("the search must not change the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        mod = QuotientModule.of_ideal(ideal(X3, (2, 1, 0), (0, 2, 1), (1, 0, 2)))
+        p = build_poset(mod)
+        assert sdepth_decision(p, 2).status == "true"
+        assert sdepth_decision(p, 3).status == "false"
+        assert sdepth_exact(mod).value == 2
 
     def test_budget_gives_unknown(self):
         ctx = make_context(*[f"x{i}" for i in range(5)])

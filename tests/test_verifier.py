@@ -106,6 +106,21 @@ class TestStatementChecks:
         report = check_thm_2_11(ia, jb, 2, budget=BUDGET)
         assert report.verdict == "holds"
 
+    def test_thm_2_11_decides_each_module_once(self, monkeypatch):
+        decided = []
+
+        def recording(module, *args, **kwargs):
+            decided.append(module)
+            return sdepth_exact(module, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "sdepth_exact", recording)
+        ca = make_context("x1", "x2")
+        cb = make_context("y1")
+        report = check_thm_2_11(ideal(ca, (1, 1)), ideal(cb, (2,)), 3, budget=BUDGET)
+        assert report.verdict == "holds"
+        # A/I^i and, for n = 1..3, R/(I+J)^n, (I+J)^n and the shell n
+        assert len(decided) == len(set(decided)) == 3 + 3 * 3
+
     def test_thm_2_11_decomposition(self):
         ca = make_context("x1", "x2")
         cb = make_context("y1")
