@@ -19,17 +19,11 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
-from .core import (
-    DEFAULT_GENERATOR_CAP,
-    GeneratorCapError,
-    MonomialIdeal,
-    QuotientModule,
-    krull_dim_quotient,
-)
-from .lattice import LatticeCapError, build_lcm_lattice, lattice_to_dot
+from .core import CapError, DEFAULT_GENERATOR_CAP, MonomialIdeal, QuotientModule, krull_dim_quotient
+from .lattice import build_lcm_lattice, lattice_to_dot
 from .parsing import ParseError, format_ideal, parse_ideal, parse_module_expr, split_blocks
-from .poset import DEFAULT_BUDGET, Budget, ResourceCapError, build_poset, poset_to_dot, sdepth_exact
-from .taylor import TaylorCapError, depth_quotient
+from .poset import DEFAULT_BUDGET, Budget, build_poset, poset_to_dot, sdepth_exact
+from .taylor import depth_quotient
 from .verifier import (
     STATEMENTS,
     HypothesisError,
@@ -43,9 +37,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAILS = 2
 EXIT_UNKNOWN = 3
-
-# a budget cap ran out: the answer is unknown, not wrong
-CAP_ERRORS = (ResourceCapError, GeneratorCapError, TaylorCapError, LatticeCapError)
 
 # flag dest -> (environment variable, type, default) for unset budget flags
 ENV_DEFAULTS = {
@@ -239,6 +230,8 @@ def cmd_verify(args) -> int:
         )
         return EXIT_INPUT
     budget = _budget(args)
+    if args.jobs < 1:
+        raise ParseError("--jobs must be positive")
     if (args.ideal is None) == (args.random is None):
         raise ParseError("verify needs exactly one of --ideal FILE and --random SEED")
     if args.n is not None and args.statement != "all" and STATEMENTS[args.statement].power == "none":
@@ -253,8 +246,9 @@ def cmd_verify(args) -> int:
             raise ParseError("--count must be positive")
         names = sorted(STATEMENTS) if args.statement == "all" else [args.statement]
         tasks = [(s, args.random + i, args.n, budget) for s in names for i in range(args.count)]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_verify_worker, tasks))
         else:
             reports = [_verify_worker(t) for t in tasks]
@@ -364,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
         " single-power instances)",
     )
     p.add_argument("--json", action="store_true", help="one JSON line per report")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for --random")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="parallel workers for --random, at most one per instance and per CPU",
+    )
     _add_time_limit(p)
     _add_cell_cap(p)
     p.set_defaults(fn=cmd_verify)
@@ -399,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, HypothesisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CAP_ERRORS as exc:
+    except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
 

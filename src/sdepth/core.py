@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 DEFAULT_GENERATOR_CAP = 5000
@@ -21,7 +21,15 @@ class ContextMismatchError(ValueError):
     """Operands live in different ring contexts."""
 
 
-class GeneratorCapError(RuntimeError):
+class CapError(RuntimeError):
+    """A resource cap ran out: the answer is unknown, not wrong.
+
+    Every cap of the engine raises a subclass: GeneratorCapError here,
+    ResourceCapError (cell cap), TaylorCapError and LatticeCapError.
+    """
+
+
+class GeneratorCapError(CapError):
     """An ideal operation would exceed the configured generator cap."""
 
 
@@ -63,9 +71,6 @@ class RingContext:
 
     def index_of(self, name: str) -> int:
         return self.variables.index(name)
-
-    def monomial(self, exponents: Sequence[int]) -> "Monomial":
-        return Monomial(self, tuple(exponents))
 
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * self.arity)

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
 
-from .core import Monomial, MonomialIdeal, RingContext
+from .core import CapError, Monomial, MonomialIdeal, RingContext
 
 
-DEFAULT_LATTICE_CAP = 20
+# most atoms whose join closure build_lcm_lattice computes
+LATTICE_CAP = 20
 
 
-class LatticeCapError(RuntimeError):
+class LatticeCapError(CapError):
     """Too many atoms for join closure."""
 
 
@@ -42,12 +43,12 @@ class LcmLattice:
         return self.elements - {self.bottom}
 
 
-def build_lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> LcmLattice:
+def build_lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
     """Join closure of the minimal generators under lcm."""
     if ideal.is_zero:
         raise ValueError("the zero ideal has no lcm-lattice")
-    if len(ideal.gens) > cap:
-        raise LatticeCapError(f"{len(ideal.gens)} atoms exceed the lattice cap {cap}")
+    if len(ideal.gens) > LATTICE_CAP:
+        raise LatticeCapError(f"{len(ideal.gens)} atoms exceed the lattice cap {LATTICE_CAP}")
     atoms = ideal.gens
     elements = set(atoms)
     frontier = set(atoms)

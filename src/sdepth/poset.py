@@ -21,10 +21,10 @@ import re
 import time
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, QuotientModule, RingContext
+from .core import CapError, Monomial, MonomialIdeal, QuotientModule, RingContext
 
 
-class ResourceCapError(RuntimeError):
+class ResourceCapError(CapError):
     """A configured cell/volume cap was exceeded."""
 
 
@@ -52,12 +52,13 @@ MEMO_CAP = 200_000
 # --- box-membership kernel ----------------------------------------------------
 
 
-def require_volume(dims: tuple[int, ...], budget: Budget, what: str = "box") -> None:
-    """Raise ResourceCapError if a box with side lengths dims has more
-    points than the cell cap."""
+def _capped(dims: tuple[int, ...], budget: Budget, what: str = "box") -> tuple[int, ...]:
+    """The side lengths dims, unless the box has more points than the cell
+    cap: then ResourceCapError."""
     volume = math.prod(dims)
     if volume > budget.cell_cap:
         raise ResourceCapError(f"{what} volume {volume} exceeds cell cap {budget.cell_cap}")
+    return dims
 
 
 def box_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -123,6 +124,16 @@ def kron_mask(high: int, low: int, low_volume: int) -> int:
     per box_L block makes the product carry-free."""
     spread = int(("0" * (low_volume - 1)).join(format(high, "b")), 2)
     return spread * low
+
+
+def cover_mismatches(masks, member: int) -> int:
+    """Box points not covered exactly once by the masks if in member, or
+    covered at all if not: the pointwise count as mask arithmetic."""
+    seen = multi = 0
+    for mask in masks:
+        multi |= seen & mask
+        seen |= mask
+    return (multi | ((seen & ~multi) ^ member)).bit_count()
 
 
 # --- the characteristic poset -------------------------------------------------
@@ -270,8 +281,7 @@ def build_poset(
         g = gmin
     elif any(a < b for a, b in zip(g, gmin)):
         raise ValueError(f"g must dominate the generator exponents {gmin}")
-    dims = tuple(gj + 1 for gj in g)
-    require_volume(dims, budget)
+    dims = _capped(tuple(gj + 1 for gj in g), budget)
     return CharPoset(module.context, g, mask_points(module_mask(module, dims)))
 
 
@@ -431,7 +441,7 @@ def sdepth_exact(
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
     poset = build_poset(module, g, budget)
-    require_volume(_certifying_dims(module), budget, "certifying box")
+    certifying_box(module, budget)
     ub = min(poset.rho(c) for c in poset.maximal_cells())
     nodes = 0
     elapsed = 0.0
@@ -480,8 +490,23 @@ def partition_to_decomposition(
     return StanleyDecomposition(ctx, tuple(spaces))
 
 
-def _certifying_dims(module: QuotientModule) -> tuple[int, ...]:
-    return tuple(gj + 2 for gj in degree_bound_g(module))
+def certifying_box(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """Side lengths of the certifying box [0, g+1] of a module; raises
+    ResourceCapError when it has more points than the cell cap."""
+    return _capped(tuple(gj + 2 for gj in degree_bound_g(module)), budget, "certifying box")
+
+
+def _space_mask(e: tuple[int, ...], free: frozenset[int], axes) -> int:
+    """Mask of the space x^e K[free] on a box given as (side, stride) axes:
+    its corner bit copied along every free axis by a repunit product.  The
+    copies never overlap, so the product makes no carries."""
+    if any(ej >= d for ej, (d, _) in zip(e, axes)):
+        return 0  # the space misses the box
+    space = 1 << sum(ej * s for ej, (_, s) in zip(e, axes))
+    for j, (d, s) in enumerate(axes):
+        if j in free:
+            space *= _repunit(d - e[j], s)
+    return space
 
 
 def verify_decomposition(
@@ -493,29 +518,14 @@ def verify_decomposition(
 
     One step beyond g separates free from capped directions; membership in a
     monomial ideal is determined by truncation at g, so exact cover on this
-    box certifies exact cover everywhere.  Each space is one sub-box mask:
-    its corner bit copied along every free axis by a repunit product.  The
-    copies never overlap, so the products make no carries.
+    box certifies exact cover everywhere.  Each space is one sub-box mask.
     """
     if decomposition.context != module.context:
         return False
-    dims = _certifying_dims(module)
-    require_volume(dims, budget, "certifying box")
-    strides = box_strides(dims)
-    axes = list(zip(dims, strides))
-    covered = 0
-    for mono, free in decomposition.spaces:
-        e = mono.exponents
-        if any(ej >= d for ej, d in zip(e, dims)):
-            continue  # the space misses the box
-        space = 1 << sum(ej * s for ej, s in zip(e, strides))
-        for j, (d, s) in enumerate(axes):
-            if j in free:
-                space *= _repunit(d - e[j], s)
-        if covered & space:
-            return False
-        covered |= space
-    return covered == module_mask(module, dims)
+    dims = certifying_box(module, budget)
+    axes = list(zip(dims, box_strides(dims)))
+    spaces = (_space_mask(mono.exponents, free, axes) for mono, free in decomposition.spaces)
+    return cover_mismatches(spaces, module_mask(module, dims)) == 0
 
 
 def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -> str:

@@ -15,13 +15,14 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .core import MonomialIdeal
+from .core import CapError, MonomialIdeal
 
 
-DEFAULT_TAYLOR_CAP = 20
+# most minimal generators whose 2^t subsets the Taylor complex enumerates
+TAYLOR_CAP = 20
 
 
-class TaylorCapError(RuntimeError):
+class TaylorCapError(CapError):
     """Too many minimal generators for subset enumeration."""
 
 
@@ -84,16 +85,6 @@ class BettiTable:
     def totals(self) -> list[int]:
         return [self.total(i) for i in range(self.pd + 1)]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pd": self.pd,
-            "totals": self.totals(),
-            "entries": [
-                {"i": i, "multidegree": list(m), "rank": v}
-                for (i, m), v in sorted(self.entries.items())
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class DepthReport:
@@ -102,12 +93,12 @@ class DepthReport:
     method: str  # "taylor" | "socle-shortcut"
 
 
-def taylor_tor_ranks(ideal: MonomialIdeal, cap: int = DEFAULT_TAYLOR_CAP) -> BettiTable:
+def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
     """Multigraded Betti numbers of S/I from the Taylor complex."""
     gens = list(ideal.gens)
     t = len(gens)
-    if t > cap:
-        raise TaylorCapError(f"{t} generators exceed the Taylor cap {cap}")
+    if t > TAYLOR_CAP:
+        raise TaylorCapError(f"{t} generators exceed the Taylor cap {TAYLOR_CAP}")
     n = ideal.context.arity
     zero = (0,) * n
     # group subsets of generators by the exponent vector of their lcm
@@ -150,9 +141,7 @@ def taylor_tor_ranks(ideal: MonomialIdeal, cap: int = DEFAULT_TAYLOR_CAP) -> Bet
     return BettiTable(n, entries)
 
 
-def depth_quotient(
-    ideal: MonomialIdeal, cap: int = DEFAULT_TAYLOR_CAP, socle_shortcut: bool = True
-) -> DepthReport:
+def depth_quotient(ideal: MonomialIdeal, socle_shortcut: bool = True) -> DepthReport:
     """depth(S/I) = n - pd(S/I); depth 0 is detected without homology when
     the colon by the maximal ideal is strictly larger than I."""
     if ideal.is_unit:
@@ -162,13 +151,13 @@ def depth_quotient(
         return DepthReport(n, 0, "taylor")
     if socle_shortcut and ideal.colon_maximal() != ideal:
         return DepthReport(0, n, "socle-shortcut")
-    table = taylor_tor_ranks(ideal, cap=cap)
+    table = taylor_tor_ranks(ideal)
     pd = table.pd
     return DepthReport(n - pd, pd, "taylor")
 
 
-def depth_ideal(ideal: MonomialIdeal, cap: int = DEFAULT_TAYLOR_CAP) -> int:
+def depth_ideal(ideal: MonomialIdeal) -> int:
     """depth(I) = depth(S/I) + 1 for a nonzero proper ideal."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("depth_ideal needs a nonzero proper ideal")
-    return depth_quotient(ideal, cap=cap).depth_quotient + 1
+    return depth_quotient(ideal).depth_quotient + 1

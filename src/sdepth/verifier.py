@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import (
-    GeneratorCapError,
+    CapError,
     Monomial,
     MonomialIdeal,
     QuotientModule,
@@ -25,19 +25,19 @@ from .core import (
     krull_dim_quotient,
     tensor_join,
 )
-from .lattice import LatticeCapError, build_lcm_lattice, ci_power_atom_map, sdepth_transfer
+from .lattice import build_lcm_lattice, ci_power_atom_map, sdepth_transfer
 from .parsing import format_ideal, split_blocks
 from .poset import (
     Budget,
     DEFAULT_BUDGET,
-    ResourceCapError,
-    degree_bound_g,
+    certifying_box,
+    cover_mismatches,
     ideal_mask,
     kron_mask,
     module_mask,
     sdepth_exact,
 )
-from .taylor import TaylorCapError, depth_ideal, depth_quotient
+from .taylor import depth_ideal, depth_quotient
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def _sd(module: QuotientModule, budget: Budget) -> int | None:
     """Stanley depth as a plain value; None when the budget ran out."""
     try:
         res = sdepth_exact(module, budget=budget)
-    except (ResourceCapError, GeneratorCapError):
+    except CapError:
         return None
     return res.value if res.status == "exact" else None
 
@@ -105,14 +105,14 @@ def _sd(module: QuotientModule, budget: Budget) -> int | None:
 def _depth_q(ideal: MonomialIdeal) -> int | None:
     try:
         return depth_quotient(ideal).depth_quotient
-    except (TaylorCapError, GeneratorCapError):
+    except CapError:
         return None
 
 
 def _depth_i(ideal: MonomialIdeal) -> int | None:
     try:
         return depth_ideal(ideal)
-    except (TaylorCapError, GeneratorCapError):
+    except CapError:
         return None
 
 
@@ -190,16 +190,6 @@ def _shell_masks(ideal: MonomialIdeal, n: int, dims: tuple[int, ...]) -> list[in
     """Masks of the shells I^i/I^(i+1), i = 0..n, on a box."""
     powers = [ideal_mask(ideal.power(i), dims) for i in range(n + 2)]
     return [powers[i] & ~powers[i + 1] for i in range(n + 1)]
-
-
-def cover_mismatches(strata: list[int], member: int) -> int:
-    """Box points not covered exactly once by the strata if in member, or
-    covered at all if not: the pointwise count as mask arithmetic."""
-    seen = multi = 0
-    for stratum in strata:
-        multi |= seen & stratum
-        seen |= stratum
-    return (multi | ((seen & ~multi) ^ member)).bit_count()
 
 
 # --- statement checks --------------------------------------------------------
@@ -295,8 +285,9 @@ def check_prop_2_3(
     report = TheoremReport("prop_2_3", _dump_pair(ideal_a, ideal_b, n=n))
     total = ia.add(ib)
     shell = QuotientModule(total.power(n), total.power(n + 1))
-    dims = tuple(gj + 2 for gj in degree_bound_g(shell))
-    if math.prod(dims) > budget.cell_cap:
+    try:
+        dims = certifying_box(shell, budget)
+    except CapError:
         report.items.append(CheckItem("stratum cover on box", None, None, "==", "unknown"))
         return report
     r = ideal_a.context.arity
@@ -531,8 +522,9 @@ def check_thm_2_11_decomposition(
         "thm_2_11_decomposition", _dump_pair(ideal_a, principal, n=n)
     )
     quotient = QuotientModule.of_quotient_ring(ia.add(iv).power(n))
-    dims = tuple(gj + 2 for gj in degree_bound_g(quotient))
-    if math.prod(dims) > budget.cell_cap:
+    try:
+        dims = certifying_box(quotient, budget)
+    except CapError:
         report.items.append(CheckItem("stratum cover on box", None, None, "==", "unknown"))
         return report
     r = ideal_a.context.arity
@@ -628,7 +620,7 @@ def sdepth_ci_power_via_transfer(
     phi = ci_power_atom_map(m_k, j_k, ideal_b.gens)
     try:
         source, target = build_lcm_lattice(m_k), build_lcm_lattice(j_k)
-    except LatticeCapError:
+    except CapError:
         return None
     return sdepth_transfer(source_value, t, s, source, target, phi)
 
@@ -721,7 +713,7 @@ def sdepth_sequence(
     for n in range(1, n_max + 1):
         try:
             p, p1 = ideal.power(n), ideal.power(n + 1)
-        except GeneratorCapError:
+        except CapError:
             na = SequenceEntry(None, "unknown")
             rows.append(SequenceRow(n, na, na, na))
             continue
@@ -749,7 +741,7 @@ def depth_sequence(
     for n in range(1, n_max + 1):
         try:
             p = ideal.power(n)
-        except GeneratorCapError:
+        except CapError:
             p = None
         dq = _depth_q(p) if p is not None else None
         di = _depth_i(p) if p is not None else None

@@ -6,6 +6,7 @@ import shlex
 import jsonschema
 import pytest
 
+import sdepth.cli as cli
 from sdepth.cli import EXIT_FAILS, EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, build_parser, main
 from sdepth.parsing import parse_ideal
 from sdepth.verifier import STATEMENTS
@@ -149,6 +150,41 @@ class TestVerifyCommand:
             capsys, "verify", "lemma_2_1", "--random", "1", "--count", "2", "--jobs", "2"
         )
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_rejected(self, capsys, jobs):
+        code, _, err = run(capsys, "verify", "lemma_2_1", "--random", "0", "--jobs", jobs)
+        assert code == EXIT_INPUT
+        assert "--jobs" in err
+
+    @pytest.mark.parametrize("jobs, count", [(1000, 3), (2, 3), (1000, 1)])
+    def test_pool_size_is_bounded(self, capsys, monkeypatch, jobs, count):
+        # a fake pool that records its size and maps in this process, so
+        # that a large --jobs starts no process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        argv = ("verify", "lemma_2_1", "--random", "1", "--count", str(count))
+        _, serial = run_json(capsys, *argv)
+        code, pooled = run_json(capsys, *argv, "--jobs", str(jobs))
+        assert code == EXIT_OK
+        assert pooled == serial
+        bound = min(jobs, count, 4)
+        assert sizes == ([bound] if bound > 1 else [])
 
     def test_unknown_statement(self, capsys):
         code, _, err = run(capsys, "verify", "thm_9_9", "--random", "0")

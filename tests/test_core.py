@@ -1,6 +1,7 @@
 import pytest
 
 from sdepth.core import (
+    CapError,
     ContextMismatchError,
     GeneratorCapError,
     Monomial,
@@ -12,6 +13,10 @@ from sdepth.core import (
     make_context,
     tensor_join,
 )
+
+from sdepth.lattice import LatticeCapError, TransferWithoutIsoError
+from sdepth.poset import CertificateError, ResourceCapError
+from sdepth.taylor import TaylorCapError
 
 from oracles import brute_colon, brute_krull_dim, ideal_members_box
 
@@ -131,6 +136,21 @@ class TestIdealArithmetic:
         assert i.intersect(u) == i
         assert z.colon(mono(X2, 1, 0)).is_zero
         assert u.colon(mono(X2, 1, 0)).is_unit
+
+
+class TestCapFamily:
+    """Every budget cap is a CapError, which callers turn into 'unknown';
+    a failed certificate or an unverified transfer is a bug, never that."""
+
+    @pytest.mark.parametrize(
+        "cls", [GeneratorCapError, ResourceCapError, TaylorCapError, LatticeCapError]
+    )
+    def test_caps_are_cap_errors(self, cls):
+        assert issubclass(cls, CapError)
+
+    @pytest.mark.parametrize("cls", [CertificateError, TransferWithoutIsoError])
+    def test_bugs_are_not_cap_errors(self, cls):
+        assert not issubclass(cls, CapError)
 
 
 class TestTensorJoin:

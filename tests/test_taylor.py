@@ -154,10 +154,11 @@ class TestTaylorRanks:
             assert table.total(1) == len(i.gens)
 
     def test_cap(self):
+        # (x0, x1, x2)^5 has 21 generators, one more than the Taylor cap
         ctx = make_context(*[f"x{i}" for i in range(3)])
         m = MonomialIdeal.from_gens(ctx, [ctx.variable(j) for j in range(3)])
         with pytest.raises(TaylorCapError):
-            taylor_tor_ranks(m.power(3), cap=4)
+            taylor_tor_ranks(m.power(5))
 
 
 class TestDepth:

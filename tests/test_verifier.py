@@ -11,6 +11,7 @@ from sdepth.verifier import (
     check_cor_2_12,
     check_cor_2_13,
     check_lemma_2_1,
+    check_prop_2_2,
     check_prop_2_3,
     check_prop_2_14,
     check_thm_2_11,
@@ -210,6 +211,33 @@ class TestStratumChecks:
         assert verifier.cover_mismatches([0b0011, 0b0110], member) == 1  # overlap
         assert verifier.cover_mismatches([0b0011, 0b1100], member) == 1  # non-member
         assert verifier.cover_mismatches([0b0111, 0b0111, 0b0111], member) == 3
+
+
+class TestCapsBecomeUnknown:
+    """A check turns a cap that runs out into an 'unknown' item and raises
+    nothing."""
+
+    def test_taylor_cap_in_lemma_2_1(self):
+        # (x1, x2)^20 has 21 generators; x3 keeps the socle shortcut from
+        # answering before the Taylor cap is reached
+        ca = make_context("x1", "x2", "x3")
+        cb = make_context("y1")
+        ia = ideal(ca, (1, 0, 0), (0, 1, 0)).power(20)
+        report = check_lemma_2_1(ia, ideal(cb, (1,)), budget=BUDGET)
+        assert report.verdict == "unknown"
+        assert [i.verdict for i in report.items] == ["holds", "unknown"]
+
+    def test_cell_cap_in_prop_2_2(self):
+        ia, ib = block_pair()
+        report = check_prop_2_2(ia, ib, budget=Budget(cell_cap=4))
+        assert report.verdict == "unknown"
+        assert report.items and all(i.verdict == "unknown" for i in report.items)
+
+    def test_cell_cap_in_prop_2_3(self):
+        ia, ib = block_pair()
+        report = check_prop_2_3(ia, ib, 1, budget=Budget(cell_cap=4))
+        assert report.verdict == "unknown"
+        assert [i.label for i in report.items] == ["stratum cover on box"]
 
 
 class TestRandomDriver:
