@@ -230,8 +230,6 @@ def cmd_verify(args) -> int:
         )
         return EXIT_INPUT
     budget = _budget(args)
-    if args.jobs < 1:
-        raise ParseError("--jobs must be positive")
     if (args.ideal is None) == (args.random is None):
         raise ParseError("verify needs exactly one of --ideal FILE and --random SEED")
     if args.n is not None and args.statement != "all" and STATEMENTS[args.statement].power == "none":
@@ -239,14 +237,20 @@ def cmd_verify(args) -> int:
     if args.random is None:
         if args.statement == "all":
             raise ParseError("verify all needs --random SEED")
+        if args.count is not None or args.jobs is not None:
+            raise ParseError("--count and --jobs apply to --random SEED only")
         report = run_on_ideal(args.statement, _load_ideal(args.ideal), args.n, budget)
         reports = [report.to_json_dict()]
     else:
-        if args.count < 1:
+        count = 1 if args.count is None else args.count
+        jobs = 1 if args.jobs is None else args.jobs
+        if count < 1:
             raise ParseError("--count must be positive")
+        if jobs < 1:
+            raise ParseError("--jobs must be positive")
         names = sorted(STATEMENTS) if args.statement == "all" else [args.statement]
-        tasks = [(s, args.random + i, args.n, budget) for s in names for i in range(args.count)]
-        workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        tasks = [(s, args.random + i, args.n, budget) for s in names for i in range(count)]
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_verify_worker, tasks))
@@ -351,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--ideal", help="ideal file (split file for two-block statements)")
     p.add_argument("--random", type=int, metavar="SEED", help="random instances from SEED")
-    p.add_argument("--count", type=int, default=1, help="random instances per statement")
+    p.add_argument(
+        "--count", type=int, help="random instances per statement, with --random (default 1)"
+    )
     p.add_argument(
         "--n", "--n-max", "--k-max", dest="n", type=int,
         help="the statement's power: n, n_max or k_max (default 2; drawn for random"
@@ -359,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="one JSON line per report")
     p.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel workers for --random, at most one per instance and per CPU",
+        "--jobs", type=int,
+        help="parallel workers for --random, at most one per instance and per CPU (default 1)",
     )
     _add_time_limit(p)
     _add_cell_cap(p)

@@ -9,6 +9,7 @@ graded-lex order, so ideal equality is plain tuple equality.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
@@ -163,11 +164,23 @@ class Monomial:
 
 
 def _minimal_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Drop every monomial strictly divided by another; dedupe; sort graded-lex."""
-    uniq = sorted(set(gens), key=Monomial.sort_key)
+    """Drop every monomial strictly divided by another; dedupe; sort graded-lex.
+
+    A divisor of the same degree is the monomial itself, so each monomial is
+    tested only against the kept ones of strictly lower degree.
+    """
     kept: list[Monomial] = []
-    for m in uniq:
-        if not any(k.divides(m) for k in kept):
+    lower: list[tuple[int, ...]] = []  # exponents of the kept of lower degree
+    level = 0  # kept[level:] have the current degree
+    current = None
+    # distinct monomials of one context have distinct keys, so the sort
+    # never compares two monomials
+    for (degree, e), m in sorted((m.sort_key(), m) for m in set(gens)):
+        if degree != current:
+            current = degree
+            lower.extend(k.exponents for k in kept[level:])
+            level = len(kept)
+        if not any(all(map(operator.le, k, e)) for k in lower):
             kept.append(m)
     return tuple(kept)
 

@@ -88,6 +88,18 @@ def _keep_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=32)
+def _axis_masks(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per axis, for each value v below its side d, the points whose
+    coordinate on it is v: stride ones at v*stride in every d*stride block."""
+    volume = math.prod(dims)
+    out = []
+    for d, stride in zip(dims, box_strides(dims)):
+        zero = int(("0" * ((d - 1) * stride) + "1" * stride) * (volume // (d * stride)), 2)
+        out.append(tuple(zero << (v * stride) for v in range(d)))
+    return tuple(out)
+
+
 def ideal_mask(ideal: MonomialIdeal, dims: tuple[int, ...]) -> int:
     """Bitmask of the box points (row-major, see :func:`box_strides`) that
     lie in the ideal.
@@ -143,39 +155,32 @@ class CharPoset:
     """Cells of the box [0, g] whose monomials lie in outer but not inner.
 
     Built from the cells' row-major box indices in ascending (lex) order;
-    ``cells`` lists them in graded-lex order as exponent tuples and
-    ``rhos[i]`` is the rho of cell i.  ``succ[i]`` lists the cells one unit
-    step above cell i; ``preds[i]`` lists (axis, cell index) for each cell
-    one unit step below it.  The cells of I/J form a convex set, so these
-    unit steps are exactly the cover relations.
+    ``cells`` lists them in graded-lex order as exponent tuples, ``points``
+    their box indices and ``rhos[i]`` the rho of cell i.  Sets of cells are
+    box masks: ``mask`` is the set of all cells, ``levels`` the cells of
+    each nonempty degree in ascending degree, and ``axis_masks[j][v]`` the
+    box points whose coordinate j is v.  The cells of I/J form a convex set,
+    so the unit steps between cells are exactly the cover relations.
     """
 
     def __init__(self, context: RingContext, g: tuple[int, ...], points: list[int]):
         self.context = context
         self.g = g
-        dims = tuple(gj + 1 for gj in g)
-        strides = box_strides(dims)
-        lex = list(zip(*([p // s % d for p in points] for s, d in zip(strides, dims))))
+        self.dims = tuple(gj + 1 for gj in g)
+        self.strides = box_strides(self.dims)
+        lex = list(zip(*([p // s % d for p in points] for s, d in zip(self.strides, self.dims))))
         # graded-lex: a stable sort by degree of the lex-ordered cells
         degree = list(map(sum, lex))
         order = sorted(range(len(lex)), key=degree.__getitem__)
         self.cells = [lex[i] for i in order]
-        points = [points[i] for i in order]
-        columns = list(zip(*self.cells))
-        at = {p: i for i, p in enumerate(points)}
-        self.rhos = [0] * len(points)
-        self.preds: list[list[tuple[int, int]]] = [[] for _ in points]
-        # per axis, the cell one step up (None: off the box or not a cell)
-        up = []
-        for j, (column, s, gj) in enumerate(zip(columns, strides, g)):
-            self.rhos = list(map(operator.add, self.rhos, map(gj.__eq__, column)))
-            row = [at.get(p + s) if cj < gj else None for p, cj in zip(points, column)]
-            for i, above in enumerate(row):
-                if above is not None:
-                    self.preds[above].append((j, i))
-            up.append(row)
-        present = functools.partial(operator.is_not, None)
-        self.succ: list[list[int]] = [list(filter(present, row)) for row in zip(*up)]
+        self.points = [points[i] for i in order]
+        self.rhos = [sum(map(operator.eq, c, g)) for c in self.cells]
+        self.levels = [
+            functools.reduce(operator.or_, (1 << points[i] for i in level))
+            for _, level in itertools.groupby(order, key=degree.__getitem__)
+        ]
+        self.mask = functools.reduce(operator.or_, self.levels, 0)
+        self.axis_masks = _axis_masks(self.dims)
 
     @property
     def arity(self) -> int:
@@ -185,7 +190,12 @@ class CharPoset:
         return sum(1 for pj, gj in zip(point, self.g) if pj == gj)
 
     def maximal_cells(self) -> list[tuple[int, ...]]:
-        return [c for c, succ in zip(self.cells, self.succ) if not succ]
+        """Cells with no cell one unit step above them."""
+        covered = 0
+        for stride, keep in zip(self.strides, _keep_masks(self.dims)):
+            covered |= (self.mask >> stride) & keep
+        top = self.mask & ~covered
+        return [c for c, p in zip(self.cells, self.points) if top >> p & 1]
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -288,9 +298,10 @@ def build_poset(
 class _PartitionSearch:
     """Backtracking interval-partition search for a fixed rho target k.
 
+    Cell sets are box masks, and cells are named by their box indices.
     Branches on the graded-lex smallest uncovered cell; candidate tops are
-    tried in the phase's order.  Failed uncovered-set bitmasks are memoized
-    (lossy beyond MEMO_CAP).
+    tried in the phase's order.  Failed uncovered sets are memoized (lossy
+    beyond MEMO_CAP).
     """
 
     def __init__(self, poset: CharPoset, k: int, budget: Budget):
@@ -299,71 +310,74 @@ class _PartitionSearch:
         self.budget = budget
         self.nodes = 0
         self.failed: set[int] = set()
-        self.rho = poset.rhos
+        self.cell = dict(zip(poset.points, poset.cells))
+        self.rho = dict(zip(poset.points, poset.rhos))
+        self.tops = functools.reduce(
+            operator.or_, (1 << p for p, r in self.rho.items() if r >= k), 0
+        )
+        # repunits[j][m]: one bit every stride_j positions, m + 1 of them
+        self.repunits = [
+            [_repunit(m + 1, s) for m in range(d)] for d, s in zip(poset.dims, poset.strides)
+        ]
 
-    def _candidates(self, ci: int, uncovered: int, order) -> list[tuple[int, int]]:
-        """Interval tops d >= cell ci with [c, d] inside the uncovered set.
+    def _interval(self, c: int, hi: tuple[int, ...]) -> int:
+        """Mask of the box [c, hi], c a box index: bit c times one repunit
+        per axis that the box spans."""
+        mask = 1 << c
+        for cj, hj, repunits in zip(self.cell[c], hi, self.repunits):
+            if hj > cj:
+                mask *= repunits[hj - cj]
+        return mask
 
-        Returns (top index, interval bitmask) pairs sorted by order.  The
-        reachability recursion: [c,d] is uncovered iff d is uncovered and
-        every predecessor of d above c spans an uncovered interval.  Such a
-        predecessor lies in [c, d], so by convexity it is a cell.
+    def _candidates(self, c: int, uncovered: int, order) -> list[int]:
+        """Tops d with rho(d) >= k and [c, d] inside the uncovered set, as
+        box indices sorted by order.
+
+        A prefix-AND sweep: start from the uncovered points of [c, g], then
+        along each axis j, g_j - c_j times, keep a point only if its
+        predecessor on the axis is kept; the points with coordinate c_j have
+        no predecessor in [c, g] and keep their bit.  What stays set is
+        every d with [c, d] inside the uncovered set.
         """
-        cells = self.poset.cells
-        succ = self.poset.succ
-        preds = self.poset.preds
-        cc = cells[ci]
-        reach: dict[int, int] = {ci: 1 << ci}
-        level = [ci]
-        out: list[tuple[int, int]] = []
-        if self.rho[ci] >= self.k:
-            out.append((ci, 1 << ci))
-        while level:
-            proposed: set[int] = set()
-            for di in level:
-                for si in succ[di]:
-                    if si not in reach:
-                        proposed.add(si)
-            nxt = []
-            for si in sorted(proposed):
-                if not (uncovered >> si) & 1:
-                    continue
-                sc = cells[si]
-                mask = 1 << si
-                ok = True
-                for j, pi in preds[si]:
-                    if sc[j] > cc[j]:  # predecessor lies in [c, d]
-                        pm = reach.get(pi)
-                        if pm is None:
-                            ok = False
-                            break
-                        mask |= pm
-                if ok:
-                    reach[si] = mask
-                    nxt.append(si)
-                    if self.rho[si] >= self.k:
-                        out.append((si, mask))
-            level = nxt
-        out.sort(key=order)
-        return out
+        reach = uncovered & self._interval(c, self.poset.g)
+        cell = self.cell[c]
+        poset = self.poset
+        for cj, gj, stride, on_axis in zip(cell, poset.g, poset.strides, poset.axis_masks):
+            first = on_axis[cj]
+            for _ in range(gj - cj):
+                reach &= (reach << stride) | first
+        reach &= self.tops
+        below = [cj - 1 for cj in cell]
+        keys = []
+        while reach:
+            bit = reach & -reach
+            reach ^= bit
+            d = bit.bit_length() - 1
+            # every point of [c, d] is a cell by convexity
+            size = math.prod(map(operator.sub, self.cell[d], below))
+            keys.append(order(self.rho[d], size, d))
+        keys.sort()
+        return [key[-1] for key in keys]
 
-    def _order_greedy(self, cand: tuple[int, int]) -> tuple:
+    @staticmethod
+    def _order_greedy(rho: int, size: int, top: int) -> tuple:
         """Best rho first, then larger intervals: good at refutation and on
         most satisfiable instances."""
-        return (-self.rho[cand[0]], -cand[1].bit_count(), self.poset.cells[cand[0]])
+        return (-rho, -size, top)
 
-    def _order_frugal(self, cand: tuple[int, int]) -> tuple:
+    @staticmethod
+    def _order_frugal(rho: int, size: int, top: int) -> tuple:
         """Smaller intervals first: keeps high-rho tops available for the
         cells that need them; rescues instances where greed paints the
         search into a corner."""
-        return (cand[1].bit_count(), -self.rho[cand[0]], self.poset.cells[cand[0]])
+        return (size, -rho, top)
 
     def run(self) -> Decision:
         start = time.monotonic()
         if self.k == 0:
             # singleton intervals always work
             intervals = tuple(Interval(c, c) for c in self.poset.cells)
-            part = IntervalPartition(intervals, min(self.rho, default=0))
+            part = IntervalPartition(intervals, min(self.poset.rhos, default=0))
             return Decision("true", part, 0, time.monotonic() - start)
         # two-phase portfolio: restart with the frugal ordering when the
         # greedy one times out; the failure memo states ordering-independent
@@ -378,9 +392,8 @@ class _PartitionSearch:
                 break
         if status != "true":
             return Decision(status, None, self.nodes, time.monotonic() - start)
-        cells = self.poset.cells
-        intervals = tuple(Interval(cells[ci], cells[di]) for ci, di in chosen)
-        rho_min = min(self.rho[di] for _, di in chosen) if chosen else self.poset.arity
+        intervals = tuple(Interval(self.cell[c], self.cell[d]) for c, d in chosen)
+        rho_min = min(self.rho[d] for _, d in chosen) if chosen else self.poset.arity
         part = IntervalPartition(intervals, rho_min)
         return Decision("true", part, self.nodes, time.monotonic() - start)
 
@@ -388,28 +401,38 @@ class _PartitionSearch:
         """Depth-first search from the full cell set, on an explicit stack.
 
         Each open node is [uncovered set, branch cell, chosen top, its
-        remaining candidates].  Returns ("true", (cell, top) pairs deepest
-        first), ("false", None) when the search is exhaustive, or
-        ("unknown", None) once the deadline has passed.
+        remaining candidates, degree level of the branch cell].  Returns
+        ("true", (cell, top) pairs deepest first), ("false", None) when the
+        search is exhaustive, or ("unknown", None) once the deadline has
+        passed.
         """
+        levels = self.poset.levels
         stack: list[list] = []
-        uncovered = (1 << len(self.rho)) - 1
+        uncovered = self.poset.mask
+        level = 0
         while True:
             if uncovered == 0:
-                return "true", [(ci, di) for _, ci, di, _ in reversed(stack)]
+                return "true", [(c, d) for _, c, d, _, _ in reversed(stack)]
             if uncovered not in self.failed:
                 self.nodes += 1
                 if self.nodes % 256 == 0 and time.monotonic() > deadline:
                     return "unknown", None
-                ci = (uncovered & -uncovered).bit_length() - 1
-                stack.append([uncovered, ci, None, iter(self._candidates(ci, uncovered, order))])
+                # a child covers a subset of its parent's set, so its lowest
+                # uncovered level is no lower; in a level, index order is lex
+                while not uncovered & levels[level]:
+                    level += 1
+                lowest = uncovered & levels[level]
+                c = (lowest & -lowest).bit_length() - 1
+                candidates = iter(self._candidates(c, uncovered, order))
+                stack.append([uncovered, c, None, candidates, level])
             # backtrack to the deepest open node with a candidate left
             while stack:
                 node = stack[-1]
-                cand = next(node[3], None)
-                if cand is not None:
-                    node[2] = cand[0]
-                    uncovered = node[0] & ~cand[1]
+                d = next(node[3], None)
+                if d is not None:
+                    node[2] = d
+                    uncovered = node[0] & ~self._interval(node[1], self.cell[d])
+                    level = node[4]
                     break
                 stack.pop()
                 if len(self.failed) < MEMO_CAP:
@@ -531,7 +554,8 @@ def verify_decomposition(
 def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -> str:
     """DOT rendering of the Hasse diagram; optional partition coloring.
 
-    The cover relations are the unit steps of the poset's adjacency.
+    The cover relations are the unit steps between cells, read from their
+    box indices.
     """
     cells = poset.cells
     palette = [
@@ -552,9 +576,12 @@ def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -
         label = str(Monomial(poset.context, p)) + label_extra.get(p, "")
         fill = color.get(p, "white")
         lines.append(f'  {node_id(p)} [label="{label}", fillcolor={fill}];')
-    # predecessors come in axis order, which is the cells' order
-    for q, preds in zip(cells, poset.preds):
-        for _, pi in preds:
-            lines.append(f"  {node_id(cells[pi])} -> {node_id(q)};")
+    # a unit step between two cells is a cover, by convexity
+    at = dict(zip(poset.points, cells))
+    for q, p in zip(cells, poset.points):
+        for qj, stride in zip(q, poset.strides):
+            below = at.get(p - stride) if qj > 0 else None
+            if below is not None:
+                lines.append(f"  {node_id(below)} -> {node_id(q)};")
     lines.append("}")
     return "\n".join(lines)

@@ -153,6 +153,28 @@ def pointwise_hasse_edges(poset: CharPoset) -> "set[tuple[tuple[int, ...], tuple
     return edges
 
 
+def pointwise_maximal_cells(poset: CharPoset) -> "list[tuple[int, ...]]":
+    """Cells with no other cell above them, by pairwise comparison, in the
+    poset's order."""
+    cells = poset.cells
+    above = lambda p, q: p != q and all(a <= b for a, b in zip(p, q))
+    return [p for p in cells if not any(above(p, q) for q in cells)]
+
+
+def brute_candidates(
+    poset: CharPoset, c: "tuple[int, ...]", uncovered: "set[tuple[int, ...]]", k: int
+) -> "list[tuple[int, ...]]":
+    """Cells d >= c with rho(d) >= k whose box [c, d] lies point by point in
+    the uncovered set, in the poset's order."""
+    out = []
+    for d in poset.cells:
+        if poset.rho(d) >= k and all(a <= b for a, b in zip(c, d)):
+            box = itertools.product(*(range(a, b + 1) for a, b in zip(c, d)))
+            if all(p in uncovered for p in box):
+                out.append(d)
+    return out
+
+
 def fraction_rank(rows: list[list[int]]) -> int:
     """Rank of an integer matrix over the rationals, by dense Gaussian
     elimination in ``Fraction`` arithmetic."""

@@ -200,6 +200,15 @@ class TestVerifyCommand:
         assert code == EXIT_INPUT
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--count", "1"), ("--count", "0"), ("--jobs", "1"), ("--jobs", "8")]
+    )
+    def test_random_only_flags_rejected_with_ideal(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "lemma_2_1", "--ideal", PAIR, flag, value)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--random" in err
+
     def test_random_and_ideal_rejected(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma_2_1", "--random", "0", "--ideal", PAIR)
         assert code == EXIT_INPUT

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sdepth.core import (
@@ -83,6 +85,17 @@ class TestMinimalize:
         i = ideal(X2, (0, 2), (1, 1), (2, 0), (0, 3))
         keys = [g.sort_key() for g in i.gens]
         assert keys == sorted(keys)
+
+    def test_matches_pairwise_definition(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            ctx = make_context(*[f"x{i}" for i in range(n)])
+            draw = lambda: Monomial(ctx, tuple(rng.randint(0, 3) for _ in range(n)))
+            gens = {draw() for _ in range(rng.randint(1, 25))}
+            minimal = [m for m in gens if not any(k != m and k.divides(m) for k in gens)]
+            expected = sorted(minimal, key=Monomial.sort_key)
+            assert list(MonomialIdeal.from_gens(ctx, gens).gens) == expected
 
 
 class TestIdealArithmetic:

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import sys
@@ -25,7 +26,12 @@ from sdepth.poset import (
 
 from sdepth.verifier import check_prop_2_5
 
-from oracles import brute_sdepth, pointwise_hasse_edges
+from oracles import (
+    brute_candidates,
+    brute_sdepth,
+    pointwise_hasse_edges,
+    pointwise_maximal_cells,
+)
 
 X1 = make_context("x1")
 X2 = make_context("x1", "x2")
@@ -81,22 +87,131 @@ class TestBuildPoset:
     def test_no_box_indices_give_an_empty_poset(self):
         p = CharPoset(X2, (2, 1), [])
         assert len(p) == 0
-        assert p.cells == p.succ == p.preds == p.rhos == []
+        assert p.cells == p.points == p.rhos == p.levels == []
+        assert p.mask == 0
+        assert p.maximal_cells() == []
 
-    def test_adjacency_holds_only_cells(self):
+    def test_maximal_cells_are_the_pointwise_maxima(self):
         rng = random.Random(29)
         for _ in range(40):
             p = build_poset(_random_module(rng))
-            cells = set(p.cells)
-            for i, c in enumerate(p.cells):
-                below = [
-                    (j, c[:j] + (c[j] - 1,) + c[j + 1 :])
-                    for j in range(p.arity)
-                    if c[:j] + (c[j] - 1,) + c[j + 1 :] in cells
-                ]
-                assert [(j, p.cells[pi]) for j, pi in p.preds[i]] == below
-                assert all(0 <= pi < len(p) for _, pi in p.preds[i])
-                assert p.rhos[i] == p.rho(c)
+            assert p.maximal_cells() == pointwise_maximal_cells(p)
+            assert p.rhos == [p.rho(c) for c in p.cells]
+            strides = [math.prod(d + 1 for d in p.g[j + 1 :]) for j in range(p.arity)]
+            assert p.points == [sum(cj * s for cj, s in zip(c, strides)) for c in p.cells]
+            assert p.mask == sum(1 << q for q in p.points)
+
+
+class TestCandidates:
+    """The prefix-AND sweep lists the same tops as a pointwise walk."""
+
+    @staticmethod
+    def _orders(p, c):
+        size = lambda d: math.prod(b - a + 1 for a, b in zip(c, d))
+        greedy = lambda d: (-p.rho(d), -size(d), d)
+        frugal = lambda d: (size(d), -p.rho(d), d)
+        return [
+            (poset_module._PartitionSearch._order_greedy, greedy),
+            (poset_module._PartitionSearch._order_frugal, frugal),
+        ]
+
+    def test_tops_match_brute_force(self):
+        rng = random.Random(31)
+        checked = 0
+        for trial in range(60):
+            mod = _random_module(rng)
+            if trial % 3 == 0:
+                mod = _with_free_axis(mod)  # an axis with g_j = 0
+            p = build_poset(mod)
+            cell = dict(zip(p.points, p.cells))
+            for k in range(1, p.arity + 1):
+                search = poset_module._PartitionSearch(p, k, Budget())
+                for density in (0.0, 0.5, 0.9, 1.0):
+                    chosen = [q for q in p.points if rng.random() < density]
+                    uncovered = {cell[q] for q in chosen}
+                    mask = sum(1 << q for q in chosen)
+                    for q in p.points:
+                        expected = brute_candidates(p, cell[q], uncovered, k)
+                        for order, key in self._orders(p, cell[q]):
+                            got = [cell[d] for d in search._candidates(q, mask, order)]
+                            assert got == sorted(expected, key=key)
+                            checked += bool(got)
+        assert checked > 100
+
+    def test_free_axes_and_empty_sets(self):
+        mod = _with_free_axis(QuotientModule.of_ideal(ideal(X2, (1, 0), (0, 1))))
+        p = build_poset(mod)
+        assert p.g == (1, 1, 0)
+        search = poset_module._PartitionSearch(p, 2, Budget())
+        greedy = search._order_greedy
+        cell = dict(zip(p.points, p.cells))
+        assert all(search._candidates(q, 0, greedy) == [] for q in p.points)
+        bottom = p.points[0]
+        assert cell[bottom] == (0, 1, 0)
+        tops = [cell[d] for d in search._candidates(bottom, p.mask, greedy)]
+        assert tops == [(1, 1, 0), (0, 1, 0)]
+
+
+class TestGoldenSearch:
+    """Value, node count and witness of fixed small modules, pinned so that
+    any change to the search tree shows up here."""
+
+    CASES = [
+        ("ideal", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, "exact", 1, 33,
+         [((2, 0, 0), (2, 0, 0)), ((1, 1, 0), (2, 1, 0)), ((1, 0, 1), (2, 0, 1)),
+          ((0, 2, 0), (2, 2, 0)), ((0, 1, 1), (2, 2, 1)), ((0, 0, 2), (2, 2, 2))]),
+        ("ideal", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 1, "exact", 2, 21,
+         [((1, 1, 1, 0), (1, 1, 1, 0)), ((1, 0, 0, 0), (1, 0, 1, 0)),
+          ((0, 1, 0, 0), (1, 1, 0, 0)), ((0, 0, 1, 0), (0, 1, 1, 0)),
+          ((0, 0, 0, 1), (1, 1, 1, 1))]),
+        ("ideal", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 2, "exact", 2, 20615,
+         [((2, 0, 1, 1), (2, 0, 2, 2)), ((1, 2, 0, 1), (2, 2, 0, 2)),
+          ((1, 1, 2, 0), (2, 2, 2, 0)), ((1, 1, 1, 1), (2, 2, 2, 1)),
+          ((0, 1, 1, 2), (2, 2, 2, 2)), ((2, 0, 0, 0), (2, 0, 0, 2)),
+          ((1, 1, 0, 0), (2, 2, 0, 0)), ((1, 0, 1, 0), (2, 0, 2, 0)),
+          ((1, 0, 0, 1), (1, 0, 2, 2)), ((0, 2, 0, 0), (0, 2, 0, 2)),
+          ((0, 1, 1, 0), (2, 2, 1, 0)), ((0, 1, 0, 1), (2, 1, 0, 2)),
+          ((0, 0, 2, 0), (0, 2, 2, 0)), ((0, 0, 1, 1), (0, 2, 2, 1)),
+          ((0, 0, 0, 2), (0, 0, 2, 2))]),
+        ("ideal", [(2, 1, 0), (0, 2, 1), (1, 0, 2)], 1, "exact", 2, 12,
+         [((2, 2, 2), (2, 2, 2)), ((2, 1, 0), (2, 2, 1)), ((1, 0, 2), (2, 1, 2)),
+          ((0, 2, 1), (1, 2, 2))]),
+        ("quotient", [(0, 1, 0, 2), (1, 0, 2, 0), (2, 0, 1, 1)], 1, "exact", 1, 7,
+         [((1, 1, 1, 1), (1, 1, 1, 1)), ((1, 0, 1, 1), (1, 0, 1, 2)),
+          ((1, 0, 0, 2), (2, 0, 0, 2)), ((1, 0, 1, 0), (2, 1, 1, 0)),
+          ((0, 0, 0, 2), (0, 0, 2, 2)), ((1, 0, 0, 0), (2, 1, 0, 1)),
+          ((0, 0, 0, 0), (0, 1, 2, 1))]),
+        ("shell", [(0, 1, 0, 1), (1, 0, 1, 0)], 1, "exact", 2, 8,
+         [((2, 1, 1, 0), (2, 2, 1, 0)), ((1, 2, 0, 1), (2, 2, 0, 1)),
+          ((2, 0, 1, 0), (2, 0, 1, 2)), ((1, 1, 1, 0), (1, 2, 2, 0)),
+          ((1, 1, 0, 1), (2, 1, 0, 2)), ((0, 2, 0, 1), (0, 2, 2, 1)),
+          ((1, 0, 1, 0), (1, 0, 2, 2)), ((0, 1, 0, 1), (0, 1, 2, 2))]),
+        ("shell", [(1, 1, 0), (0, 1, 1)], 2, "exact", 1, 6,
+         [((3, 2, 0), (3, 2, 0)), ((1, 3, 1), (1, 3, 1)), ((0, 3, 2), (0, 3, 2)),
+          ((2, 2, 0), (2, 3, 0)), ((1, 2, 1), (3, 2, 1)), ((0, 2, 2), (3, 2, 3))]),
+        ("shell", [(2, 0, 0, 1), (1, 0, 1, 2), (1, 0, 2, 1)], 1, "exact", 1, 8,
+         [((2, 0, 3, 2), (2, 0, 3, 2)), ((3, 0, 1, 2), (3, 0, 1, 2)),
+          ((2, 0, 2, 2), (2, 0, 2, 3)), ((3, 0, 0, 2), (3, 0, 0, 4)),
+          ((2, 0, 0, 2), (2, 0, 1, 4)), ((1, 0, 2, 1), (1, 0, 4, 1)),
+          ((1, 0, 1, 2), (1, 0, 4, 4)), ((2, 0, 0, 1), (4, 0, 4, 1))]),
+    ]
+
+    NAMES = ["m3^2", "m4", "m4^2", "cyclic", "quotient", "shell", "shell_L^2", "shell_free_axis"]
+
+    @pytest.mark.parametrize("case", CASES, ids=NAMES)
+    def test_pinned(self, case):
+        kind, gens, power, status, value, nodes, witness = case
+        ctx = make_context(*[f"x{i}" for i in range(1, len(gens[0]) + 1)])
+        base = ideal(ctx, *gens)
+        L = base.power(power)
+        mod = {
+            "ideal": QuotientModule.of_ideal(L),
+            "quotient": QuotientModule.of_quotient_ring(L),
+            "shell": QuotientModule(L, L.multiply(base)),
+        }[kind]
+        res = sdepth_exact(mod)
+        assert (res.status, res.value, res.nodes) == (status, value, nodes)
+        assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == witness
 
 
 class TestDecision:
@@ -322,3 +437,14 @@ def _random_module(rng: random.Random, max_vars: int = 3) -> QuotientModule:
         if len(p) == 0:
             continue
         return mod
+
+
+def _with_free_axis(mod: QuotientModule) -> QuotientModule:
+    """The same module with one more variable that no generator uses, so
+    that the box has an axis with g_j = 0."""
+    ctx = make_context(*mod.context.variables, "z")
+
+    def lift(i: MonomialIdeal) -> MonomialIdeal:
+        return MonomialIdeal.from_gens(ctx, [Monomial(ctx, m.exponents + (0,)) for m in i.gens])
+
+    return QuotientModule(lift(mod.outer), lift(mod.inner))
