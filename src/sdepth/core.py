@@ -314,9 +314,6 @@ def tensor_join(
     ext_b = MonomialIdeal(
         joint, tuple(Monomial(joint, pad_a + g.exponents) for g in ideal_b.gens)
     )
-    # extension preserves minimality and graded-lex order inside each block,
-    # but re-sort the B block since padding changes lex position
-    ext_b = MonomialIdeal(joint, tuple(sorted(ext_b.gens, key=Monomial.sort_key)))
     return joint, ext_a, ext_b
 
 

@@ -71,9 +71,21 @@ def box_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(strides))
 
 
+@functools.lru_cache(maxsize=1024)
 def _repunit(count: int, step: int) -> int:
     """sum_{i < count} 2^(i*step), count >= 1: one bit every step positions."""
     return int(("0" * (step - 1) + "1") * count, 2)
+
+
+def box_mask(lo: tuple[int, ...], hi: tuple[int, ...], strides: tuple[int, ...]) -> int:
+    """Mask of the sub-box [lo, hi] (lo <= hi) of a box with these strides:
+    the bit of lo times one repunit per axis the sub-box spans.  The copies
+    sit at distinct mixed-radix offsets, so the product makes no carries."""
+    mask = 1 << sum(map(operator.mul, lo, strides))
+    for lj, hj, stride in zip(lo, hi, strides):
+        if hj > lj:
+            mask *= _repunit(hj - lj + 1, stride)
+    return mask
 
 
 @functools.lru_cache(maxsize=32)
@@ -156,7 +168,8 @@ class CharPoset:
 
     Built from the cells' row-major box indices in ascending (lex) order;
     ``cells`` lists them in graded-lex order as exponent tuples, ``points``
-    their box indices and ``rhos[i]`` the rho of cell i.  Sets of cells are
+    their box indices and ``rhos[i]`` the rho of cell i; ``cell_at`` and
+    ``rho_at`` map a box index to its cell and its rho.  Sets of cells are
     box masks: ``mask`` is the set of all cells, ``levels`` the cells of
     each nonempty degree in ascending degree, and ``axis_masks[j][v]`` the
     box points whose coordinate j is v.  The cells of I/J form a convex set,
@@ -175,6 +188,8 @@ class CharPoset:
         self.cells = [lex[i] for i in order]
         self.points = [points[i] for i in order]
         self.rhos = [sum(map(operator.eq, c, g)) for c in self.cells]
+        self.cell_at = dict(zip(self.points, self.cells))
+        self.rho_at = dict(zip(self.points, self.rhos))
         self.levels = [
             functools.reduce(operator.or_, (1 << points[i] for i in level))
             for _, level in itertools.groupby(order, key=degree.__getitem__)
@@ -310,24 +325,9 @@ class _PartitionSearch:
         self.budget = budget
         self.nodes = 0
         self.failed: set[int] = set()
-        self.cell = dict(zip(poset.points, poset.cells))
-        self.rho = dict(zip(poset.points, poset.rhos))
         self.tops = functools.reduce(
-            operator.or_, (1 << p for p, r in self.rho.items() if r >= k), 0
+            operator.or_, (1 << p for p, r in poset.rho_at.items() if r >= k), 0
         )
-        # repunits[j][m]: one bit every stride_j positions, m + 1 of them
-        self.repunits = [
-            [_repunit(m + 1, s) for m in range(d)] for d, s in zip(poset.dims, poset.strides)
-        ]
-
-    def _interval(self, c: int, hi: tuple[int, ...]) -> int:
-        """Mask of the box [c, hi], c a box index: bit c times one repunit
-        per axis that the box spans."""
-        mask = 1 << c
-        for cj, hj, repunits in zip(self.cell[c], hi, self.repunits):
-            if hj > cj:
-                mask *= repunits[hj - cj]
-        return mask
 
     def _candidates(self, c: int, uncovered: int, order) -> list[int]:
         """Tops d with rho(d) >= k and [c, d] inside the uncovered set, as
@@ -339,9 +339,9 @@ class _PartitionSearch:
         no predecessor in [c, g] and keep their bit.  What stays set is
         every d with [c, d] inside the uncovered set.
         """
-        reach = uncovered & self._interval(c, self.poset.g)
-        cell = self.cell[c]
         poset = self.poset
+        cell = poset.cell_at[c]
+        reach = uncovered & box_mask(cell, poset.g, poset.strides)
         for cj, gj, stride, on_axis in zip(cell, poset.g, poset.strides, poset.axis_masks):
             first = on_axis[cj]
             for _ in range(gj - cj):
@@ -354,8 +354,8 @@ class _PartitionSearch:
             reach ^= bit
             d = bit.bit_length() - 1
             # every point of [c, d] is a cell by convexity
-            size = math.prod(map(operator.sub, self.cell[d], below))
-            keys.append(order(self.rho[d], size, d))
+            size = math.prod(map(operator.sub, poset.cell_at[d], below))
+            keys.append(order(poset.rho_at[d], size, d))
         keys.sort()
         return [key[-1] for key in keys]
 
@@ -392,8 +392,8 @@ class _PartitionSearch:
                 break
         if status != "true":
             return Decision(status, None, self.nodes, time.monotonic() - start)
-        intervals = tuple(Interval(self.cell[c], self.cell[d]) for c, d in chosen)
-        rho_min = min(self.rho[d] for _, d in chosen) if chosen else self.poset.arity
+        intervals = tuple(Interval(self.poset.cell_at[c], self.poset.cell_at[d]) for c, d in chosen)
+        rho_min = min(self.poset.rho_at[d] for _, d in chosen) if chosen else self.poset.arity
         part = IntervalPartition(intervals, rho_min)
         return Decision("true", part, self.nodes, time.monotonic() - start)
 
@@ -406,7 +406,7 @@ class _PartitionSearch:
         search is exhaustive, or ("unknown", None) once the deadline has
         passed.
         """
-        levels = self.poset.levels
+        levels, cell_at, strides = self.poset.levels, self.poset.cell_at, self.poset.strides
         stack: list[list] = []
         uncovered = self.poset.mask
         level = 0
@@ -431,7 +431,7 @@ class _PartitionSearch:
                 d = next(node[3], None)
                 if d is not None:
                     node[2] = d
-                    uncovered = node[0] & ~self._interval(node[1], self.cell[d])
+                    uncovered = node[0] & ~box_mask(cell_at[node[1]], cell_at[d], strides)
                     level = node[4]
                     break
                 stack.pop()
@@ -464,7 +464,8 @@ def sdepth_exact(
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
     poset = build_poset(module, g, budget)
-    certifying_box(module, budget)
+    # every witness corner lies in [0, poset.g], so this box holds its check
+    _capped(tuple(gj + 2 for gj in poset.g), budget, "certifying box")
     ub = min(poset.rho(c) for c in poset.maximal_cells())
     nodes = 0
     elapsed = 0.0
@@ -519,36 +520,32 @@ def certifying_box(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> t
     return _capped(tuple(gj + 2 for gj in degree_bound_g(module)), budget, "certifying box")
 
 
-def _space_mask(e: tuple[int, ...], free: frozenset[int], axes) -> int:
-    """Mask of the space x^e K[free] on a box given as (side, stride) axes:
-    its corner bit copied along every free axis by a repunit product.  The
-    copies never overlap, so the product makes no carries."""
-    if any(ej >= d for ej, (d, _) in zip(e, axes)):
-        return 0  # the space misses the box
-    space = 1 << sum(ej * s for ej, (_, s) in zip(e, axes))
-    for j, (d, s) in enumerate(axes):
-        if j in free:
-            space *= _repunit(d - e[j], s)
-    return space
-
-
 def verify_decomposition(
     decomposition: StanleyDecomposition,
     module: QuotientModule,
     budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
-    """Exact-cover check on the certifying box [0, g+1].
+    """Exact-cover check on the box [0, G+1], G the componentwise max of g
+    and every space's corner.
 
-    One step beyond g separates free from capped directions; membership in a
-    monomial ideal is determined by truncation at g, so exact cover on this
-    box certifies exact cover everywhere.  Each space is one sub-box mask.
+    One step beyond G separates free from capped directions; membership in
+    the module and in every space is determined by truncation at G+1, so
+    exact cover on this box certifies exact cover everywhere.  Each space is
+    one sub-box mask.
     """
-    if decomposition.context != module.context:
+    axes = frozenset(range(module.context.arity))
+    spaces = decomposition.spaces
+    if decomposition.context != module.context or any(not free <= axes for _, free in spaces):
         return False
-    dims = certifying_box(module, budget)
-    axes = list(zip(dims, box_strides(dims)))
-    spaces = (_space_mask(mono.exponents, free, axes) for mono, free in decomposition.spaces)
-    return cover_mismatches(spaces, module_mask(module, dims)) == 0
+    corners = zip(degree_bound_g(module), *(mono.exponents for mono, _ in spaces))
+    dims = _capped(tuple(max(axis) + 2 for axis in corners), budget, "certifying box")
+    strides = box_strides(dims)
+
+    def space(e, free):
+        return box_mask(e, [dims[j] - 1 if j in free else ej for j, ej in enumerate(e)], strides)
+
+    masks = (space(mono.exponents, free) for mono, free in spaces)
+    return cover_mismatches(masks, module_mask(module, dims)) == 0
 
 
 def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -> str:
@@ -577,10 +574,9 @@ def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -
         fill = color.get(p, "white")
         lines.append(f'  {node_id(p)} [label="{label}", fillcolor={fill}];')
     # a unit step between two cells is a cover, by convexity
-    at = dict(zip(poset.points, cells))
     for q, p in zip(cells, poset.points):
         for qj, stride in zip(q, poset.strides):
-            below = at.get(p - stride) if qj > 0 else None
+            below = poset.cell_at.get(p - stride) if qj > 0 else None
             if below is not None:
                 lines.append(f"  {node_id(below)} -> {node_id(q)};")
     lines.append("}")

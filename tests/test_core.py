@@ -190,6 +190,28 @@ class TestTensorJoin:
         _, ea, eb = tensor_join(ia, ib)
         assert len(ea.add(eb).gens) == len(ia.gens) + len(ib.gens)
 
+    def test_extensions_are_canonical(self):
+        # padding with zeros keeps the graded-lex order of the generators
+        rng = random.Random(53)
+        for _ in range(100):
+            ca = make_context(*[f"x{i}" for i in range(rng.randint(1, 3))])
+            cb = make_context(*[f"y{i}" for i in range(rng.randint(1, 3))])
+            ia, ib = (
+                MonomialIdeal.from_gens(
+                    c, [Monomial(c, tuple(rng.randint(0, 3) for _ in range(c.arity)))
+                        for _ in range(rng.randint(1, 5))]
+                )
+                for c in (ca, cb)
+            )
+            joint, ea, eb = tensor_join(ia, ib)
+            pad_a, pad_b = (0,) * ca.arity, (0,) * cb.arity
+            assert ea == MonomialIdeal.from_gens(
+                joint, [Monomial(joint, g.exponents + pad_b) for g in ia.gens]
+            )
+            assert eb == MonomialIdeal.from_gens(
+                joint, [Monomial(joint, pad_a + g.exponents) for g in ib.gens]
+            )
+
 
 class TestPredicates:
     def test_complete_intersection(self):

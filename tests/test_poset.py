@@ -314,6 +314,32 @@ class TestCertificates:
         dec = StanleyDecomposition(X2, ((X2.one(), frozenset({0})),))
         assert not verify_decomposition(dec, mod)
 
+    def test_a_space_beyond_the_box_of_g_is_checked(self):
+        # x K[x] and x^5 K both hold x^5
+        x = make_context("x")
+        dec = StanleyDecomposition(x, ((Monomial(x, (1,)), frozenset({0})),
+                                       (Monomial(x, (5,)), frozenset())))
+        assert not verify_decomposition(dec, QuotientModule.of_ideal(ideal(x, (1,))))
+
+    def test_a_space_on_a_far_non_member_is_checked(self):
+        # x^7 is not in K[x, y]/(x)
+        dec = StanleyDecomposition(X2, ((X2.one(), frozenset({1})),
+                                        (Monomial(X2, (7, 0)), frozenset({1}))))
+        assert not verify_decomposition(dec, QuotientModule.of_quotient_ring(ideal(X2, (1, 0))))
+
+    def test_a_space_past_the_box_of_g_does_not_alias(self):
+        # on [0, g+1] = [0, 3] x [0, 2], y^3 would take the index of x
+        mod = QuotientModule.of_quotient_ring(ideal(X2, (2, 0), (0, 1)))
+        dec = StanleyDecomposition(X2, ((X2.one(), frozenset()), (Monomial(X2, (0, 3)), frozenset())))
+        assert not verify_decomposition(dec, mod)
+
+    def test_a_free_index_must_name_a_variable(self):
+        dec = StanleyDecomposition(X1, ((X1.one(), frozenset({0, 7})),))
+        assert dec.sdepth == 2
+        assert not verify_decomposition(dec, QuotientModule.of_ideal(MonomialIdeal.unit(X1)))
+        negative = StanleyDecomposition(X1, ((X1.one(), frozenset({0, -1})),))
+        assert not verify_decomposition(negative, QuotientModule.of_ideal(MonomialIdeal.unit(X1)))
+
     def test_witnesses_always_verify(self):
         rng = random.Random(17)
         for _ in range(20):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
 from sdepth.poset import (
     Budget,
     StanleyDecomposition,
+    box_mask,
     box_strides,
     build_poset,
     degree_bound_g,
@@ -205,6 +207,22 @@ def test_module_mask_matches_contains(data):
         assert (mask >> index) & 1 == module.contains(Monomial(ctx, p))
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_box_mask_matches_a_pointwise_walk(data):
+    ctx = data.draw(contexts())
+    dims = data.draw(boxes(ctx))
+    strides = box_strides(dims)
+    corners = [tuple(sorted(data.draw(st.integers(0, d - 1)) for _ in range(2))) for d in dims]
+    lo = tuple(a for a, _ in corners)
+    hi = tuple(b for _, b in corners)
+    full = (tuple(0 for _ in dims), tuple(d - 1 for d in dims))
+    for lo, hi in ((lo, hi), (lo, lo), (hi, hi), full):
+        inside = [index for index, p in _box_points(dims)
+                  if all(a <= pj <= b for a, pj, b in zip(lo, p, hi))]
+        assert mask_points(box_mask(lo, hi, strides)) == inside
+
+
 @given(small_modules())
 @settings(max_examples=40, deadline=None)
 def test_poset_cells_are_the_members_of_the_box(module):
@@ -248,6 +266,10 @@ def test_verify_rejects_a_space_on_a_non_member(module):
     outside = [p for p in itertools.product(*(range(gj + 2) for gj in degree_bound_g(module)))
                if not module.contains(Monomial(ctx, p))]
     assume(outside)
-    for p in (outside[0], outside[-1]):
+    # a non-member with a coordinate at g_j + 1 stays one when pushed further
+    g = degree_bound_g(module)
+    beyond = [tuple(pj + 3 if pj > gj else pj for pj, gj in zip(p, g))
+              for p in outside if any(map(operator.gt, p, g))]
+    for p in [outside[0], outside[-1]] + beyond[:1]:
         broken = StanleyDecomposition(ctx, dec.spaces + ((Monomial(ctx, p), frozenset()),))
         assert not verify_decomposition(broken, module)
