@@ -132,9 +132,6 @@ class Monomial:
         """Indices of variables with positive exponent."""
         return frozenset(j for j, e in enumerate(self.exponents) if e > 0)
 
-    def support_names(self) -> frozenset[str]:
-        return frozenset(self.context.variables[j] for j in self.support())
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check(other)
         return Monomial(self.context, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
@@ -236,9 +233,6 @@ class MonomialIdeal:
         if m.context != self.context:
             raise ContextMismatchError("monomial from a different context")
         return any(g.divides(m) for g in self.gens)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.gens)
 
     def add(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)

@@ -241,10 +241,11 @@ class IntervalPartition:
 
 @dataclass(frozen=True)
 class StanleyDecomposition:
-    """Certificate: spaces (monomial, free-variable index set)."""
+    """Certificate: spaces (exponent tuple, free-variable index set), the
+    space x^e K[Z] as (e, Z)."""
 
     context: RingContext
-    spaces: tuple[tuple[Monomial, frozenset[int]], ...]
+    spaces: tuple[tuple[tuple[int, ...], frozenset[int]], ...]
 
     @property
     def sdepth(self) -> int:
@@ -297,15 +298,10 @@ def degree_bound_g(module: QuotientModule) -> tuple[int, ...]:
     return tuple(g)
 
 
-def build_poset(
-    module: QuotientModule, g: tuple[int, ...] | None = None, budget: Budget = DEFAULT_BUDGET
-) -> CharPoset:
-    """Enumerate the cells of the box [0, g] belonging to the module."""
-    gmin = degree_bound_g(module)
-    if g is None:
-        g = gmin
-    elif any(a < b for a, b in zip(g, gmin)):
-        raise ValueError(f"g must dominate the generator exponents {gmin}")
+def build_poset(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> CharPoset:
+    """Enumerate the cells of the box [0, g] belonging to the module, g the
+    degree bound of :func:`degree_bound_g`."""
+    g = degree_bound_g(module)
     dims = _capped(tuple(gj + 1 for gj in g), budget)
     return CharPoset(module.context, g, mask_points(module_mask(module, dims)))
 
@@ -450,11 +446,7 @@ def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -
     return _PartitionSearch(poset, k, budget).run()
 
 
-def sdepth_exact(
-    module: QuotientModule,
-    g: tuple[int, ...] | None = None,
-    budget: Budget = DEFAULT_BUDGET,
-) -> SdepthResult:
+def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
     """Largest k admitting an interval partition, walking down from the
     maximal-cell upper bound; 'unknown' outcomes carry a verified bracket.
 
@@ -463,9 +455,9 @@ def sdepth_exact(
     """
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
-    poset = build_poset(module, g, budget)
-    # every witness corner lies in [0, poset.g], so this box holds its check
-    _capped(tuple(gj + 2 for gj in poset.g), budget, "certifying box")
+    poset = build_poset(module, budget)
+    # every witness corner lies in [0, g], so this box holds its check
+    certifying_box(module, budget)
     ub = min(poset.rho(c) for c in poset.maximal_cells())
     nodes = 0
     elapsed = 0.0
@@ -500,24 +492,25 @@ def partition_to_decomposition(
     For [c, d] with free set Z = {j : d_j = g_j}, each cell e in [c, d]
     with e_j = c_j on Z contributes the space x^e K[Z].
     """
-    ctx = poset.context
-    g = poset.g
     spaces = []
     for iv in partition.intervals:
-        free = frozenset(j for j in range(poset.arity) if iv.hi[j] == g[j])
+        free = frozenset(j for j, (dj, gj) in enumerate(zip(iv.hi, poset.g)) if dj == gj)
         ranges = [
-            range(iv.lo[j], iv.lo[j] + 1) if j in free else range(iv.lo[j], iv.hi[j] + 1)
-            for j in range(poset.arity)
+            range(cj, cj + 1 if j in free else dj + 1)
+            for j, (cj, dj) in enumerate(zip(iv.lo, iv.hi))
         ]
-        for e in itertools.product(*ranges):
-            spaces.append((Monomial(ctx, e), free))
-    return StanleyDecomposition(ctx, tuple(spaces))
+        spaces.extend((e, free) for e in itertools.product(*ranges))
+    return StanleyDecomposition(poset.context, tuple(spaces))
 
 
-def certifying_box(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Side lengths of the certifying box [0, g+1] of a module; raises
-    ResourceCapError when it has more points than the cell cap."""
-    return _capped(tuple(gj + 2 for gj in degree_bound_g(module)), budget, "certifying box")
+def certifying_box(
+    module: QuotientModule, budget: Budget = DEFAULT_BUDGET, corners=()
+) -> tuple[int, ...]:
+    """Side lengths of the certifying box [0, G+1] of a module, G the
+    componentwise max of g and the corners; raises ResourceCapError when it
+    has more points than the cell cap."""
+    axes = zip(degree_bound_g(module), *corners)
+    return _capped(tuple(max(axis) + 2 for axis in axes), budget, "certifying box")
 
 
 def verify_decomposition(
@@ -525,26 +518,35 @@ def verify_decomposition(
     module: QuotientModule,
     budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
-    """Exact-cover check on the box [0, G+1], G the componentwise max of g
-    and every space's corner.
+    """Exact-cover check on the certifying box [0, G+1], G the componentwise
+    max of g and every space's corner.
 
     One step beyond G separates free from capped directions; membership in
     the module and in every space is determined by truncation at G+1, so
     exact cover on this box certifies exact cover everywhere.  Each space is
-    one sub-box mask.
+    one sub-box mask.  A corner must be arity non-negative ints and a free
+    set must name variables.
     """
-    axes = frozenset(range(module.context.arity))
+    arity = module.context.arity
+    axes = frozenset(range(arity))
     spaces = decomposition.spaces
-    if decomposition.context != module.context or any(not free <= axes for _, free in spaces):
+    corners = [e for e, _ in spaces]
+    entries = list(itertools.chain.from_iterable(corners))
+    if (
+        decomposition.context != module.context
+        or any(not free <= axes for _, free in spaces)
+        or not set(map(len, corners)) <= {arity}
+        or not set(map(type, entries)) <= {int}
+        or min(entries, default=0) < 0
+    ):
         return False
-    corners = zip(degree_bound_g(module), *(mono.exponents for mono, _ in spaces))
-    dims = _capped(tuple(max(axis) + 2 for axis in corners), budget, "certifying box")
+    dims = certifying_box(module, budget, corners)
     strides = box_strides(dims)
 
     def space(e, free):
         return box_mask(e, [dims[j] - 1 if j in free else ej for j, ej in enumerate(e)], strides)
 
-    masks = (space(mono.exponents, free) for mono, free in spaces)
+    masks = (space(e, free) for e, free in spaces)
     return cover_mismatches(masks, module_mask(module, dims)) == 0
 
 

@@ -141,7 +141,7 @@ def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
     return BettiTable(n, entries)
 
 
-def depth_quotient(ideal: MonomialIdeal, socle_shortcut: bool = True) -> DepthReport:
+def depth_quotient(ideal: MonomialIdeal) -> DepthReport:
     """depth(S/I) = n - pd(S/I); depth 0 is detected without homology when
     the colon by the maximal ideal is strictly larger than I."""
     if ideal.is_unit:
@@ -149,7 +149,7 @@ def depth_quotient(ideal: MonomialIdeal, socle_shortcut: bool = True) -> DepthRe
     n = ideal.context.arity
     if ideal.is_zero:
         return DepthReport(n, 0, "taylor")
-    if socle_shortcut and ideal.colon_maximal() != ideal:
+    if ideal.colon_maximal() != ideal:
         return DepthReport(0, n, "socle-shortcut")
     table = taylor_tor_ranks(ideal)
     pd = table.pd

@@ -751,34 +751,6 @@ def depth_sequence(
     return rows
 
 
-def stanley_inequality_report(
-    ideal: MonomialIdeal, budget: Budget = DEFAULT_BUDGET
-) -> TheoremReport:
-    """Recorded (never asserted) comparison of sdepth and depth for an ideal
-    and its quotient ring, including the two open conjectural inequalities."""
-    if ideal.is_zero or ideal.is_unit:
-        raise HypothesisError("needs a nonzero proper ideal")
-    report = TheoremReport("stanley_inequality", {"I": format_ideal(ideal)})
-    sd_i = _sd(QuotientModule.of_ideal(ideal), budget)
-    sd_q = _sd(QuotientModule.of_quotient_ring(ideal), budget)
-    d_i = _depth_i(ideal)
-    d_q = _depth_q(ideal)
-    report.items.append(_observed("sdepth(I) >= depth(I)", sd_i, d_i, ">="))
-    report.items.append(_observed("sdepth(S/I) >= depth(S/I)", sd_q, d_q, ">="))
-    report.items.append(
-        _observed("conjecture: sdepth(S/I) >= depth(S/I)-1",
-                  sd_q, None if d_q is None else d_q - 1, ">=")
-    )
-    report.items.append(
-        _observed("conjecture: sdepth(I) >= sdepth(S/I)+1",
-                  sd_i, None if sd_q is None else sd_q + 1, ">=")
-    )
-    report.notes.append(
-        "observations only: no counterexample at this scale is not a proof"
-    )
-    return report
-
-
 # --- random instances --------------------------------------------------------
 
 

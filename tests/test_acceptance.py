@@ -271,8 +271,8 @@ def test_criterion_8_depth_engine_calibration():
         ]
         if not gens:
             continue
-        rep = depth_quotient(MonomialIdeal.from_gens(ctx, gens), socle_shortcut=False)
-        assert rep.depth_quotient + rep.pd == n
+        ideal = MonomialIdeal.from_gens(ctx, gens)
+        assert depth_quotient(ideal).depth_quotient + taylor_tor_ranks(ideal).pd == n
         checked += 1
     report(8, True,
            f"Koszul Betti numbers exact for n<=4; depth+pd == n on {checked} instances",

@@ -50,7 +50,7 @@ class TestMonomial:
     def test_support(self):
         ctx = make_context(*[f"x{i}" for i in range(1, 7)])
         v = Monomial(ctx, (4, 4, 1, 0, 0, 0))
-        assert v.support_names() == {"x1", "x2", "x3"}
+        assert v.support() == {0, 1, 2}
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatchError):

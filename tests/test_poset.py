@@ -16,6 +16,8 @@ from sdepth.poset import (
     ResourceCapError,
     build_poset,
     degree_bound_g,
+    mask_points,
+    module_mask,
     partition_to_decomposition,
     poset_to_dot,
     sdepth_decision,
@@ -79,10 +81,6 @@ class TestBuildPoset:
         i = ideal(X3, (3, 3, 3))
         with pytest.raises(ResourceCapError):
             build_poset(QuotientModule.of_quotient_ring(i), budget=Budget(cell_cap=10))
-
-    def test_g_must_dominate(self):
-        with pytest.raises(ValueError):
-            build_poset(QuotientModule.of_ideal(ideal(X2, (2, 0))), g=(1, 1))
 
     def test_no_box_indices_give_an_empty_poset(self):
         p = CharPoset(X2, (2, 1), [])
@@ -287,13 +285,15 @@ class TestSdepthExact:
             assert sdepth_exact(mod).value == brute_sdepth(p)
 
     def test_g_independence(self):
+        # Herzog-Vladoiu-Zheng: any box [0, g] with g dominating the
+        # generator exponents gives the same value
         rng = random.Random(13)
         for _ in range(10):
             mod = _random_module(rng, max_vars=2)
-            g = degree_bound_g(mod)
-            base = sdepth_exact(mod).value
-            bigger = tuple(gj + 1 for gj in g)
-            assert sdepth_exact(mod, g=bigger).value == base
+            bigger = tuple(gj + 1 for gj in degree_bound_g(mod))
+            dims = tuple(gj + 1 for gj in bigger)
+            p = CharPoset(mod.context, bigger, mask_points(module_mask(mod, dims)))
+            assert sdepth_exact(mod).value == brute_sdepth(p)
 
 
 class TestCertificates:
@@ -306,39 +306,58 @@ class TestCertificates:
 
     def test_full_ring_decomposition(self):
         mod = QuotientModule.of_ideal(MonomialIdeal.unit(X2))
-        dec = StanleyDecomposition(X2, ((X2.one(), frozenset({0, 1})),))
+        dec = StanleyDecomposition(X2, (((0, 0), frozenset({0, 1})),))
         assert verify_decomposition(dec, mod)
 
     def test_missing_direction_fails(self):
         mod = QuotientModule.of_ideal(MonomialIdeal.unit(X2))
-        dec = StanleyDecomposition(X2, ((X2.one(), frozenset({0})),))
+        dec = StanleyDecomposition(X2, (((0, 0), frozenset({0})),))
         assert not verify_decomposition(dec, mod)
 
     def test_a_space_beyond_the_box_of_g_is_checked(self):
         # x K[x] and x^5 K both hold x^5
         x = make_context("x")
-        dec = StanleyDecomposition(x, ((Monomial(x, (1,)), frozenset({0})),
-                                       (Monomial(x, (5,)), frozenset())))
+        dec = StanleyDecomposition(x, (((1,), frozenset({0})), ((5,), frozenset())))
         assert not verify_decomposition(dec, QuotientModule.of_ideal(ideal(x, (1,))))
 
     def test_a_space_on_a_far_non_member_is_checked(self):
         # x^7 is not in K[x, y]/(x)
-        dec = StanleyDecomposition(X2, ((X2.one(), frozenset({1})),
-                                        (Monomial(X2, (7, 0)), frozenset({1}))))
+        dec = StanleyDecomposition(X2, (((0, 0), frozenset({1})), ((7, 0), frozenset({1}))))
         assert not verify_decomposition(dec, QuotientModule.of_quotient_ring(ideal(X2, (1, 0))))
 
     def test_a_space_past_the_box_of_g_does_not_alias(self):
         # on [0, g+1] = [0, 3] x [0, 2], y^3 would take the index of x
         mod = QuotientModule.of_quotient_ring(ideal(X2, (2, 0), (0, 1)))
-        dec = StanleyDecomposition(X2, ((X2.one(), frozenset()), (Monomial(X2, (0, 3)), frozenset())))
+        dec = StanleyDecomposition(X2, (((0, 0), frozenset()), ((0, 3), frozenset())))
         assert not verify_decomposition(dec, mod)
 
     def test_a_free_index_must_name_a_variable(self):
-        dec = StanleyDecomposition(X1, ((X1.one(), frozenset({0, 7})),))
+        dec = StanleyDecomposition(X1, (((0,), frozenset({0, 7})),))
         assert dec.sdepth == 2
         assert not verify_decomposition(dec, QuotientModule.of_ideal(MonomialIdeal.unit(X1)))
-        negative = StanleyDecomposition(X1, ((X1.one(), frozenset({0, -1})),))
+        negative = StanleyDecomposition(X1, (((0,), frozenset({0, -1})),))
         assert not verify_decomposition(negative, QuotientModule.of_ideal(MonomialIdeal.unit(X1)))
+
+    @pytest.mark.parametrize("corner", [(0,), (0, 0, 0), (0, -1), (0, 1.0), (0, "1"), (0, True)])
+    def test_a_corner_must_be_arity_non_negative_ints(self, corner):
+        # x K[x, y] + K[y] is a decomposition of K[x, y]; the second corner
+        # is replaced by one of the wrong length, sign or type
+        mod = QuotientModule.of_ideal(MonomialIdeal.unit(X2))
+        good = StanleyDecomposition(X2, (((1, 0), frozenset({0, 1})), ((0, 0), frozenset({1}))))
+        assert verify_decomposition(good, mod)
+        bad = StanleyDecomposition(X2, (((1, 0), frozenset({0, 1})), (corner, frozenset({1}))))
+        assert not verify_decomposition(bad, mod)
+
+    def test_a_far_corner_counts_against_the_cap(self):
+        # [0, g+1] has 9 points; the corner (0, 9) stretches [0, G+1] to 33
+        mod = QuotientModule.of_quotient_ring(ideal(X2, (1, 1)))
+        res = sdepth_exact(mod, budget=Budget(cell_cap=9))
+        dec = partition_to_decomposition(build_poset(mod), res.witness)
+        assert verify_decomposition(dec, mod, budget=Budget(cell_cap=9))
+        far = StanleyDecomposition(X2, dec.spaces + (((0, 9), frozenset()),))
+        assert not verify_decomposition(far, mod, budget=Budget(cell_cap=33))
+        with pytest.raises(ResourceCapError):
+            verify_decomposition(far, mod, budget=Budget(cell_cap=32))
 
     def test_witnesses_always_verify(self):
         rng = random.Random(17)

@@ -25,7 +25,6 @@ from sdepth.verifier import (
     run_random,
     sdepth_ci_power_via_transfer,
     sdepth_sequence,
-    stanley_inequality_report,
 )
 
 from oracles import pointwise_prop_2_3_mismatches, pointwise_thm_2_11_mismatches
@@ -53,7 +52,7 @@ class TestQChain:
             assert chain[0] == ea.power(n)
             assert chain[-1] == ea.add(eb).power(n)
             for lo, hi in zip(chain, chain[1:]):
-                assert hi.contains_ideal(lo)
+                assert all(hi.contains(g) for g in lo.gens)
 
     def test_successive_quotients_have_equal_sdepth_to_blocks(self):
         # each layer Q_i/Q_(i-1) is a shifted copy of a product module
@@ -280,14 +279,6 @@ class TestSequences:
         rows = depth_sequence(j, 2)
         assert all(r.shell.status == "n/a" for r in rows)
         assert all(r.ring_quotient.value == 1 for r in rows)
-
-    def test_stanley_report_records_not_asserts(self):
-        ctx = make_context("x1", "x2", "x3")
-        m = MonomialIdeal.from_gens(ctx, [ctx.variable(j) for j in range(3)])
-        report = stanley_inequality_report(m, budget=BUDGET)
-        assert report.verdict == "holds"
-        assert all(i.verdict.startswith("observed") for i in report.items)
-        assert report.notes
 
 
 class TestReportSerialization:
