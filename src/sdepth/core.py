@@ -3,15 +3,15 @@
 Everything here is immutable and pure: a :class:`RingContext` fixes the
 variable names (optionally split into two disjoint blocks), a
 :class:`Monomial` is an exponent vector in a context, and a
-:class:`MonomialIdeal` is a canonical minimal generating set sorted in
-graded-lex order, so ideal equality is plain tuple equality.
+:class:`MonomialIdeal` is the exponent tuples of its minimal generators
+sorted in graded-lex order, so ideal equality is plain tuple equality.
 """
 from __future__ import annotations
 
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable
 
 
@@ -88,17 +88,21 @@ def make_context(*names: str, split: int | None = None) -> RingContext:
 
 @dataclass(frozen=True)
 class Monomial:
-    """Exponent vector in a fixed ring context; the unit is all zeros."""
+    """Exponent vector in a fixed ring context; the unit is all zeros.
+
+    Exponents must be non-negative ints (not bool or float), the rule
+    ``verify_decomposition`` applies to corners.
+    """
 
     context: RingContext
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        object.__setattr__(self, "exponents", tuple(self.exponents))
         if len(self.exponents) != self.context.arity:
             raise ValueError("exponent vector length must equal context arity")
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("exponents must be non-negative")
+        if any(type(e) is not int or e < 0 for e in self.exponents):
+            raise ValueError("exponents must be non-negative ints")
 
     def _check(self, other: "Monomial") -> None:
         if self.context != other.context:
@@ -160,25 +164,23 @@ class Monomial:
         return f"Monomial({self})"
 
 
-def _minimal_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Drop every monomial strictly divided by another; dedupe; sort graded-lex.
+def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Drop every tuple strictly divided by another; dedupe; sort graded-lex.
 
-    A divisor of the same degree is the monomial itself, so each monomial is
+    A divisor of the same degree is the tuple itself, so each tuple is
     tested only against the kept ones of strictly lower degree.
     """
-    kept: list[Monomial] = []
-    lower: list[tuple[int, ...]] = []  # exponents of the kept of lower degree
+    kept: list[tuple[int, ...]] = []
+    lower: list[tuple[int, ...]] = []  # the kept of lower degree
     level = 0  # kept[level:] have the current degree
     current = None
-    # distinct monomials of one context have distinct keys, so the sort
-    # never compares two monomials
-    for (degree, e), m in sorted((m.sort_key(), m) for m in set(gens)):
+    for degree, e in sorted({(sum(e), e) for e in exps}):
         if degree != current:
             current = degree
-            lower.extend(k.exponents for k in kept[level:])
+            lower.extend(kept[level:])
             level = len(kept)
         if not any(all(map(operator.le, k, e)) for k in lower):
-            kept.append(m)
+            kept.append(e)
     return tuple(kept)
 
 
@@ -186,27 +188,23 @@ def _minimal_gens(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
 class MonomialIdeal:
     """Monomial ideal in canonical form.
 
-    The zero ideal has an empty generator tuple; the unit ideal is generated
-    by the unit monomial.  Construct through :meth:`from_gens` (which
-    minimalizes) unless the input is already canonical.
+    ``exps`` holds the exponent tuples of the minimal generators in
+    graded-lex order; the zero ideal has none, the unit ideal the zero
+    tuple.  The direct constructor takes such canonical tuples as they
+    are; :meth:`from_gens` checks and minimalises a caller's monomials.
     """
 
     context: RingContext
-    gens: tuple[Monomial, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
-        for g in self.gens:
-            if g.context != self.context:
-                raise ContextMismatchError("generator context differs from ideal context")
+    exps: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_gens(cls, context: RingContext, gens: Iterable[Monomial]) -> "MonomialIdeal":
-        gens = list(gens)
+        exps = []
         for g in gens:
             if g.context != context:
                 raise ContextMismatchError("generator context differs from ideal context")
-        return cls(context, _minimal_gens(gens))
+            exps.append(g.exponents)
+        return cls(context, _minimal(exps))
 
     @classmethod
     def zero(cls, context: RingContext) -> "MonomialIdeal":
@@ -214,15 +212,20 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, context: RingContext) -> "MonomialIdeal":
-        return cls(context, (context.one(),))
+        return cls(context, ((0,) * context.arity,))
+
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators as monomials, built on first access."""
+        return tuple(Monomial(self.context, e) for e in self.exps)
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exps
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_unit
+        return len(self.exps) == 1 and not any(self.exps[0])
 
     @property
     def is_proper(self) -> bool:
@@ -232,22 +235,26 @@ class MonomialIdeal:
         """Membership of a monomial: some minimal generator divides it."""
         if m.context != self.context:
             raise ContextMismatchError("monomial from a different context")
-        return any(g.divides(m) for g in self.gens)
+        return self._contains(m.exponents)
+
+    def _contains(self, e: tuple[int, ...]) -> bool:
+        return any(all(map(operator.le, g, e)) for g in self.exps)
 
     def add(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return MonomialIdeal.from_gens(self.context, self.gens + other.gens)
+        return MonomialIdeal(self.context, _minimal(self.exps + other.exps))
 
     def multiply(self, other: "MonomialIdeal", cap: int = DEFAULT_GENERATOR_CAP) -> "MonomialIdeal":
         self._check(other)
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.context)
-        if len(self.gens) * len(other.gens) > cap:
+        if len(self.exps) * len(other.exps) > cap:
             raise GeneratorCapError(
-                f"product would form {len(self.gens) * len(other.gens)} generators (cap {cap})"
+                f"product would form {len(self.exps) * len(other.exps)} generators (cap {cap})"
             )
-        return MonomialIdeal.from_gens(
-            self.context, (a * b for a in self.gens for b in other.gens)
+        return MonomialIdeal(
+            self.context,
+            _minimal(tuple(map(operator.add, a, b)) for a in self.exps for b in other.exps),
         )
 
     def power(self, n: int, cap: int = DEFAULT_GENERATOR_CAP) -> "MonomialIdeal":
@@ -262,15 +269,19 @@ class MonomialIdeal:
         self._check(other)
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.context)
-        return MonomialIdeal.from_gens(
-            self.context, (a.lcm(b) for a in self.gens for b in other.gens)
+        return MonomialIdeal(
+            self.context, _minimal(tuple(map(max, a, b)) for a in self.exps for b in other.exps)
         )
 
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """Monomial colon (I : m), generated by g / gcd(g, m)."""
         if m.context != self.context:
             raise ContextMismatchError("monomial from a different context")
-        return MonomialIdeal.from_gens(self.context, (g / g.gcd(m) for g in self.gens))
+        e = m.exponents
+        return MonomialIdeal(
+            self.context,
+            _minimal(tuple(a - b if a > b else 0 for a, b in zip(g, e)) for g in self.exps),
+        )
 
     def colon_maximal(self) -> "MonomialIdeal":
         """(I : (x_1,...,x_n)), the intersection of the variable colons."""
@@ -282,7 +293,7 @@ class MonomialIdeal:
             raise ContextMismatchError("ideals from different contexts")
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(g) for g in self.gens) + ")" if self.gens else "(0)"
+        return "(" + ", ".join(str(g) for g in self.gens) + ")" if self.exps else "(0)"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"
@@ -302,12 +313,9 @@ def tensor_join(
     joint = RingContext(ca.variables + cb.variables, split=ca.arity)
     pad_b = (0,) * cb.arity
     pad_a = (0,) * ca.arity
-    ext_a = MonomialIdeal(
-        joint, tuple(Monomial(joint, g.exponents + pad_b) for g in ideal_a.gens)
-    )
-    ext_b = MonomialIdeal(
-        joint, tuple(Monomial(joint, pad_a + g.exponents) for g in ideal_b.gens)
-    )
+    # zero padding keeps the exponents canonical
+    ext_a = MonomialIdeal(joint, tuple(e + pad_b for e in ideal_a.exps))
+    ext_b = MonomialIdeal(joint, tuple(pad_a + e for e in ideal_b.exps))
     return joint, ext_a, ext_b
 
 
@@ -315,12 +323,8 @@ def is_complete_intersection(ideal: MonomialIdeal) -> bool:
     """Minimal generators form a regular sequence: pairwise disjoint supports."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("complete-intersection test needs a nonzero proper ideal")
-    supports = [g.support() for g in ideal.gens]
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            if supports[i] & supports[j]:
-                return False
-    return True
+    # disjoint supports: no variable occurs in two generators
+    return all(sum(map(bool, column)) <= 1 for column in zip(*ideal.exps))
 
 
 def krull_dim_quotient(ideal: MonomialIdeal) -> int:
@@ -333,7 +337,7 @@ def krull_dim_quotient(ideal: MonomialIdeal) -> int:
     n = ideal.context.arity
     if ideal.is_zero:
         return n
-    supports = [g.support() for g in ideal.gens]
+    supports = [{j for j, x in enumerate(e) if x} for e in ideal.exps]
     for size in range(n + 1):
         for cover in itertools.combinations(range(n), size):
             cs = set(cover)
@@ -356,9 +360,10 @@ class QuotientModule:
     def __post_init__(self):
         if self.outer.context != self.inner.context:
             raise ContextMismatchError("module pieces from different contexts")
-        for g in self.inner.gens:
-            if not self.outer.contains(g):
-                raise ValueError(f"inner generator {g} is not contained in the outer ideal")
+        outside = [e for e in self.inner.exps if not self.outer._contains(e)]
+        if outside:
+            g = Monomial(self.context, outside[0])
+            raise ValueError(f"inner generator {g} is not contained in the outer ideal")
 
     @classmethod
     def of_ideal(cls, ideal: MonomialIdeal) -> "QuotientModule":

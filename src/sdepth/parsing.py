@@ -131,18 +131,14 @@ def split_blocks(ideal: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal]:
     if ctx.split is None:
         raise ValueError("ideal context has no block split")
     r = ctx.split
-    gens_a, gens_b = [], []
-    for g in ideal.gens:
-        sup = g.support()
-        in_a = any(j < r for j in sup)
-        in_b = any(j >= r for j in sup)
+    # a subsequence of canonical generators is canonical
+    exps_a, exps_b = [], []
+    for e in ideal.exps:
+        in_a, in_b = any(e[:r]), any(e[r:])
         if in_a and in_b:
-            raise ValueError(f"generator {g} mixes both blocks")
-        (gens_b if in_b else gens_a).append(g)
-    return (
-        MonomialIdeal.from_gens(ctx, gens_a),
-        MonomialIdeal.from_gens(ctx, gens_b),
-    )
+            raise ValueError(f"generator {Monomial(ctx, e)} mixes both blocks")
+        (exps_b if in_b else exps_a).append(e)
+    return MonomialIdeal(ctx, tuple(exps_a)), MonomialIdeal(ctx, tuple(exps_b))
 
 
 # --- module expressions ----------------------------------------------------

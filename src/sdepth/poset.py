@@ -122,8 +122,7 @@ def ideal_mask(ideal: MonomialIdeal, dims: tuple[int, ...]) -> int:
     """
     strides = box_strides(dims)
     mask = 0
-    for gen in ideal.gens:
-        e = gen.exponents
+    for e in ideal.exps:
         if all(ej < d for ej, d in zip(e, dims)):
             mask |= 1 << sum(ej * s for ej, s in zip(e, strides))
     for d, stride, keep in zip(dims, strides, _keep_masks(dims)):
@@ -289,13 +288,10 @@ class SdepthResult:
 
 def degree_bound_g(module: QuotientModule) -> tuple[int, ...]:
     """Componentwise max over the generator exponents of both ideals."""
-    n = module.context.arity
-    g = [0] * n
-    for ideal in (module.outer, module.inner):
-        for gen in ideal.gens:
-            for j, e in enumerate(gen.exponents):
-                g[j] = max(g[j], e)
-    return tuple(g)
+    g = (0,) * module.context.arity
+    for e in module.outer.exps + module.inner.exps:
+        g = tuple(map(max, g, e))
+    return g
 
 
 def build_poset(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> CharPoset:

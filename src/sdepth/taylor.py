@@ -95,7 +95,7 @@ class DepthReport:
 
 def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
     """Multigraded Betti numbers of S/I from the Taylor complex."""
-    gens = list(ideal.gens)
+    gens = ideal.exps
     t = len(gens)
     if t > TAYLOR_CAP:
         raise TaylorCapError(f"{t} generators exceed the Taylor cap {TAYLOR_CAP}")
@@ -108,7 +108,7 @@ def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
     for size in range(1, t + 1):
         for subset in itertools.combinations(range(t), size):
             m = lcm_of[subset[:-1]]
-            last = gens[subset[-1]].exponents
+            last = gens[subset[-1]]
             m = tuple(max(a, b) for a, b in zip(m, last))
             lcm_of[subset] = m
             strands.setdefault(m, {}).setdefault(size, []).append(subset)

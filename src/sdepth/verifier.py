@@ -550,7 +550,7 @@ def check_cor_2_12(
     _require_power(n_max, "n_max")
     report = TheoremReport("cor_2_12", {"J": format_ideal(ideal_b), "n_max": str(n_max)})
     s = ideal_b.context.arity
-    t = len(ideal_b.gens)
+    t = len(ideal_b.exps)
     for n in range(1, n_max + 1):
         p = ideal_b.power(n)
         report.items.append(
@@ -608,7 +608,7 @@ def sdepth_ci_power_via_transfer(
     the maximal-ideal side and moved along the verified lattice isomorphism;
     None when the budget or the lattice cap runs out."""
     _require_ci(ideal_b)
-    t = len(ideal_b.gens)
+    t = len(ideal_b.exps)
     s = ideal_b.context.arity
     small = RingContext(tuple(f"_t{i + 1}" for i in range(t)))
     maximal = MonomialIdeal.from_gens(small, [small.variable(j) for j in range(t)])
@@ -635,7 +635,7 @@ def check_prop_2_14(
     _require_power(k_max, "k_max")
     report = TheoremReport("prop_2_14", {"J": format_ideal(ideal_b), "k_max": str(k_max)})
     s = ideal_b.context.arity
-    t = len(ideal_b.gens)
+    t = len(ideal_b.exps)
     for k in range(1, k_max + 1):
         direct = _sd(QuotientModule.of_ideal(ideal_b.power(k)), budget)
         report.items.append(_item(f"sdepth(J^{k}) >= s-t+1", direct, s - t + 1, ">="))
@@ -661,7 +661,7 @@ def check_thm_2_15(
     _require_power(n_max, "n_max", least=0)
     report = TheoremReport("thm_2_15", {"J": format_ideal(ideal_b), "n_max": str(n_max)})
     dim = krull_dim_quotient(ideal_b)
-    t = len(ideal_b.gens)
+    t = len(ideal_b.exps)
     for n in range(n_max + 1):
         shell = QuotientModule(ideal_b.power(n), ideal_b.power(n + 1))
         report.items.append(
@@ -856,9 +856,10 @@ def block_ideals(ideal: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal]:
     r = ctx.split
     part_a, part_b = split_blocks(ideal)
     ctx_a, ctx_b = RingContext(ctx.block_a), RingContext(ctx.block_b)
+    # each part is zero outside its block, so cutting keeps it canonical
     return (
-        MonomialIdeal.from_gens(ctx_a, [Monomial(ctx_a, g.exponents[:r]) for g in part_a.gens]),
-        MonomialIdeal.from_gens(ctx_b, [Monomial(ctx_b, g.exponents[r:]) for g in part_b.gens]),
+        MonomialIdeal(ctx_a, tuple(e[:r] for e in part_a.exps)),
+        MonomialIdeal(ctx_b, tuple(e[r:] for e in part_b.exps)),
     )
 
 
@@ -879,7 +880,7 @@ def _random_decomp(rng: random.Random) -> tuple:
 
 def _file_decomp(ideal: MonomialIdeal) -> tuple:
     ideal_a, ideal_b = block_ideals(ideal)
-    if len(ideal_b.gens) != 1:
+    if len(ideal_b.exps) != 1:
         raise HypothesisError("needs exactly one block-B generator v")
     return ideal_a, ideal_b.gens[0]
 

@@ -4,7 +4,8 @@ These deliberately avoid the production search machinery: partitions are
 enumerated exhaustively, dimension scans all variable subsets, colon and
 membership go through degree-bounded monomial enumeration, and box checks
 walk the box point by point with ``contains``, and ranks go through dense
-``Fraction`` Gaussian elimination.
+``Fraction`` Gaussian elimination.  Ideal arithmetic is redone on
+``Monomial`` objects and minimalised by pairwise divisibility.
 """
 from __future__ import annotations
 
@@ -56,6 +57,52 @@ def brute_krull_dim(ideal: MonomialIdeal) -> int:
             if all(set(subset) & s for s in supports):
                 best = min(best, size)
     return n - best
+
+
+def _minimal_monomials(gens) -> "list[Monomial]":
+    """The minimal monomials of a set by the pairwise-divisibility
+    definition, in graded-lex order."""
+    gens = set(gens)
+    minimal = [m for m in gens if not any(k != m and k.divides(m) for k in gens)]
+    return sorted(minimal, key=Monomial.sort_key)
+
+
+def _exps(gens) -> "tuple[tuple[int, ...], ...]":
+    return tuple(m.exponents for m in _minimal_monomials(gens))
+
+
+def monomial_add(a: MonomialIdeal, b: MonomialIdeal) -> "tuple[tuple[int, ...], ...]":
+    return _exps(a.gens + b.gens)
+
+
+def monomial_multiply(a: MonomialIdeal, b: MonomialIdeal) -> "tuple[tuple[int, ...], ...]":
+    return _exps(g * h for g in a.gens for h in b.gens)
+
+
+def monomial_power(ideal: MonomialIdeal, n: int) -> "tuple[tuple[int, ...], ...]":
+    result = [ideal.context.one()]
+    for _ in range(n):
+        result = _minimal_monomials(g * h for g in result for h in ideal.gens)
+    return _exps(result)
+
+
+def monomial_intersect(a: MonomialIdeal, b: MonomialIdeal) -> "tuple[tuple[int, ...], ...]":
+    return _exps(g.lcm(h) for g in a.gens for h in b.gens)
+
+
+def monomial_colon(ideal: MonomialIdeal, m: Monomial) -> "tuple[tuple[int, ...], ...]":
+    return _exps(g / g.gcd(m) for g in ideal.gens)
+
+
+def monomial_colon_maximal(ideal: MonomialIdeal) -> "tuple[tuple[int, ...], ...]":
+    """The intersection of the colons by each variable."""
+    ctx = ideal.context
+    meet = None
+    for j in range(ctx.arity):
+        x = ctx.variable(j)
+        colon = _minimal_monomials(g / g.gcd(x) for g in ideal.gens)
+        meet = colon if meet is None else _minimal_monomials(a.lcm(b) for a in meet for b in colon)
+    return _exps(meet)
 
 
 def brute_colon(ideal: MonomialIdeal, m: Monomial, degree_bound: int) -> "set[tuple[int, ...]]":

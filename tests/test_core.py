@@ -60,6 +60,11 @@ class TestMonomial:
         assert str(mono(X3, 2, 0, 1)) == "x1^2*x3"
         assert str(X3.one()) == "1"
 
+    @pytest.mark.parametrize("exps", [(1.5, 0), ("2", 1), (True, 0)])
+    def test_non_int_exponents_rejected(self, exps):
+        with pytest.raises(ValueError):
+            Monomial(X2, exps)
+
     def test_division_exact_only(self):
         with pytest.raises(ValueError):
             mono(X2, 1, 0) / mono(X2, 0, 1)

@@ -21,6 +21,8 @@ from sdepth.poset import (
     verify_decomposition,
 )
 
+import oracles
+
 BUDGET = Budget(time_limit=30.0)
 
 
@@ -169,6 +171,27 @@ def kernel_ideals(draw, ctx):
     if style == 1:
         return MonomialIdeal.unit(ctx)
     return draw(ideals(ctx=ctx, max_gens=4, max_exp=4))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_tuple_arithmetic_matches_monomial_arithmetic(data):
+    ctx = data.draw(contexts())
+    a = data.draw(kernel_ideals(ctx))
+    b = data.draw(kernel_ideals(ctx))
+    m = data.draw(monomials(ctx))
+    assert a.add(b).exps == oracles.monomial_add(a, b)
+    assert a.multiply(b).exps == oracles.monomial_multiply(a, b)
+    assert a.intersect(b).exps == oracles.monomial_intersect(a, b)
+    assert a.colon(m).exps == oracles.monomial_colon(a, m)
+    assert a.colon_maximal().exps == oracles.monomial_colon_maximal(a)
+    for n in range(4):
+        assert a.power(n).exps == oracles.monomial_power(a, n)
+    # the Monomial view: in the ideal's context, in exps order, built once
+    gens = a.gens
+    assert all(isinstance(g, Monomial) and g.context == ctx for g in gens)
+    assert tuple(g.exponents for g in gens) == a.exps
+    assert a.gens is gens
 
 
 @st.composite
