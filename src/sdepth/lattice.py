@@ -92,10 +92,12 @@ def lattice_iso_check(
     image = set(psi.values())
     if len(image) != len(psi) or image != set(target.proper_elements):
         return False
-    elems = sorted(psi, key=Monomial.sort_key)
+    # joins of all pairs, on exponent tuples
+    image_of = {x.exponents: y.exponents for x, y in psi.items()}
+    elems = sorted(image_of, key=lambda e: (sum(e), e))
     for i, x in enumerate(elems):
         for y in elems[i:]:
-            if psi[x.lcm(y)] != psi[x].lcm(psi[y]):
+            if image_of[tuple(map(max, x, y))] != tuple(map(max, image_of[x], image_of[y])):
                 return False
     return True
 

@@ -5,7 +5,9 @@ max of the generator exponents of I and J) carries enough information to
 decide, for each k, whether a partition of the poset into intervals [c, d]
 with rho(d) = #{j : d_j = g_j} >= k exists.  Stanley depth is the largest
 such k; every positive answer ships an interval partition that converts to
-an independently checkable Stanley decomposition.
+an independently checkable Stanley decomposition.  :func:`sdepth_exact`
+searches the exponent-compressed module (:func:`compress`) and checks the
+witness, mapped back, on the module itself.
 
 Every box walk goes through one kernel: an ideal becomes a Python-int
 bitmask over a box (:func:`ideal_mask`), bit p set when the point with
@@ -19,7 +21,7 @@ import math
 import operator
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import CapError, Monomial, MonomialIdeal, QuotientModule, RingContext
 
@@ -47,6 +49,11 @@ DEFAULT_BUDGET = Budget()
 # failed uncovered sets the search remembers per decision; beyond this many
 # the memo is lossy (it stops growing)
 MEMO_CAP = 200_000
+
+# (compressed module, budget) pairs whose k-walk sdepth_exact remembers
+WALK_CACHE_SIZE = 1024
+# boxes whose keep and axis masks the kernel and the search remember
+MASK_CACHE_SIZE = 512
 
 
 # --- box-membership kernel ----------------------------------------------------
@@ -88,7 +95,7 @@ def box_mask(lo: tuple[int, ...], hi: tuple[int, ...], strides: tuple[int, ...])
     return mask
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=MASK_CACHE_SIZE)
 def _keep_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
     """Per axis, the points whose coordinate on it is below d-1: one block
     of (d-1)*stride ones under stride zeros, repeated over the box."""
@@ -100,7 +107,7 @@ def _keep_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=MASK_CACHE_SIZE)
 def _axis_masks(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Per axis, for each value v below its side d, the points whose
     coordinate on it is v: stride ones at v*stride in every d*stride block."""
@@ -194,7 +201,10 @@ class CharPoset:
             for _, level in itertools.groupby(order, key=degree.__getitem__)
         ]
         self.mask = functools.reduce(operator.or_, self.levels, 0)
-        self.axis_masks = _axis_masks(self.dims)
+
+    @functools.cached_property
+    def axis_masks(self) -> tuple[tuple[int, ...], ...]:
+        return _axis_masks(self.dims)
 
     @property
     def arity(self) -> int:
@@ -270,6 +280,7 @@ class SdepthResult:
     witness: IntervalPartition | None
     nodes: int = 0
     elapsed: float = 0.0
+    reduction: str | None = None  # None | "exponent-compression"
 
     def to_json_dict(self) -> dict:
         witness = None
@@ -283,6 +294,7 @@ class SdepthResult:
             "witness": witness,
             "nodes_expanded": self.nodes,
             "elapsed": self.elapsed,
+            "reduction": self.reduction,
         }
 
 
@@ -442,18 +454,59 @@ def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -
     return _PartitionSearch(poset, k, budget).run()
 
 
-def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
-    """Largest k admitting an interval partition, walking down from the
-    maximal-cell upper bound; 'unknown' outcomes carry a verified bracket.
+def compress(module: QuotientModule) -> tuple[QuotientModule, tuple[tuple[int, ...], ...]]:
+    """The module with each variable's exponents relabelled, and per
+    variable the relabelling's levels.
 
-    The witness returned, exact or lower bound, has passed
-    :func:`verify_decomposition`; a rejected one raises CertificateError.
+    Per variable, the distinct exponents in the generators of outer and
+    inner, plus 0, map onto 0, 1, 2, ... in order; ``levels[j][i]`` is the
+    exponent that level i stands for.  The map keeps the lcm-lattice of the
+    presentation and the number of variables.  When it is the identity, the
+    module itself comes back.
     """
-    if module.is_zero:
-        raise ValueError("Stanley depth of the zero module is undefined")
+    exps = module.outer.exps + module.inner.exps
+    levels = tuple(tuple(sorted(set(column))) for column in zip((0,) * module.context.arity, *exps))
+    if all(len(v) == v[-1] + 1 for v in levels):
+        return module, levels
+    rank = [{e: i for i, e in enumerate(v)} for v in levels]
+
+    def relabel(ideal: MonomialIdeal) -> MonomialIdeal:
+        # monotone per variable, so minimality holds; the degrees change
+        labelled = (tuple(map(dict.__getitem__, rank, e)) for e in ideal.exps)
+        return MonomialIdeal(ideal.context, tuple(sorted(labelled, key=lambda e: (sum(e), e))))
+
+    return QuotientModule(relabel(module.outer), relabel(module.inner)), levels
+
+
+def pull_back(
+    partition: IntervalPartition, levels: tuple[tuple[int, ...], ...]
+) -> IntervalPartition:
+    """An interval partition of the compressed poset as one of the original
+    poset, levels as returned by :func:`compress`.
+
+    [c, d] becomes [v(c), h] with h_j = g_j when d_j is the top level and
+    h_j = v(d_j + 1) - 1 otherwise: the original cells whose levels lie in
+    [c, d].  Only top levels reach g_j, so rho is unchanged.
+    """
+    ceilings = [v[1:] + (v[-1] + 1,) for v in levels]
+    intervals = tuple(
+        Interval(
+            tuple(map(tuple.__getitem__, levels, iv.lo)),
+            tuple(ceiling[dj] - 1 for ceiling, dj in zip(ceilings, iv.hi)),
+        )
+        for iv in partition.intervals
+    )
+    return IntervalPartition(intervals, partition.rho_min)
+
+
+def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
+    """Largest k admitting an interval partition of the module's own poset,
+    walking down from the maximal-cell upper bound; 'unknown' outcomes carry
+    the bracket.  No reduction, no cache and no certificate check: the
+    search behind :func:`sdepth_exact`, also the reference it is tested
+    against.
+    """
     poset = build_poset(module, budget)
-    # every witness corner lies in [0, g], so this box holds its check
-    certifying_box(module, budget)
     ub = min(poset.rho(c) for c in poset.maximal_cells())
     nodes = 0
     elapsed = 0.0
@@ -464,11 +517,6 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
         nodes += decision.nodes
         elapsed += decision.elapsed
         if decision.status == "true":
-            decomposition = partition_to_decomposition(poset, decision.partition)
-            if not verify_decomposition(decomposition, module, budget):
-                raise CertificateError(
-                    f"the witness for sdepth >= {k} of {module} fails the exact-cover check"
-                )
             if saw_unknown:
                 return SdepthResult("unknown", None, k, hi, decision.partition, nodes, elapsed)
             return SdepthResult("exact", k, k, k, decision.partition, nodes, elapsed)
@@ -478,6 +526,41 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
             saw_unknown = True
     # k = 0 always succeeds on a nonempty poset
     raise AssertionError("unreachable: decision at k=0 cannot fail")
+
+
+_cached_walk = functools.lru_cache(maxsize=WALK_CACHE_SIZE)(sdepth_walk)
+
+
+def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
+    """Stanley depth by :func:`sdepth_walk` on the compressed module (see
+    :func:`compress`), memoised by the compressed module and the budget.
+
+    The witness comes back in the module's own coordinates and has passed
+    :func:`verify_decomposition` on the module itself, on every call; a
+    rejected one raises CertificateError, so lower bounds are certified on
+    the input.  When compression changed the module, ``reduction`` says so:
+    the refutations were then made on the compressed poset, and that its
+    Stanley depth is the module's rests on the lcm-lattice theorem of
+    Ichim, Katthan and Moyano-Fernandez.
+    """
+    if module.is_zero:
+        raise ValueError("Stanley depth of the zero module is undefined")
+    # every witness corner lies in [0, g], so this box holds its check
+    certifying_box(module, budget)
+    compressed, levels = compress(module)
+    result = _cached_walk(compressed, budget)
+    if compressed is not module:
+        witness = pull_back(result.witness, levels)
+        result = replace(result, witness=witness, reduction="exponent-compression")
+    # the expansion reads only the context and g of the poset; the top
+    # levels are g
+    frame = CharPoset(module.context, tuple(v[-1] for v in levels), [])
+    decomposition = partition_to_decomposition(frame, result.witness)
+    if not verify_decomposition(decomposition, module, budget):
+        raise CertificateError(
+            f"the witness for sdepth >= {result.lo} of {module} fails the exact-cover check"
+        )
+    return result
 
 
 def partition_to_decomposition(

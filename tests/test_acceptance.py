@@ -28,6 +28,7 @@ from sdepth.poset import (
     degree_bound_g,
     partition_to_decomposition,
     sdepth_exact,
+    sdepth_walk,
     verify_decomposition,
 )
 from sdepth.taylor import depth_quotient, taylor_tor_ranks
@@ -145,6 +146,9 @@ def test_criterion_2_oracle_equivalence():
         res = sdepth_exact(mod, budget=BUDGET)
         assert res.status == "exact"
         assert res.value == brute_sdepth(poset)
+        if res.reduction is not None:
+            # the search on the module's own poset, without compression
+            assert sdepth_walk(mod, budget=BUDGET).value == res.value
     report(2, True, "100 modules (box volume <= 200): engine == brute force",
            time.monotonic() - start, 120.0)
 
@@ -173,8 +177,13 @@ def test_criterion_4_ci_power_bounds_and_transfer():
     count = 0
     for j, s, t in ci_family():
         for k in (1, 2, 3):
-            direct = sdepth_exact(QuotientModule.of_ideal(j.power(k)), budget=BUDGET)
+            module = QuotientModule.of_ideal(j.power(k))
+            direct = sdepth_exact(module, budget=BUDGET)
             assert direct.status == "exact"
+            if direct.reduction is not None:
+                # the transfer may search the same compressed module; the
+                # uncompressed search keeps the comparison independent
+                assert sdepth_walk(module, budget=BUDGET).value == direct.value, (j, k)
             assert s - t + 1 <= direct.value <= s - t + math.ceil(t / (k + 1)), (j, k)
             if k >= t - 1:
                 assert direct.value == s - t + 1, (j, k)

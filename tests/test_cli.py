@@ -61,6 +61,22 @@ class TestSdepthCommand:
         assert code == EXIT_OK
         assert dot.read_text().startswith("digraph")
 
+    def test_json_reports_the_reduction(self, capsys, tmp_path):
+        # the exponents of J^2 = (x1*x2, x3)^2 are consecutive: no reduction
+        _, payloads = run_json(capsys, "sdepth", CI, "--module", "S/J^2")
+        assert payloads[0]["reduction"] is None
+        # x1^3, x2^4 compress to x1, x2; the witness comes back uncompressed
+        path = tmp_path / "gaps.ideal"
+        path.write_text("vars: x1 x2\nx1^3\nx2^4\n")
+        dot = tmp_path / "poset.dot"
+        code, payloads = run_json(capsys, "sdepth", str(path), "--module", "S/I",
+                                  "--export-poset", str(dot))
+        assert code == EXIT_OK
+        assert payloads[0]["reduction"] == "exponent-compression"
+        assert payloads[0]["value"] == 0
+        assert payloads[0]["witness"] == [[[0, 0], [2, 3]]]
+        assert dot.read_text().count("fillcolor=lightblue") == 12
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "sdepth", str(ROOT / "nope.ideal"))
         assert code == EXIT_INPUT

@@ -12,6 +12,7 @@ from sdepth.poset import (
     CertificateError,
     CharPoset,
     Decision,
+    Interval,
     IntervalPartition,
     ResourceCapError,
     build_poset,
@@ -408,6 +409,32 @@ class TestRuntimeCertificate:
         self._break_witnesses(monkeypatch)
         with pytest.raises(CertificateError):
             check_prop_2_5(ideal(X2, (1, 0), (0, 2)), 1)
+
+    def test_a_cache_hit_is_checked_again(self, monkeypatch):
+        # K[x1, x2]/(x1^2, x2^3) and K[x1, x2]/(x1^3, x2^2) compress alike
+        first = QuotientModule.of_quotient_ring(ideal(X2, (2, 0), (0, 3)))
+        second = QuotientModule.of_quotient_ring(ideal(X2, (3, 0), (0, 2)))
+        assert sdepth_exact(first).reduction == "exponent-compression"
+        real_verify, real_pull_back = poset_module.verify_decomposition, poset_module.pull_back
+        checked = []
+
+        def recording(decomposition, module, budget=poset_module.DEFAULT_BUDGET):
+            checked.append(module)
+            return real_verify(decomposition, module, budget)
+
+        def no_search(*args):
+            raise AssertionError("a cache hit searched again")
+
+        monkeypatch.setattr(poset_module, "verify_decomposition", recording)
+        monkeypatch.setattr(poset_module, "build_poset", no_search)
+        res = sdepth_exact(second)
+        assert (res.value, res.witness.intervals) == (0, (Interval((0, 0), (2, 1)),))
+        assert checked == [second]
+        # a cached witness that no longer covers the module is still caught
+        monkeypatch.setattr(poset_module, "pull_back", lambda partition, levels: IntervalPartition(
+            real_pull_back(partition, levels).intervals[:-1], partition.rho_min))
+        with pytest.raises(CertificateError):
+            sdepth_exact(second)
 
     def test_certifying_box_counts_against_the_cap(self):
         # [0, g] has 4 points, the certifying box [0, g+1] has 9

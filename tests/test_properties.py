@@ -11,6 +11,7 @@ from sdepth.poset import (
     box_mask,
     box_strides,
     build_poset,
+    compress,
     degree_bound_g,
     ideal_mask,
     mask_points,
@@ -18,6 +19,7 @@ from sdepth.poset import (
     partition_to_decomposition,
     sdepth_decision,
     sdepth_exact,
+    sdepth_walk,
     verify_decomposition,
 )
 
@@ -156,6 +158,50 @@ def test_witness_always_verifies(module):
     decomposition = partition_to_decomposition(poset, res.witness)
     assert verify_decomposition(decomposition, module)
     assert decomposition.sdepth >= res.value
+
+
+# --- exponent compression ------------------------------------------------------
+
+
+@st.composite
+def gapped_modules(draw):
+    """A small module and a copy with its exponents spread apart: per
+    variable, exponent e > 0 moves up by a sum of e random gaps."""
+    module = draw(small_modules(max_volume=60))
+    spreads = []
+    for gj in degree_bound_g(module):
+        gaps = draw(st.lists(st.integers(0, 2), min_size=gj, max_size=gj))
+        spreads.append([sum(gaps[:e]) + e for e in range(gj + 1)])
+
+    def spread(ideal):
+        return MonomialIdeal.from_gens(ideal.context, [
+            Monomial(ideal.context, tuple(s[e] for s, e in zip(spreads, g)))
+            for g in ideal.exps
+        ])
+
+    return module, QuotientModule(spread(module.outer), spread(module.inner))
+
+
+@given(gapped_modules())
+@settings(max_examples=40, deadline=None)
+def test_compression_keeps_sdepth_and_certifies_on_the_original(case):
+    module, spread = case
+    compressed, _ = compress(spread)
+    # idempotent, and the identity once the exponents are consecutive
+    assert compress(compressed)[0] is compressed
+    assert compressed == compress(module)[0]
+    assert all(v == tuple(range(len(v))) for v in compress(compressed)[1])
+    res = sdepth_exact(spread, budget=BUDGET)
+    direct = sdepth_walk(spread, budget=BUDGET)
+    assert res.status == direct.status == "exact"
+    assert res.value == direct.value
+    assert res.reduction == (None if compressed is spread else "exponent-compression")
+    # the pulled-back witness, checked again on the spread module
+    poset = build_poset(spread, budget=BUDGET)
+    decomposition = partition_to_decomposition(poset, res.witness)
+    assert verify_decomposition(decomposition, spread)
+    assert decomposition.sdepth >= res.value
+    assert all(poset.rho(iv.hi) >= res.value for iv in res.witness.intervals)
 
 
 # --- the box-membership kernel -------------------------------------------------
