@@ -121,7 +121,7 @@ def sdepth_transfer(
 
 
 def ci_power_atom_map(
-    maximal_power: MonomialIdeal, ci_power: MonomialIdeal, ci_gens: tuple[Monomial, ...]
+    maximal_power: MonomialIdeal, ci_gens: tuple[Monomial, ...]
 ) -> dict[Monomial, Monomial]:
     """Natural atom map x^(a_1)...x^(a_t) -> v_1^(a_1)...v_t^(a_t) between the
     k-th power of the maximal ideal in t variables and the k-th power of a

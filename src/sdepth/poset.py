@@ -31,8 +31,8 @@ class ResourceCapError(CapError):
 
 
 class CertificateError(RuntimeError):
-    """A witness the search returned failed its exact-cover check: a bug,
-    never an 'unknown' outcome."""
+    """A witness the search returned failed its exact-cover or its depth
+    check: a bug, never an 'unknown' outcome."""
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,13 @@ class CharPoset:
     """Cells of the box [0, g] whose monomials lie in outer but not inner.
 
     Built from the cells' row-major box indices in ascending (lex) order;
-    ``cells`` lists them in graded-lex order as exponent tuples, ``points``
-    their box indices and ``rhos[i]`` the rho of cell i; ``cell_at`` and
-    ``rho_at`` map a box index to its cell and its rho.  Sets of cells are
-    box masks: ``mask`` is the set of all cells, ``levels`` the cells of
-    each nonempty degree in ascending degree, and ``axis_masks[j][v]`` the
-    box points whose coordinate j is v.  The cells of I/J form a convex set,
-    so the unit steps between cells are exactly the cover relations.
+    ``cells`` lists them in graded-lex order as exponent tuples and
+    ``points`` their box indices; ``cell_at`` and ``rho_at`` map a box index
+    to its cell and its rho.  Sets of cells are box masks: ``mask`` is the
+    set of all cells, ``levels`` the cells of each nonempty degree in
+    ascending degree, and ``axis_masks[j][v]`` the box points whose
+    coordinate j is v.  The cells of I/J form a convex set, so the unit
+    steps between cells are exactly the cover relations.
     """
 
     def __init__(self, context: RingContext, g: tuple[int, ...], points: list[int]):
@@ -193,9 +193,8 @@ class CharPoset:
         order = sorted(range(len(lex)), key=degree.__getitem__)
         self.cells = [lex[i] for i in order]
         self.points = [points[i] for i in order]
-        self.rhos = [sum(map(operator.eq, c, g)) for c in self.cells]
         self.cell_at = dict(zip(self.points, self.cells))
-        self.rho_at = dict(zip(self.points, self.rhos))
+        self.rho_at = {p: sum(map(operator.eq, c, g)) for p, c in zip(self.points, self.cells)}
         self.levels = [
             functools.reduce(operator.or_, (1 << points[i] for i in level))
             for _, level in itertools.groupby(order, key=degree.__getitem__)
@@ -242,10 +241,9 @@ class Interval:
 
 @dataclass(frozen=True)
 class IntervalPartition:
-    """Disjoint intervals covering all cells, with the partition's min rho."""
+    """Disjoint intervals covering all cells."""
 
     intervals: tuple[Interval, ...]
-    rho_min: int
 
 
 @dataclass(frozen=True)
@@ -314,135 +312,89 @@ def build_poset(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Char
     return CharPoset(module.context, g, mask_points(module_mask(module, dims)))
 
 
-class _PartitionSearch:
-    """Backtracking interval-partition search for a fixed rho target k.
+def _candidates(poset: CharPoset, tops: int, c: int, uncovered: int, frugal: bool) -> list[int]:
+    """The tops d in tops with [c, d] inside the uncovered set, as box
+    indices in the phase's order.
 
-    Cell sets are box masks, and cells are named by their box indices.
-    Branches on the graded-lex smallest uncovered cell; candidate tops are
-    tried in the phase's order.  Failed uncovered sets are memoized (lossy
-    beyond MEMO_CAP).
+    Greedy, best rho first and then larger intervals, is good at refutation
+    and on most satisfiable instances.  Frugal, smaller intervals first,
+    keeps high-rho tops available for the cells that need them; it rescues
+    instances where greed paints the search into a corner.
+
+    A prefix-AND sweep: start from the uncovered points of [c, g], then
+    along each axis j, g_j - c_j times, keep a point only if its
+    predecessor on the axis is kept; the points with coordinate c_j have
+    no predecessor in [c, g] and keep their bit.  What stays set is every
+    d with [c, d] inside the uncovered set.
     """
+    cell = poset.cell_at[c]
+    reach = uncovered & box_mask(cell, poset.g, poset.strides)
+    for cj, gj, stride, on_axis in zip(cell, poset.g, poset.strides, poset.axis_masks):
+        first = on_axis[cj]
+        for _ in range(gj - cj):
+            reach &= (reach << stride) | first
+    reach &= tops
+    below = [cj - 1 for cj in cell]
+    keys = []
+    while reach:
+        bit = reach & -reach
+        reach ^= bit
+        d = bit.bit_length() - 1
+        # every point of [c, d] is a cell by convexity
+        size = math.prod(map(operator.sub, poset.cell_at[d], below))
+        rho = poset.rho_at[d]
+        keys.append((size, -rho, d) if frugal else (-rho, -size, d))
+    keys.sort()
+    return [key[-1] for key in keys]
 
-    def __init__(self, poset: CharPoset, k: int, budget: Budget):
-        self.poset = poset
-        self.k = k
-        self.budget = budget
-        self.nodes = 0
-        self.failed: set[int] = set()
-        self.tops = functools.reduce(
-            operator.or_, (1 << p for p, r in poset.rho_at.items() if r >= k), 0
-        )
 
-    def _candidates(self, c: int, uncovered: int, order) -> list[int]:
-        """Tops d with rho(d) >= k and [c, d] inside the uncovered set, as
-        box indices sorted by order.
+def _search_phase(
+    poset: CharPoset, tops: int, failed: set[int], frugal: bool, deadline: float, nodes: int
+) -> tuple[str, list[tuple[int, int]] | None, int]:
+    """One phase of the partition search: depth-first from the full cell
+    set on an explicit stack, branching on the graded-lex smallest
+    uncovered cell.  Cell sets are box masks; cells are box indices.
 
-        A prefix-AND sweep: start from the uncovered points of [c, g], then
-        along each axis j, g_j - c_j times, keep a point only if its
-        predecessor on the axis is kept; the points with coordinate c_j have
-        no predecessor in [c, g] and keep their bit.  What stays set is
-        every d with [c, d] inside the uncovered set.
-        """
-        poset = self.poset
-        cell = poset.cell_at[c]
-        reach = uncovered & box_mask(cell, poset.g, poset.strides)
-        for cj, gj, stride, on_axis in zip(cell, poset.g, poset.strides, poset.axis_masks):
-            first = on_axis[cj]
-            for _ in range(gj - cj):
-                reach &= (reach << stride) | first
-        reach &= self.tops
-        below = [cj - 1 for cj in cell]
-        keys = []
-        while reach:
-            bit = reach & -reach
-            reach ^= bit
-            d = bit.bit_length() - 1
-            # every point of [c, d] is a cell by convexity
-            size = math.prod(map(operator.sub, poset.cell_at[d], below))
-            keys.append(order(poset.rho_at[d], size, d))
-        keys.sort()
-        return [key[-1] for key in keys]
-
-    @staticmethod
-    def _order_greedy(rho: int, size: int, top: int) -> tuple:
-        """Best rho first, then larger intervals: good at refutation and on
-        most satisfiable instances."""
-        return (-rho, -size, top)
-
-    @staticmethod
-    def _order_frugal(rho: int, size: int, top: int) -> tuple:
-        """Smaller intervals first: keeps high-rho tops available for the
-        cells that need them; rescues instances where greed paints the
-        search into a corner."""
-        return (size, -rho, top)
-
-    def run(self) -> Decision:
-        start = time.monotonic()
-        if self.k == 0:
-            # singleton intervals always work
-            intervals = tuple(Interval(c, c) for c in self.poset.cells)
-            part = IntervalPartition(intervals, min(self.poset.rhos, default=0))
-            return Decision("true", part, 0, time.monotonic() - start)
-        # two-phase portfolio: restart with the frugal ordering when the
-        # greedy one times out; the failure memo states ordering-independent
-        # facts, so it carries over
-        phases = [
-            (self._order_greedy, start + 0.5 * self.budget.time_limit),
-            (self._order_frugal, start + self.budget.time_limit),
-        ]
-        for order, deadline in phases:
-            status, chosen = self._solve(order, deadline)
-            if status != "unknown":
+    Failed uncovered sets go into failed (lossy beyond MEMO_CAP).  nodes
+    counts on from earlier phases; every 256th node checks the deadline.
+    An open node is [uncovered set, branch cell, chosen top, its remaining
+    candidates, degree level of the branch cell].  Returns the status, the
+    (cell, top) pairs deepest first if "true", and the node count; "false"
+    means exhaustive, "unknown" that the deadline passed.
+    """
+    levels, cell_at, strides = poset.levels, poset.cell_at, poset.strides
+    stack: list[list] = []
+    uncovered = poset.mask
+    level = 0
+    while True:
+        if uncovered == 0:
+            return "true", [(c, d) for _, c, d, _, _ in reversed(stack)], nodes
+        if uncovered not in failed:
+            nodes += 1
+            if nodes % 256 == 0 and time.monotonic() > deadline:
+                return "unknown", None, nodes
+            # a child covers a subset of its parent's set, so its lowest
+            # uncovered level is no lower; in a level, index order is lex
+            while not uncovered & levels[level]:
+                level += 1
+            lowest = uncovered & levels[level]
+            c = (lowest & -lowest).bit_length() - 1
+            candidates = iter(_candidates(poset, tops, c, uncovered, frugal))
+            stack.append([uncovered, c, None, candidates, level])
+        # backtrack to the deepest open node with a candidate left
+        while stack:
+            node = stack[-1]
+            d = next(node[3], None)
+            if d is not None:
+                node[2] = d
+                uncovered = node[0] & ~box_mask(cell_at[node[1]], cell_at[d], strides)
+                level = node[4]
                 break
-        if status != "true":
-            return Decision(status, None, self.nodes, time.monotonic() - start)
-        intervals = tuple(Interval(self.poset.cell_at[c], self.poset.cell_at[d]) for c, d in chosen)
-        rho_min = min(self.poset.rho_at[d] for _, d in chosen) if chosen else self.poset.arity
-        part = IntervalPartition(intervals, rho_min)
-        return Decision("true", part, self.nodes, time.monotonic() - start)
-
-    def _solve(self, order, deadline: float) -> tuple[str, list[tuple[int, int]] | None]:
-        """Depth-first search from the full cell set, on an explicit stack.
-
-        Each open node is [uncovered set, branch cell, chosen top, its
-        remaining candidates, degree level of the branch cell].  Returns
-        ("true", (cell, top) pairs deepest first), ("false", None) when the
-        search is exhaustive, or ("unknown", None) once the deadline has
-        passed.
-        """
-        levels, cell_at, strides = self.poset.levels, self.poset.cell_at, self.poset.strides
-        stack: list[list] = []
-        uncovered = self.poset.mask
-        level = 0
-        while True:
-            if uncovered == 0:
-                return "true", [(c, d) for _, c, d, _, _ in reversed(stack)]
-            if uncovered not in self.failed:
-                self.nodes += 1
-                if self.nodes % 256 == 0 and time.monotonic() > deadline:
-                    return "unknown", None
-                # a child covers a subset of its parent's set, so its lowest
-                # uncovered level is no lower; in a level, index order is lex
-                while not uncovered & levels[level]:
-                    level += 1
-                lowest = uncovered & levels[level]
-                c = (lowest & -lowest).bit_length() - 1
-                candidates = iter(self._candidates(c, uncovered, order))
-                stack.append([uncovered, c, None, candidates, level])
-            # backtrack to the deepest open node with a candidate left
-            while stack:
-                node = stack[-1]
-                d = next(node[3], None)
-                if d is not None:
-                    node[2] = d
-                    uncovered = node[0] & ~box_mask(cell_at[node[1]], cell_at[d], strides)
-                    level = node[4]
-                    break
-                stack.pop()
-                if len(self.failed) < MEMO_CAP:
-                    self.failed.add(node[0])
-            else:
-                return "false", None
+            stack.pop()
+            if len(failed) < MEMO_CAP:
+                failed.add(node[0])
+        else:
+            return "false", None, nodes
 
 
 def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -> Decision:
@@ -451,7 +403,27 @@ def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -
         raise ValueError("k must lie between 0 and the number of variables")
     if len(poset) == 0:
         raise ValueError("empty poset: the module is zero")
-    return _PartitionSearch(poset, k, budget).run()
+    start = time.monotonic()
+    if k == 0:
+        # singleton intervals always work
+        intervals = tuple(Interval(c, c) for c in poset.cells)
+        return Decision("true", IntervalPartition(intervals), 0, time.monotonic() - start)
+    tops = functools.reduce(operator.or_, (1 << p for p, r in poset.rho_at.items() if r >= k), 0)
+    failed: set[int] = set()
+    nodes = 0
+    # two-phase portfolio: restart with the frugal ordering when the greedy
+    # one times out; the failure memo states ordering-independent facts, so
+    # it carries over
+    for frugal, share in ((False, 0.5), (True, 1.0)):
+        deadline = start + share * budget.time_limit
+        status, chosen, nodes = _search_phase(poset, tops, failed, frugal, deadline, nodes)
+        if status != "unknown":
+            break
+    partition = None
+    if status == "true":
+        cell_at = poset.cell_at
+        partition = IntervalPartition(tuple(Interval(cell_at[c], cell_at[d]) for c, d in chosen))
+    return Decision(status, partition, nodes, time.monotonic() - start)
 
 
 def compress(module: QuotientModule) -> tuple[QuotientModule, tuple[tuple[int, ...], ...]]:
@@ -496,7 +468,7 @@ def pull_back(
         )
         for iv in partition.intervals
     )
-    return IntervalPartition(intervals, partition.rho_min)
+    return IntervalPartition(intervals)
 
 
 def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
@@ -536,10 +508,12 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     :func:`compress`), memoised by the compressed module and the budget.
 
     The witness comes back in the module's own coordinates and has passed
-    :func:`verify_decomposition` on the module itself, on every call; a
-    rejected one raises CertificateError, so lower bounds are certified on
-    the input.  When compression changed the module, ``reduction`` says so:
-    the refutations were then made on the compressed poset, and that its
+    two checks on the module itself, on every call: its Stanley
+    decomposition is an exact cover (:func:`verify_decomposition`), and its
+    Stanley depth is at least the lower bound.  A witness failing either
+    raises CertificateError, so lower bounds are certified on the input.
+    When compression changed the module, ``reduction`` says so: the
+    refutations were then made on the compressed poset, and that its
     Stanley depth is the module's rests on the lcm-lattice theorem of
     Ichim, Katthan and Moyano-Fernandez.
     """
@@ -559,6 +533,11 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     if not verify_decomposition(decomposition, module, budget):
         raise CertificateError(
             f"the witness for sdepth >= {result.lo} of {module} fails the exact-cover check"
+        )
+    if decomposition.sdepth < result.lo:
+        raise CertificateError(
+            f"the witness for sdepth >= {result.lo} of {module} fails the depth check:"
+            f" its Stanley depth is {decomposition.sdepth}"
         )
     return result
 

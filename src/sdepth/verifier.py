@@ -617,7 +617,7 @@ def sdepth_ci_power_via_transfer(
     if source_value is None:
         return None
     j_k = ideal_b.power(k)
-    phi = ci_power_atom_map(m_k, j_k, ideal_b.gens)
+    phi = ci_power_atom_map(m_k, ideal_b.gens)
     try:
         source, target = build_lcm_lattice(m_k), build_lcm_lattice(j_k)
     except CapError:

@@ -20,7 +20,6 @@ from sdepth.core import (
     make_context,
     tensor_join,
 )
-from sdepth.lattice import build_lcm_lattice, ci_power_atom_map, lattice_iso_check
 from sdepth.parsing import parse_ideal
 from sdepth.poset import (
     Budget,

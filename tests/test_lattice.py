@@ -107,7 +107,7 @@ class TestCiPowerTransfer:
         j_ideal = MonomialIdeal.from_gens(ctx, ci_gens)
         src = build_lcm_lattice(maximal.power(k))
         tgt = build_lcm_lattice(j_ideal.power(k))
-        phi = ci_power_atom_map(maximal.power(k), j_ideal.power(k), tuple(ci_gens))
+        phi = ci_power_atom_map(maximal.power(k), tuple(ci_gens))
         assert lattice_iso_check(src, tgt, phi)
 
     def test_transfer_shifts_by_arity_difference(self):

@@ -86,7 +86,8 @@ class TestBuildPoset:
     def test_no_box_indices_give_an_empty_poset(self):
         p = CharPoset(X2, (2, 1), [])
         assert len(p) == 0
-        assert p.cells == p.points == p.rhos == p.levels == []
+        assert p.cells == p.points == p.levels == []
+        assert p.cell_at == p.rho_at == {}
         assert p.mask == 0
         assert p.maximal_cells() == []
 
@@ -95,7 +96,7 @@ class TestBuildPoset:
         for _ in range(40):
             p = build_poset(_random_module(rng))
             assert p.maximal_cells() == pointwise_maximal_cells(p)
-            assert p.rhos == [p.rho(c) for c in p.cells]
+            assert p.rho_at == {q: p.rho(c) for q, c in zip(p.points, p.cells)}
             strides = [math.prod(d + 1 for d in p.g[j + 1 :]) for j in range(p.arity)]
             assert p.points == [sum(cj * s for cj, s in zip(c, strides)) for c in p.cells]
             assert p.mask == sum(1 << q for q in p.points)
@@ -109,10 +110,7 @@ class TestCandidates:
         size = lambda d: math.prod(b - a + 1 for a, b in zip(c, d))
         greedy = lambda d: (-p.rho(d), -size(d), d)
         frugal = lambda d: (size(d), -p.rho(d), d)
-        return [
-            (poset_module._PartitionSearch._order_greedy, greedy),
-            (poset_module._PartitionSearch._order_frugal, frugal),
-        ]
+        return [(False, greedy), (True, frugal)]
 
     def test_tops_match_brute_force(self):
         rng = random.Random(31)
@@ -124,15 +122,15 @@ class TestCandidates:
             p = build_poset(mod)
             cell = dict(zip(p.points, p.cells))
             for k in range(1, p.arity + 1):
-                search = poset_module._PartitionSearch(p, k, Budget())
+                tops = _tops(p, k)
                 for density in (0.0, 0.5, 0.9, 1.0):
                     chosen = [q for q in p.points if rng.random() < density]
                     uncovered = {cell[q] for q in chosen}
                     mask = sum(1 << q for q in chosen)
                     for q in p.points:
                         expected = brute_candidates(p, cell[q], uncovered, k)
-                        for order, key in self._orders(p, cell[q]):
-                            got = [cell[d] for d in search._candidates(q, mask, order)]
+                        for frugal, key in self._orders(p, cell[q]):
+                            got = [cell[d] for d in poset_module._candidates(p, tops, q, mask, frugal)]
                             assert got == sorted(expected, key=key)
                             checked += bool(got)
         assert checked > 100
@@ -141,14 +139,13 @@ class TestCandidates:
         mod = _with_free_axis(QuotientModule.of_ideal(ideal(X2, (1, 0), (0, 1))))
         p = build_poset(mod)
         assert p.g == (1, 1, 0)
-        search = poset_module._PartitionSearch(p, 2, Budget())
-        greedy = search._order_greedy
+        tops = _tops(p, 2)
+        candidates = lambda q, uncovered: poset_module._candidates(p, tops, q, uncovered, False)
         cell = dict(zip(p.points, p.cells))
-        assert all(search._candidates(q, 0, greedy) == [] for q in p.points)
+        assert all(candidates(q, 0) == [] for q in p.points)
         bottom = p.points[0]
         assert cell[bottom] == (0, 1, 0)
-        tops = [cell[d] for d in search._candidates(bottom, p.mask, greedy)]
-        assert tops == [(1, 1, 0), (0, 1, 0)]
+        assert [cell[d] for d in candidates(bottom, p.mask)] == [(1, 1, 0), (0, 1, 0)]
 
 
 class TestGoldenSearch:
@@ -212,13 +209,40 @@ class TestGoldenSearch:
         assert (res.status, res.value, res.nodes) == (status, value, nodes)
         assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == witness
 
+    FRUGAL_M4_SQUARED = [
+        ((2, 2, 2, 2), (2, 2, 2, 2)), ((2, 2, 2, 1), (2, 2, 2, 1)), ((2, 2, 1, 2), (2, 2, 1, 2)),
+        ((2, 1, 2, 2), (2, 1, 2, 2)), ((1, 2, 2, 2), (1, 2, 2, 2)), ((2, 2, 2, 0), (2, 2, 2, 0)),
+        ((2, 2, 1, 1), (2, 2, 1, 1)), ((2, 2, 0, 2), (2, 2, 0, 2)), ((2, 1, 2, 1), (2, 1, 2, 1)),
+        ((2, 0, 2, 2), (2, 0, 2, 2)), ((1, 2, 2, 1), (1, 2, 2, 1)), ((0, 2, 2, 2), (0, 2, 2, 2)),
+        ((2, 2, 0, 1), (2, 2, 0, 1)), ((2, 1, 2, 0), (2, 1, 2, 0)), ((2, 1, 1, 1), (2, 1, 1, 2)),
+        ((2, 0, 2, 1), (2, 0, 2, 1)), ((1, 2, 1, 1), (1, 2, 1, 2)), ((0, 2, 1, 2), (0, 2, 1, 2)),
+        ((2, 0, 1, 1), (2, 0, 1, 2)), ((1, 2, 0, 1), (1, 2, 0, 2)), ((1, 1, 2, 0), (1, 2, 2, 0)),
+        ((1, 1, 1, 1), (1, 1, 2, 2)), ((0, 1, 1, 2), (0, 1, 2, 2)), ((2, 0, 0, 0), (2, 0, 2, 0)),
+        ((1, 1, 0, 0), (2, 1, 0, 2)), ((1, 0, 1, 0), (1, 0, 2, 2)), ((1, 0, 0, 1), (2, 0, 0, 2)),
+        ((0, 2, 0, 0), (2, 2, 0, 0)), ((0, 1, 1, 0), (2, 2, 1, 0)), ((0, 1, 0, 1), (0, 2, 0, 2)),
+        ((0, 0, 2, 0), (0, 2, 2, 0)), ((0, 0, 1, 1), (0, 2, 2, 1)), ((0, 0, 0, 2), (0, 0, 2, 2)),
+    ]
+
+    def test_frugal_phase(self):
+        # the walk above decides m4^2 in the greedy phase; the frugal phase
+        # alone, with no deadline, refutes k=3 and finds a k=2 partition
+        ctx = make_context("x1", "x2", "x3", "x4")
+        maximal4 = MonomialIdeal.from_gens(ctx, [ctx.variable(j) for j in range(4)])
+        p = build_poset(QuotientModule.of_ideal(maximal4.power(2)))
+        runs = []
+        for k in (3, 2):
+            runs.append(poset_module._search_phase(p, _tops(p, k), set(), True, math.inf, 0))
+        assert [(status, nodes) for status, _, nodes in runs] == [("false", 37), ("true", 35)]
+        witness = [(p.cell_at[c], p.cell_at[d]) for c, d in runs[1][1]]
+        assert witness == self.FRUGAL_M4_SQUARED
+
 
 class TestDecision:
     def test_square_free_two_vars(self):
         p = build_poset(QuotientModule.of_quotient_ring(ideal(X2, (1, 1))))
         d = sdepth_decision(p, 1)
         assert d.status == "true"
-        assert d.partition.rho_min >= 1
+        assert min(p.rho(iv.hi) for iv in d.partition.intervals) >= 1
         assert sdepth_decision(p, 2).status == "false"
 
     def test_k_zero_always_true(self):
@@ -389,15 +413,27 @@ class TestRuntimeCertificate:
             if decision.status != "true":
                 return decision
             part = decision.partition
-            return Decision("true", IntervalPartition(part.intervals[:-1], part.rho_min),
+            return Decision("true", IntervalPartition(part.intervals[:-1]),
                             decision.nodes, decision.elapsed)
 
         monkeypatch.setattr(poset_module, "sdepth_decision", broken)
 
     def test_broken_exact_witness_raises(self, monkeypatch):
         self._break_witnesses(monkeypatch)
-        with pytest.raises(CertificateError):
+        with pytest.raises(CertificateError, match="exact-cover check"):
             sdepth_exact(QuotientModule.of_quotient_ring(ideal(X2, (1, 1))))
+
+    def test_a_witness_below_the_value_raises(self, monkeypatch):
+        # the singletons cover (x1, x2, x3) exactly, but their Stanley depth
+        # is 1 and the value claimed is 3
+        def singletons(poset, k, budget=poset_module.DEFAULT_BUDGET):
+            intervals = tuple(Interval(c, c) for c in poset.cells)
+            return Decision("true", IntervalPartition(intervals), 0, 0.0)
+
+        monkeypatch.setattr(poset_module, "sdepth_decision", singletons)
+        maximal3 = MonomialIdeal.from_gens(X3, [X3.variable(j) for j in range(3)])
+        with pytest.raises(CertificateError, match="depth check: its Stanley depth is 1"):
+            sdepth_exact(QuotientModule.of_ideal(maximal3))
 
     def test_broken_lower_bound_witness_raises(self, monkeypatch):
         self._break_witnesses(monkeypatch, unknown_at_top=True)
@@ -432,7 +468,7 @@ class TestRuntimeCertificate:
         assert checked == [second]
         # a cached witness that no longer covers the module is still caught
         monkeypatch.setattr(poset_module, "pull_back", lambda partition, levels: IntervalPartition(
-            real_pull_back(partition, levels).intervals[:-1], partition.rho_min))
+            real_pull_back(partition, levels).intervals[:-1]))
         with pytest.raises(CertificateError):
             sdepth_exact(second)
 
@@ -471,6 +507,11 @@ class TestDotExport:
             )
             assert dot.count("->") == unit_steps == len(pointwise_hasse_edges(p))
             assert _dot_edges(dot) == pointwise_hasse_edges(p)
+
+
+def _tops(p: CharPoset, k: int) -> int:
+    """Mask of the cells with rho >= k, the candidate tops of a decision."""
+    return sum(1 << q for q, c in zip(p.points, p.cells) if p.rho(c) >= k)
 
 
 def _random_module(rng: random.Random, max_vars: int = 3) -> QuotientModule:
