@@ -74,13 +74,14 @@ def _add_cell_cap(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _require_positive(*values) -> None:
-    if any(v <= 0 for v in values):
+def _require_positive(value: int) -> None:
+    if value <= 0:
         raise ParseError("budgets must be positive")
 
 
 def _budget(args) -> Budget:
-    _require_positive(args.time_limit, args.cell_cap)
+    """The budget of the --time-limit and --cell-cap flags; Budget itself
+    rejects a limit that is not positive."""
     return Budget(cell_cap=args.cell_cap, time_limit=args.time_limit)
 
 
@@ -297,10 +298,10 @@ def cmd_sequence(args) -> int:
 
 def cmd_export(args) -> int:
     ideal = _load_ideal(args.path)
-    _require_positive(args.cell_cap)
+    budget = Budget(cell_cap=args.cell_cap)  # rejects a cap that is not positive
     if args.what == "poset":
         module = _resolve_module(args, ideal)
-        dot = poset_to_dot(build_poset(module, budget=Budget(cell_cap=args.cell_cap)))
+        dot = poset_to_dot(build_poset(module, budget=budget))
     else:
         dot = lattice_to_dot(build_lcm_lattice(ideal))
     if args.output:

@@ -43,6 +43,12 @@ class Budget:
     cell_cap: int = 10**6
     time_limit: float = 60.0
 
+    def __post_init__(self) -> None:
+        # "not (x > 0)" and not "x <= 0": a NaN limit must fail too, since no
+        # clock is ever past it
+        if not (self.cell_cap > 0 and self.time_limit > 0):
+            raise ValueError("budgets must be positive")
+
 
 DEFAULT_BUDGET = Budget()
 

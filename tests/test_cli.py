@@ -462,6 +462,26 @@ class TestEnvBudgets:
         code, _, err = run(capsys, "sdepth", CI, "--time-limit", "0")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sdepth", CI, "--time-limit", "nan"], ["sdepth", CI, "--time-limit", "-1"],
+         ["sdepth", CI, "--cell-cap", "0"], ["export", "poset", CI, "--cell-cap", "0"],
+         ["export", "lattice", CI, "--cell-cap", "0"]],
+    )
+    def test_budget_flag_that_is_not_positive_is_input_error(self, capsys, argv):
+        # a NaN time limit would switch the deadline off, not set one
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "budgets must be positive" in err
+
+    def test_nan_time_limit_from_env_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SDEPTH_TIME_LIMIT", "nan")
+        code, out, err = run(capsys, "sdepth", CI)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "budgets must be positive" in err
+
 
 class TestUsage:
     def test_bogus_flag_is_input_error(self, capsys):

@@ -285,6 +285,21 @@ class TestDecision:
         assert d.status in ("unknown", "true", "false")  # never raises
 
 
+class TestBudget:
+    @pytest.mark.parametrize(
+        "limits",
+        [{"cell_cap": 0}, {"cell_cap": -1}, {"time_limit": 0.0}, {"time_limit": -1.0},
+         {"time_limit": math.nan}],
+    )
+    def test_limit_that_is_not_positive_is_rejected(self, limits):
+        # a NaN time limit would never pass its deadline and switch it off
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            Budget(**limits)
+
+    def test_infinite_time_limit_is_allowed(self):
+        assert Budget(time_limit=math.inf).time_limit == math.inf
+
+
 class TestSdepthExact:
     def test_known_values(self):
         assert sdepth_exact(QuotientModule.of_quotient_ring(ideal(X2, (1, 1)))).value == 1

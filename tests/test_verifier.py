@@ -262,6 +262,27 @@ class TestRandomDriver:
             assert not set(ia.context.variables) & set(ib.context.variables)
 
 
+# the least power each statement that takes one accepts; below it the
+# statement has nothing to check, or only a zero module to check it on
+POWER_FLOORS = {
+    "prop_2_3": 0, "prop_2_4": 0, "prop_2_5": 0, "thm_2_15": 0,
+    "prop_2_6": 1, "prop_2_7": 1, "obs_2_8": 1, "thm_2_11": 1,
+    "thm_2_11_decomposition": 1, "cor_2_12": 1, "cor_2_13": 1, "prop_2_14": 1,
+}
+
+
+class TestPowerFloors:
+    def test_every_statement_with_a_power_has_a_floor(self):
+        assert set(POWER_FLOORS) == {name for name, s in STATEMENTS.items() if s.power != "none"}
+
+    @pytest.mark.parametrize("statement", sorted(POWER_FLOORS))
+    def test_a_power_below_the_floor_is_a_hypothesis_error(self, statement):
+        floor = POWER_FLOORS[statement]
+        with pytest.raises(HypothesisError, match=f">= {floor}$"):
+            run_random(statement, 0, n=floor - 1, budget=BUDGET)
+        assert run_random(statement, 0, n=floor, budget=BUDGET).items
+
+
 class TestSequences:
     def test_sdepth_sequence_ci(self):
         ctx = make_context("y1", "y2", "y3")
