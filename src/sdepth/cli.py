@@ -4,8 +4,9 @@ Subcommands: sdepth, depth, dim, power, verify, sequence, export.  Exit
 codes: 0 success/holds (and --help), 1 input or usage error, 2 verdict
 "fails", 3 "unknown" (budget exhausted).  Each subcommand takes only the
 budget flags it reads: --time-limit and --cell-cap for sdepth, sequence
-and verify, --cell-cap for export, --gen-cap for power, none for depth and
-dim; unset flags fall back to the SDEPTH_TIME_LIMIT / SDEPTH_CELL_CAP /
+and verify, --cell-cap for export poset, --gen-cap for power, none for
+export lattice, depth and dim (--cell-cap with export lattice is a usage
+error); unset flags fall back to the SDEPTH_TIME_LIMIT / SDEPTH_CELL_CAP /
 SDEPTH_GEN_CAP environment variables, which are read only for those flags
 (a malformed value is an input error).  ``verify all`` runs every catalogued
 statement on random instances.
@@ -296,12 +297,21 @@ def cmd_sequence(args) -> int:
     return EXIT_OK
 
 
+def _drop_lattice_cell_cap(args) -> None:
+    """export lattice reads no cell cap (the lcm-lattice has a fixed atom
+    cap): a --cell-cap given with it is a usage error, and SDEPTH_CELL_CAP
+    is not read."""
+    if args.cell_cap is not None:
+        Budget(cell_cap=args.cell_cap)  # a cap that is not positive is reported as such
+        raise ParseError("--cell-cap applies to export poset only")
+    del args.cell_cap
+
+
 def cmd_export(args) -> int:
     ideal = _load_ideal(args.path)
-    budget = Budget(cell_cap=args.cell_cap)  # rejects a cap that is not positive
     if args.what == "poset":
         module = _resolve_module(args, ideal)
-        dot = poset_to_dot(build_poset(module, budget=budget))
+        dot = poset_to_dot(build_poset(module, budget=Budget(cell_cap=args.cell_cap)))
     else:
         dot = lattice_to_dot(build_lcm_lattice(ideal))
     if args.output:
@@ -398,6 +408,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for a usage error
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
+        if args.command == "export" and args.what == "lattice":
+            _drop_lattice_cell_cap(args)
         _fill_env_defaults(args)
         return args.fn(args)
     except (ParseError, HypothesisError, ValueError) as exc:

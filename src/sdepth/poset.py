@@ -164,7 +164,20 @@ def kron_mask(high: int, low: int, low_volume: int) -> int:
 
 def cover_mismatches(masks, member: int) -> int:
     """Box points not covered exactly once by the masks if in member, or
-    covered at all if not: the pointwise count as mask arithmetic."""
+    covered at all if not: the pointwise count as mask arithmetic.
+
+    Masks are pairwise disjoint exactly when their volumes add up to the
+    size of their union, so an exact cover is recognised by its union and
+    its volumes alone; only a count above 0 tracks the multiply covered
+    points.
+    """
+    masks = list(masks)
+    union = volume = 0
+    for mask in masks:
+        union |= mask
+        volume += mask.bit_count()
+    if union == member and volume == member.bit_count():
+        return 0
     seen = multi = 0
     for mask in masks:
         multi |= seen & mask
@@ -238,6 +251,8 @@ class Interval:
     hi: tuple[int, ...]
 
     def __post_init__(self):
+        if len(self.lo) != len(self.hi):
+            raise ValueError("interval needs lo and hi of one length")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError("interval needs lo <= hi componentwise")
 
@@ -514,38 +529,66 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     :func:`compress`), memoised by the compressed module and the budget.
 
     The witness comes back in the module's own coordinates and has passed
-    two checks on the module itself, on every call: its Stanley
-    decomposition is an exact cover (:func:`verify_decomposition`), and its
-    Stanley depth is at least the lower bound.  A witness failing either
-    raises CertificateError, so lower bounds are certified on the input.
-    When compression changed the module, ``reduction`` says so: the
-    refutations were then made on the compressed poset, and that its
-    Stanley depth is the module's rests on the lcm-lattice theorem of
-    Ichim, Katthan and Moyano-Fernandez.
+    :func:`certify_witness` on the module itself, on every call: its
+    intervals cover the module exactly, and their Stanley depth is at least
+    the lower bound.  A witness failing a check raises CertificateError, so
+    lower bounds are certified on the input.  When compression changed the
+    module, ``reduction`` says so: the refutations were then made on the
+    compressed poset, and that its Stanley depth is the module's rests on
+    the lcm-lattice theorem of Ichim, Katthan and Moyano-Fernandez.
     """
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
-    # every witness corner lies in [0, g], so this box holds its check
-    certifying_box(module, budget)
+    # every witness interval lies in [0, g], so this box holds its check
+    dims = certifying_box(module, budget)
     compressed, levels = compress(module)
     result = _cached_walk(compressed, budget)
     if compressed is not module:
         witness = pull_back(result.witness, levels)
         result = replace(result, witness=witness, reduction="exponent-compression")
-    # the expansion reads only the context and g of the poset; the top
-    # levels are g
-    frame = CharPoset(module.context, tuple(v[-1] for v in levels), [])
-    decomposition = partition_to_decomposition(frame, result.witness)
-    if not verify_decomposition(decomposition, module, budget):
-        raise CertificateError(
-            f"the witness for sdepth >= {result.lo} of {module} fails the exact-cover check"
-        )
-    if decomposition.sdepth < result.lo:
-        raise CertificateError(
-            f"the witness for sdepth >= {result.lo} of {module} fails the depth check:"
-            f" its Stanley depth is {decomposition.sdepth}"
-        )
+    certify_witness(result.witness, module, result.lo, dims)
     return result
+
+
+def certify_witness(
+    partition: IntervalPartition, module: QuotientModule, k: int, dims: tuple[int, ...]
+) -> None:
+    """Raise CertificateError unless the interval partition proves
+    sdepth(module) >= k; dims is the module's certifying box [0, g+1], as
+    :func:`certifying_box` sizes it with no corners.
+
+    An interval [c, d] of [0, g] with free set Z = {j : d_j = g_j} stands
+    for the Stanley spaces of :func:`partition_to_decomposition`.  On the
+    box they are pairwise disjoint and fill the sub-box [c, t], t_j = g_j + 1
+    on Z and d_j elsewhere, so the spaces cover the module exactly when
+    these sub-boxes do (:func:`cover_mismatches`).  Three checks, each named
+    by the error: every interval has arity non-negative int corners with
+    lo <= hi <= g (the interval check), the sub-boxes cover the module
+    exactly (the exact-cover check), and the least rho(d), the Stanley
+    depth of the spaces, is at least k (the depth check).
+    """
+
+    def fail(check: str) -> CertificateError:
+        return CertificateError(f"the witness for sdepth >= {k} of {module} fails the {check}")
+
+    g = tuple(d - 2 for d in dims)
+    for iv in partition.intervals:
+        if not (
+            len(iv.lo) == len(iv.hi) == len(g)
+            and all(type(c) is int and type(d) is int and 0 <= c <= d <= gj
+                    for c, d, gj in zip(iv.lo, iv.hi, g))
+        ):
+            raise fail(f"interval check: [{iv.lo}, {iv.hi}] is not an interval of [0, {g}]")
+    strides = box_strides(dims)
+    masks = (
+        box_mask(iv.lo, tuple(gj + 1 if d == gj else d for d, gj in zip(iv.hi, g)), strides)
+        for iv in partition.intervals
+    )
+    if cover_mismatches(masks, module_mask(module, dims)):
+        raise fail("exact-cover check")
+    depth = min((sum(map(operator.eq, iv.hi, g)) for iv in partition.intervals), default=0)
+    if depth < k:
+        raise fail(f"depth check: its Stanley depth is {depth}")
 
 
 def partition_to_decomposition(

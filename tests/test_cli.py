@@ -392,6 +392,22 @@ class TestExportCommand:
         assert code == EXIT_OK
         assert target.read_text().startswith("digraph")
 
+    def test_cell_cap_with_lattice_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "lat.dot"
+        code, out, err = run(capsys, "export", "lattice", CI, "--cell-cap", "50", "-o", str(target))
+        assert code == EXIT_INPUT
+        assert out == "" and not target.exists()
+        assert "--cell-cap applies to export poset only" in err
+
+    def test_lattice_ignores_the_cell_cap_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("SDEPTH_CELL_CAP", "abc")
+        code, out, err = run(capsys, "export", "lattice", CI)
+        assert code == EXIT_OK
+        assert out.startswith("digraph") and not err
+        code, _, err = run(capsys, "export", "poset", CI, "--module", "S/J")
+        assert code == EXIT_INPUT
+        assert "SDEPTH_CELL_CAP" in err
+
 
 def many_generator_file(tmp_path) -> str:
     # 81 generators: any product of two of its ideals exceeds the 5000 cap

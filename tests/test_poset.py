@@ -25,6 +25,8 @@ from sdepth.poset import (
     sdepth_exact,
     verify_decomposition,
     StanleyDecomposition,
+    certify_witness,
+    certifying_box,
 )
 
 from sdepth.verifier import check_prop_2_5
@@ -336,6 +338,20 @@ class TestSdepthExact:
             assert sdepth_exact(mod).value == brute_sdepth(p)
 
 
+class TestInterval:
+    def test_lo_and_hi_must_have_one_length(self):
+        # zip would stop at the shorter corner and accept both
+        with pytest.raises(ValueError, match="one length"):
+            Interval((0, 0), (1,))
+        with pytest.raises(ValueError, match="one length"):
+            Interval((0,), (1, 1))
+
+    def test_lo_must_lie_below_hi(self):
+        assert list(Interval((0, 1), (1, 1)).points()) == [(0, 1), (1, 1)]
+        with pytest.raises(ValueError, match="lo <= hi"):
+            Interval((1, 0), (0, 0))
+
+
 class TestCertificates:
     def test_interval_expansion_example(self):
         mod = QuotientModule.of_quotient_ring(ideal(X2, (1, 1)))
@@ -466,17 +482,17 @@ class TestRuntimeCertificate:
         first = QuotientModule.of_quotient_ring(ideal(X2, (2, 0), (0, 3)))
         second = QuotientModule.of_quotient_ring(ideal(X2, (3, 0), (0, 2)))
         assert sdepth_exact(first).reduction == "exponent-compression"
-        real_verify, real_pull_back = poset_module.verify_decomposition, poset_module.pull_back
+        real_certify, real_pull_back = poset_module.certify_witness, poset_module.pull_back
         checked = []
 
-        def recording(decomposition, module, budget=poset_module.DEFAULT_BUDGET):
+        def recording(partition, module, k, dims):
             checked.append(module)
-            return real_verify(decomposition, module, budget)
+            return real_certify(partition, module, k, dims)
 
         def no_search(*args):
             raise AssertionError("a cache hit searched again")
 
-        monkeypatch.setattr(poset_module, "verify_decomposition", recording)
+        monkeypatch.setattr(poset_module, "certify_witness", recording)
         monkeypatch.setattr(poset_module, "build_poset", no_search)
         res = sdepth_exact(second)
         assert (res.value, res.witness.intervals) == (0, (Interval((0, 0), (2, 1)),))
@@ -493,6 +509,60 @@ class TestRuntimeCertificate:
         assert sdepth_exact(mod, budget=Budget(cell_cap=9)).value == 1
         with pytest.raises(ResourceCapError):
             sdepth_exact(mod, budget=Budget(cell_cap=8))
+
+
+class TestCertifyWitness:
+    """Tampered witnesses of sdepth((x1, x2, x3)) = 2: each fails the
+    check its error names."""
+
+    MODULE = QuotientModule.of_ideal(ideal(X3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    def _witness(self):
+        res = sdepth_exact(self.MODULE)
+        assert res.value == 2 and len(res.witness.intervals) > 1
+        return res.witness.intervals, certifying_box(self.MODULE)
+
+    def _certify(self, intervals, k=2):
+        intervals, dims = intervals
+        certify_witness(IntervalPartition(tuple(intervals)), self.MODULE, k, dims)
+
+    def test_the_search_witness_passes(self):
+        self._certify(self._witness())
+
+    def test_a_dropped_interval(self):
+        intervals, dims = self._witness()
+        with pytest.raises(CertificateError, match="exact-cover check"):
+            self._certify((intervals[:-1], dims))
+
+    def test_a_duplicated_interval(self):
+        # the union is unchanged; only the volumes add up to too much
+        intervals, dims = self._witness()
+        with pytest.raises(CertificateError, match="exact-cover check"):
+            self._certify((intervals + intervals[-1:], dims))
+
+    def test_a_top_beyond_g(self):
+        # on [0, g+1], [c, d] with d_j = g_j + 1 fills the same sub-box as
+        # the free axis d_j = g_j, but its spaces miss every x_j^(g_j + 2)
+        intervals, dims = self._witness()
+        iv = intervals[0]
+        j = iv.hi.index(1)
+        far = Interval(iv.lo, iv.hi[:j] + (2,) + iv.hi[j + 1:])
+        with pytest.raises(CertificateError, match=r"interval check: \["):
+            self._certify(((far,) + intervals[1:], dims))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [((-1, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 1.0, 0)), ((True, 0, 0), (1, 0, 0)),
+         ((1, 0), (1, 1)), ((1, 0, 0, 0), (1, 1, 1, 1))],
+    )
+    def test_a_corner_that_is_not_arity_non_negative_ints(self, lo, hi):
+        intervals, dims = self._witness()
+        with pytest.raises(CertificateError, match="interval check"):
+            self._certify(((Interval(lo, hi),) + intervals, dims))
+
+    def test_a_witness_below_the_lower_bound(self):
+        with pytest.raises(CertificateError, match="depth check: its Stanley depth is 2"):
+            self._certify(self._witness(), k=3)
 
 
 def _dot_edges(dot: str) -> set:

@@ -7,10 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
 from sdepth.poset import (
     Budget,
+    CertificateError,
+    IntervalPartition,
     StanleyDecomposition,
     box_mask,
     box_strides,
     build_poset,
+    certify_witness,
+    certifying_box,
     compress,
     degree_bound_g,
     ideal_mask,
@@ -342,3 +346,25 @@ def test_verify_rejects_a_space_on_a_non_member(module):
     for p in [outside[0], outside[-1]] + beyond[:1]:
         broken = StanleyDecomposition(ctx, dec.spaces + ((p, frozenset()),))
         assert not verify_decomposition(broken, module)
+
+
+@given(small_modules(), st.sampled_from(["witness", "dropped", "duplicated"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_interval_check_agrees_with_the_expanded_check(module, tamper, data):
+    res = sdepth_exact(module, budget=BUDGET)
+    intervals = res.witness.intervals
+    if tamper != "witness":
+        i = data.draw(st.integers(0, len(intervals) - 1))
+        copies = 2 if tamper == "duplicated" else 0
+        intervals = intervals[:i] + intervals[i:i + 1] * copies + intervals[i + 1:]
+    partition = IntervalPartition(intervals)
+    decomposition = partition_to_decomposition(build_poset(module, budget=BUDGET), partition)
+    expected = verify_decomposition(decomposition, module) and decomposition.sdepth >= res.lo
+    try:
+        certify_witness(partition, module, res.lo, certifying_box(module))
+    except CertificateError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == expected
+    assert accepted == (tamper == "witness")
