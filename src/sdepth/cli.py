@@ -2,14 +2,14 @@
 
 Subcommands: sdepth, depth, dim, power, verify, sequence, export.  Exit
 codes: 0 success/holds (and --help), 1 input or usage error, 2 verdict
-"fails", 3 "unknown" (budget exhausted).  Each subcommand takes only the
-budget flags it reads: --time-limit and --cell-cap for sdepth, sequence
-and verify, --cell-cap for export poset, --gen-cap for power, none for
-export lattice, depth and dim (--cell-cap with export lattice is a usage
-error); unset flags fall back to the SDEPTH_TIME_LIMIT / SDEPTH_CELL_CAP /
-SDEPTH_GEN_CAP environment variables, which are read only for those flags
-(a malformed value is an input error).  ``verify all`` runs every catalogued
-statement on random instances.
+"fails", 3 "unknown" (budget exhausted).  Each mode takes only the budget
+flags it reads: --time-limit and --cell-cap for sdepth, sequence and
+verify, --cell-cap for export poset, --gen-cap for power, none for export
+lattice (nor --module), sequence --depth, depth and dim; unset flags fall
+back to the SDEPTH_TIME_LIMIT / SDEPTH_CELL_CAP / SDEPTH_GEN_CAP
+environment variables, which are read only for those flags (a malformed
+value is an input error).  ``verify all`` runs every catalogued statement
+on random instances.
 """
 from __future__ import annotations
 
@@ -73,11 +73,6 @@ def _add_cell_cap(parser: argparse.ArgumentParser) -> None:
         help="max box volume for poset construction and box checks"
         f" (default {DEFAULT_BUDGET.cell_cap:,}, env SDEPTH_CELL_CAP)",
     )
-
-
-def _require_positive(value: int) -> None:
-    if value <= 0:
-        raise ParseError("budgets must be positive")
 
 
 def _budget(args) -> Budget:
@@ -175,7 +170,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_power(args) -> int:
-    _require_positive(args.gen_cap)
+    if args.gen_cap <= 0:
+        raise ParseError("budgets must be positive")
     ideal = _load_ideal(args.path)
     power = ideal.power(args.n, cap=args.gen_cap)
     text = format_ideal(power)
@@ -269,10 +265,10 @@ def cmd_verify(args) -> int:
 
 def cmd_sequence(args) -> int:
     ideal = _load_ideal(args.path)
-    budget = _budget(args)
-    fn = depth_sequence if args.depth else sdepth_sequence
-    kind = "depth" if args.depth else "sdepth"
-    rows = fn(ideal, args.n, budget=budget)
+    if args.depth:
+        kind, rows = "depth", depth_sequence(ideal, args.n)
+    else:
+        kind, rows = "sdepth", sdepth_sequence(ideal, args.n, budget=_budget(args))
     payload = {
         "command": "sequence",
         "kind": kind,
@@ -297,14 +293,24 @@ def cmd_sequence(args) -> int:
     return EXIT_OK
 
 
-def _drop_lattice_cell_cap(args) -> None:
-    """export lattice reads no cell cap (the lcm-lattice has a fixed atom
-    cap): a --cell-cap given with it is a usage error, and SDEPTH_CELL_CAP
-    is not read."""
-    if args.cell_cap is not None:
-        Budget(cell_cap=args.cell_cap)  # a cap that is not positive is reported as such
-        raise ParseError("--cell-cap applies to export poset only")
-    del args.cell_cap
+def _drop_unread_flags(args) -> None:
+    """Two modes read fewer flags than their subcommand accepts: export
+    lattice (a fixed atom cap, no module) and sequence --depth (no
+    Stanley-depth decision).  A flag the mode does not read is a usage
+    error, and the variable of a budget flag it does not read is not read."""
+    if args.command == "export" and args.what == "lattice":
+        dests, where = ("module", "cell_cap"), "export poset"
+    elif args.command == "sequence" and args.depth:
+        dests, where = ("time_limit", "cell_cap"), "sequence without --depth"
+    else:
+        return
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None:
+            if dest in ("time_limit", "cell_cap"):
+                Budget(**{dest: value})  # a budget that is not positive is reported as such
+            raise ParseError(f"--{dest.replace('_', '-')} applies to {where} only")
+        delattr(args, dest)
 
 
 def cmd_export(args) -> int:
@@ -408,8 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for a usage error
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        if args.command == "export" and args.what == "lattice":
-            _drop_lattice_cell_cap(args)
+        _drop_unread_flags(args)
         _fill_env_defaults(args)
         return args.fn(args)
     except (ParseError, HypothesisError, ValueError) as exc:

@@ -52,9 +52,10 @@ class Budget:
 
 DEFAULT_BUDGET = Budget()
 
-# failed uncovered sets the search remembers per decision; beyond this many
-# the memo is lossy (it stops growing)
+# failed uncovered sets the search remembers per decision, and the bits of
+# box masks they may hold; beyond either the memo is lossy (stops growing)
 MEMO_CAP = 200_000
+MEMO_BITS = 2**29
 
 # (compressed module, budget) pairs whose k-walk sdepth_exact remembers
 WALK_CACHE_SIZE = 1024
@@ -65,7 +66,7 @@ MASK_CACHE_SIZE = 512
 # --- box-membership kernel ----------------------------------------------------
 
 
-def _capped(dims: tuple[int, ...], budget: Budget, what: str = "box") -> tuple[int, ...]:
+def _capped(dims: tuple[int, ...], budget: Budget, what: str) -> tuple[int, ...]:
     """The side lengths dims, unless the box has more points than the cell
     cap: then ResourceCapError."""
     volume = math.prod(dims)
@@ -325,11 +326,17 @@ def degree_bound_g(module: QuotientModule) -> tuple[int, ...]:
     return g
 
 
+def poset_box(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """Side lengths g + 1 of the module's box [0, g] (:func:`degree_bound_g`),
+    which its poset, its witness check and its strata walk; ResourceCapError
+    when it has more points than the cell cap."""
+    return _capped(tuple(gj + 1 for gj in degree_bound_g(module)), budget, "box")
+
+
 def build_poset(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> CharPoset:
-    """Enumerate the cells of the box [0, g] belonging to the module, g the
-    degree bound of :func:`degree_bound_g`."""
-    g = degree_bound_g(module)
-    dims = _capped(tuple(gj + 1 for gj in g), budget)
+    """Enumerate the cells of the box [0, g] belonging to the module."""
+    dims = poset_box(module, budget)
+    g = tuple(d - 1 for d in dims)
     return CharPoset(module.context, g, mask_points(module_mask(module, dims)))
 
 
@@ -376,7 +383,7 @@ def _search_phase(
     set on an explicit stack, branching on the graded-lex smallest
     uncovered cell.  Cell sets are box masks; cells are box indices.
 
-    Failed uncovered sets go into failed (lossy beyond MEMO_CAP).  nodes
+    Failed uncovered sets go into failed (lossy beyond the memo bounds).  nodes
     counts on from earlier phases; every 256th node checks the deadline.
     An open node is [uncovered set, branch cell, chosen top, its remaining
     candidates, degree level of the branch cell].  Returns the status, the
@@ -384,6 +391,7 @@ def _search_phase(
     means exhaustive, "unknown" that the deadline passed.
     """
     levels, cell_at, strides = poset.levels, poset.cell_at, poset.strides
+    memo_cap = min(MEMO_CAP, MEMO_BITS // math.prod(poset.dims))
     stack: list[list] = []
     uncovered = poset.mask
     level = 0
@@ -412,7 +420,7 @@ def _search_phase(
                 level = node[4]
                 break
             stack.pop()
-            if len(failed) < MEMO_CAP:
+            if len(failed) < memo_cap:
                 failed.add(node[0])
         else:
             return "false", None, nodes
@@ -539,8 +547,8 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     """
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
-    # every witness interval lies in [0, g], so this box holds its check
-    dims = certifying_box(module, budget)
+    # the box of the witness check, sized against the cap before searching
+    dims = poset_box(module, budget)
     compressed, levels = compress(module)
     result = _cached_walk(compressed, budget)
     if compressed is not module:
@@ -554,24 +562,23 @@ def certify_witness(
     partition: IntervalPartition, module: QuotientModule, k: int, dims: tuple[int, ...]
 ) -> None:
     """Raise CertificateError unless the interval partition proves
-    sdepth(module) >= k; dims is the module's certifying box [0, g+1], as
-    :func:`certifying_box` sizes it with no corners.
+    sdepth(module) >= k; dims is the module's box [0, g], as
+    :func:`poset_box` sizes it.
 
-    An interval [c, d] of [0, g] with free set Z = {j : d_j = g_j} stands
-    for the Stanley spaces of :func:`partition_to_decomposition`.  On the
-    box they are pairwise disjoint and fill the sub-box [c, t], t_j = g_j + 1
-    on Z and d_j elsewhere, so the spaces cover the module exactly when
-    these sub-boxes do (:func:`cover_mismatches`).  Three checks, each named
-    by the error: every interval has arity non-negative int corners with
-    lo <= hi <= g (the interval check), the sub-boxes cover the module
-    exactly (the exact-cover check), and the least rho(d), the Stanley
-    depth of the spaces, is at least k (the depth check).
+    An interval [c, d] of [0, g] stands for the Stanley spaces of
+    :func:`partition_to_decomposition`; x^p lies in one of them exactly when
+    min(p, g) lies in [c, d], and in the module exactly when min(p, g) does.
+    Three checks, each named by the error: every interval has arity
+    non-negative int corners with lo <= hi <= g (the interval check), the
+    intervals cover the module's cells exactly (the exact-cover check, by
+    :func:`cover_mismatches`), and the least rho(d), the Stanley depth of
+    the spaces, is at least k (the depth check).
     """
 
     def fail(check: str) -> CertificateError:
         return CertificateError(f"the witness for sdepth >= {k} of {module} fails the {check}")
 
-    g = tuple(d - 2 for d in dims)
+    g = tuple(d - 1 for d in dims)
     for iv in partition.intervals:
         if not (
             len(iv.lo) == len(iv.hi) == len(g)
@@ -580,10 +587,7 @@ def certify_witness(
         ):
             raise fail(f"interval check: [{iv.lo}, {iv.hi}] is not an interval of [0, {g}]")
     strides = box_strides(dims)
-    masks = (
-        box_mask(iv.lo, tuple(gj + 1 if d == gj else d for d, gj in zip(iv.hi, g)), strides)
-        for iv in partition.intervals
-    )
+    masks = (box_mask(iv.lo, iv.hi, strides) for iv in partition.intervals)
     if cover_mismatches(masks, module_mask(module, dims)):
         raise fail("exact-cover check")
     depth = min((sum(map(operator.eq, iv.hi, g)) for iv in partition.intervals), default=0)
@@ -608,16 +612,6 @@ def partition_to_decomposition(
         ]
         spaces.extend((e, free) for e in itertools.product(*ranges))
     return StanleyDecomposition(poset.context, tuple(spaces))
-
-
-def certifying_box(
-    module: QuotientModule, budget: Budget = DEFAULT_BUDGET, corners=()
-) -> tuple[int, ...]:
-    """Side lengths of the certifying box [0, G+1] of a module, G the
-    componentwise max of g and the corners; raises ResourceCapError when it
-    has more points than the cell cap."""
-    axes = zip(degree_bound_g(module), *corners)
-    return _capped(tuple(max(axis) + 2 for axis in axes), budget, "certifying box")
 
 
 def verify_decomposition(
@@ -647,7 +641,8 @@ def verify_decomposition(
         or min(entries, default=0) < 0
     ):
         return False
-    dims = certifying_box(module, budget, corners)
+    columns = zip(degree_bound_g(module), *corners)
+    dims = _capped(tuple(max(column) + 2 for column in columns), budget, "certifying box")
     strides = box_strides(dims)
 
     def space(e, free):

@@ -30,11 +30,11 @@ from .parsing import format_ideal, split_blocks
 from .poset import (
     Budget,
     DEFAULT_BUDGET,
-    certifying_box,
     cover_mismatches,
     ideal_mask,
     kron_mask,
     module_mask,
+    poset_box,
     sdepth_exact,
 )
 from .taylor import depth_ideal, depth_quotient
@@ -213,9 +213,9 @@ def _shell_masks(ideal: MonomialIdeal, n: int, dims: tuple[int, ...]) -> list[in
 
 def _stratum_item(module: QuotientModule, r: int, strata: Callable, budget: Budget) -> CheckItem:
     """The box check that the strata cover ``module`` exactly once, on its
-    certifying box cut after the first r axes: ``strata(dims_a, dims_b)``
-    lists each stratum as a pair of block masks."""
-    dims = _known(certifying_box, module, budget)
+    box [0, g] cut after the first r axes: ``strata(dims_a, dims_b)`` lists
+    each stratum as a pair of block masks."""
+    dims = _known(poset_box, module, budget)
     if dims is None:
         return CheckItem("stratum cover on box", None, None, "==", "unknown")
     dims_a, dims_b = dims[:r], dims[r:]
@@ -713,13 +713,12 @@ def sdepth_sequence(
     return rows
 
 
-def depth_sequence(
-    ideal: MonomialIdeal, n_max: int, budget: Budget = DEFAULT_BUDGET
-) -> list[SequenceRow]:
+def depth_sequence(ideal: MonomialIdeal, n_max: int) -> list[SequenceRow]:
     """Rows (n, depth(R/L^n), depth(L^n), shell placeholder).
 
     The depth engine resolves cyclic quotients only, so the shell column is
-    reported as n/a rather than approximated.
+    reported as n/a rather than approximated.  No budget: it makes no
+    Stanley-depth decision, and the generator and Taylor caps bound it.
     """
     _require_power(n_max, "n_max")
     rows = []

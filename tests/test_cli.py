@@ -379,6 +379,23 @@ class TestSequenceCommand:
         assert all(r["ring_quotient"] == 1 for r in payloads[0]["rows"])
         assert all(r["shell"] is None for r in payloads[0]["rows"])
 
+    @pytest.mark.parametrize("flag, value", [("--time-limit", "5"), ("--cell-cap", "1")])
+    def test_budget_flag_with_depth_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "sequence", CI, "2", "--depth", flag, value)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"{flag} applies to sequence without --depth only" in err
+
+    def test_depth_ignores_the_budget_variables(self, capsys, monkeypatch):
+        monkeypatch.setenv("SDEPTH_TIME_LIMIT", "abc")
+        monkeypatch.setenv("SDEPTH_CELL_CAP", "abc")
+        code, payloads = run_json(capsys, "sequence", CI, "2", "--depth")
+        assert code == EXIT_OK
+        assert [r["n"] for r in payloads[0]["rows"]] == [1, 2]
+        code, _, err = run(capsys, "sequence", CI, "2")
+        assert code == EXIT_INPUT
+        assert "SDEPTH_TIME_LIMIT" in err
+
 
 class TestExportCommand:
     def test_poset_to_stdout(self, capsys):
@@ -398,6 +415,12 @@ class TestExportCommand:
         assert code == EXIT_INPUT
         assert out == "" and not target.exists()
         assert "--cell-cap applies to export poset only" in err
+
+    def test_module_with_lattice_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "export", "lattice", CI, "--module", "garbage((")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--module applies to export poset only" in err
 
     def test_lattice_ignores_the_cell_cap_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("SDEPTH_CELL_CAP", "abc")
@@ -482,7 +505,8 @@ class TestEnvBudgets:
         "argv",
         [["sdepth", CI, "--time-limit", "nan"], ["sdepth", CI, "--time-limit", "-1"],
          ["sdepth", CI, "--cell-cap", "0"], ["export", "poset", CI, "--cell-cap", "0"],
-         ["export", "lattice", CI, "--cell-cap", "0"]],
+         ["export", "lattice", CI, "--cell-cap", "0"],
+         ["sequence", CI, "2", "--depth", "--cell-cap", "0"]],
     )
     def test_budget_flag_that_is_not_positive_is_input_error(self, capsys, argv):
         # a NaN time limit would switch the deadline off, not set one

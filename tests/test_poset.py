@@ -26,7 +26,7 @@ from sdepth.poset import (
     verify_decomposition,
     StanleyDecomposition,
     certify_witness,
-    certifying_box,
+    poset_box,
 )
 
 from sdepth.verifier import check_prop_2_5
@@ -498,12 +498,12 @@ class TestRuntimeCertificate:
         with pytest.raises(CertificateError):
             sdepth_exact(second)
 
-    def test_certifying_box_counts_against_the_cap(self):
-        # [0, g] has 4 points, the certifying box [0, g+1] has 9
+    def test_the_box_counts_against_the_cap(self):
+        # the search and the witness check both walk [0, g], 4 points
         mod = QuotientModule.of_quotient_ring(ideal(X2, (1, 1)))
-        assert sdepth_exact(mod, budget=Budget(cell_cap=9)).value == 1
+        assert sdepth_exact(mod, budget=Budget(cell_cap=4)).value == 1
         with pytest.raises(ResourceCapError):
-            sdepth_exact(mod, budget=Budget(cell_cap=8))
+            sdepth_exact(mod, budget=Budget(cell_cap=3))
 
 
 class TestCertifyWitness:
@@ -518,7 +518,7 @@ class TestCertifyWitness:
         return res.witness.intervals
 
     def _certify(self, intervals, k=2):
-        certify_witness(IntervalPartition(intervals), self.MODULE, k, certifying_box(self.MODULE))
+        certify_witness(IntervalPartition(intervals), self.MODULE, k, poset_box(self.MODULE))
 
     def test_the_search_witness_passes(self):
         self._certify(self._witness())
@@ -535,8 +535,8 @@ class TestCertifyWitness:
             self._certify(intervals + intervals[-1:])
 
     def test_a_top_beyond_g(self):
-        # on [0, g+1], [c, d] with d_j = g_j + 1 fills the same sub-box as
-        # the free axis d_j = g_j, but its spaces miss every x_j^(g_j + 2)
+        # [c, d] with d_j = g_j + 1 leaves the box [0, g] the check walks;
+        # its spaces are not free on j and miss every x_j^(g_j + 2)
         intervals = self._witness()
         iv = intervals[0]
         j = iv.hi.index(1)

@@ -14,13 +14,14 @@ from sdepth.poset import (
     box_strides,
     build_poset,
     certify_witness,
-    certifying_box,
     compress,
+    cover_mismatches,
     degree_bound_g,
     ideal_mask,
     mask_points,
     module_mask,
     partition_to_decomposition,
+    poset_box,
     sdepth_decision,
     sdepth_exact,
     sdepth_walk,
@@ -361,10 +362,60 @@ def test_interval_check_agrees_with_the_expanded_check(module, tamper, data):
     decomposition = partition_to_decomposition(build_poset(module, budget=BUDGET), partition)
     expected = verify_decomposition(decomposition, module) and decomposition.sdepth >= res.lo
     try:
-        certify_witness(partition, module, res.lo, certifying_box(module))
+        certify_witness(partition, module, res.lo, poset_box(module))
     except CertificateError:
         accepted = False
     else:
         accepted = True
     assert accepted == expected
     assert accepted == (tamper == "witness")
+
+
+def _random_partition(cells, data):
+    """An interval partition of the cells: from the graded-lex least
+    uncovered cell c, a drawn top d with [c, d] inside the uncovered set."""
+    def points(c, d):
+        return set(itertools.product(*(range(cj, dj + 1) for cj, dj in zip(c, d))))
+
+    uncovered = set(cells)
+    out = []
+    for c in cells:
+        if c not in uncovered:
+            continue
+        above = [d for d in sorted(uncovered) if all(map(operator.le, c, d))]
+        d = data.draw(st.sampled_from([d for d in above if points(c, d) <= uncovered]))
+        uncovered -= points(c, d)
+        out.append((c, d))
+    return out
+
+
+@given(small_modules(), st.sampled_from(["partition", "dropped", "duplicated", "random"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_truncation_lemma(module, kind, data):
+    # intervals [c, d] of [0, g] cover the module's cells exactly on [0, g]
+    # exactly when their sub-boxes [c, t], t_j = g_j + 1 where d_j = g_j
+    # and d_j elsewhere, cover the module exactly on [0, g+1]
+    g = degree_bound_g(module)
+    if kind == "random":
+        corner = st.tuples(*(st.integers(0, gj) for gj in g))
+        pairs = data.draw(st.lists(st.tuples(corner, corner), max_size=8))
+        intervals = [(tuple(map(min, a, b)), tuple(map(max, a, b))) for a, b in pairs]
+    else:
+        intervals = _random_partition(build_poset(module).cells, data)
+        if kind != "partition":
+            i = data.draw(st.integers(0, len(intervals) - 1))
+            copies = 2 if kind == "duplicated" else 0
+            intervals = intervals[:i] + intervals[i:i + 1] * copies + intervals[i + 1:]
+    dims = poset_box(module)
+    strides = box_strides(dims)
+    on_g = cover_mismatches((box_mask(c, d, strides) for c, d in intervals), module_mask(module, dims))
+    big = tuple(gj + 2 for gj in g)
+    big_strides = box_strides(big)
+    sub_boxes = (
+        box_mask(c, tuple(gj + 1 if dj == gj else dj for dj, gj in zip(d, g)), big_strides)
+        for c, d in intervals
+    )
+    on_big = cover_mismatches(sub_boxes, module_mask(module, big))
+    assert (on_g == 0) == (on_big == 0)
+    if kind == "partition":
+        assert on_g == 0
