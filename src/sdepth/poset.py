@@ -59,7 +59,7 @@ MEMO_BITS = 2**29
 
 # (compressed module, budget) pairs whose k-walk sdepth_exact remembers
 WALK_CACHE_SIZE = 1024
-# boxes whose keep and axis masks the kernel and the search remember
+# boxes whose keep masks the kernel and the search remember
 MASK_CACHE_SIZE = 512
 
 
@@ -114,35 +114,29 @@ def _keep_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=MASK_CACHE_SIZE)
-def _axis_masks(dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per axis, for each value v below its side d, the points whose
-    coordinate on it is v: stride ones at v*stride in every d*stride block."""
-    volume = math.prod(dims)
-    out = []
-    for d, stride in zip(dims, box_strides(dims)):
-        zero = int(("0" * ((d - 1) * stride) + "1" * stride) * (volume // (d * stride)), 2)
-        out.append(tuple(zero << (v * stride) for v in range(d)))
-    return tuple(out)
+def _up_closure(mask: int, steps, strides: tuple[int, ...], keeps: tuple[int, ...]) -> int:
+    """The points reached from mask by at most steps[j] unit steps up along
+    each axis j: a shift-OR sweep, the keep mask stopping each step at the
+    axis' last coordinate."""
+    for count, stride, keep in zip(steps, strides, keeps):
+        for _ in range(count):
+            mask |= (mask & keep) << stride
+    return mask
 
 
 def ideal_mask(ideal: MonomialIdeal, dims: tuple[int, ...]) -> int:
     """Bitmask of the box points (row-major, see :func:`box_strides`) that
     lie in the ideal.
 
-    Sets the bits of the generators inside the box, then closes upwards by
-    a shift-OR sweep, d-1 unit steps along each axis; the keep-mask stops a
-    step from wrapping past the axis' last coordinate.
+    Sets the bits of the generators inside the box, then closes upwards,
+    d-1 unit steps along each axis (:func:`_up_closure`).
     """
     strides = box_strides(dims)
     mask = 0
     for e in ideal.exps:
         if all(ej < d for ej, d in zip(e, dims)):
             mask |= 1 << sum(ej * s for ej, s in zip(e, strides))
-    for d, stride, keep in zip(dims, strides, _keep_masks(dims)):
-        for _ in range(d - 1):
-            mask |= (mask & keep) << stride
-    return mask
+    return _up_closure(mask, [d - 1 for d in dims], strides, _keep_masks(dims))
 
 
 def module_mask(module: QuotientModule, dims: tuple[int, ...]) -> int:
@@ -197,9 +191,10 @@ class CharPoset:
     ``points`` their box indices; ``cell_at`` and ``rho_at`` map a box index
     to its cell and its rho.  Sets of cells are box masks: ``mask`` is the
     set of all cells, ``levels`` the cells of each nonempty degree in
-    ascending degree, and ``axis_masks[j][v]`` the box points whose
-    coordinate j is v.  The cells of I/J form a convex set, so the unit
-    steps between cells are exactly the cover relations.
+    ascending degree, and ``keeps`` per axis the box points below its last
+    coordinate (the keep masks of :func:`_up_closure`).  The cells of I/J
+    form a convex set, so the unit steps between cells are exactly the
+    cover relations.
     """
 
     def __init__(self, context: RingContext, g: tuple[int, ...], points: list[int]):
@@ -220,10 +215,7 @@ class CharPoset:
             for _, level in itertools.groupby(order, key=degree.__getitem__)
         ]
         self.mask = functools.reduce(operator.or_, self.levels, 0)
-
-    @functools.cached_property
-    def axis_masks(self) -> tuple[tuple[int, ...], ...]:
-        return _axis_masks(self.dims)
+        self.keeps = _keep_masks(self.dims)
 
     @property
     def arity(self) -> int:
@@ -235,7 +227,7 @@ class CharPoset:
     def maximal_cells(self) -> list[tuple[int, ...]]:
         """Cells with no cell one unit step above them."""
         covered = 0
-        for stride, keep in zip(self.strides, _keep_masks(self.dims)):
+        for stride, keep in zip(self.strides, self.keeps):
             covered |= (self.mask >> stride) & keep
         top = self.mask & ~covered
         return [c for c, p in zip(self.cells, self.points) if top >> p & 1]
@@ -349,19 +341,18 @@ def _candidates(poset: CharPoset, tops: int, c: int, uncovered: int, frugal: boo
     keeps high-rho tops available for the cells that need them; it rescues
     instances where greed paints the search into a corner.
 
-    A prefix-AND sweep: start from the uncovered points of [c, g], then
-    along each axis j, g_j - c_j times, keep a point only if its
-    predecessor on the axis is kept; the points with coordinate c_j have
-    no predecessor in [c, g] and keep their bit.  What stays set is every
-    d with [c, d] inside the uncovered set.
+    [c, d] lies inside the uncovered set exactly when no point of [c, g]
+    outside it lies below d.  Closing those blocked points upwards, g_j -
+    c_j steps along each axis j (:func:`_up_closure`), gives every point of
+    [c, g] above one of them (the keep masks stop each step at g_j, so the
+    closure stays in [c, g]); the rest of [c, g] is every such d.
     """
     cell = poset.cell_at[c]
-    reach = uncovered & box_mask(cell, poset.g, poset.strides)
-    for cj, gj, stride, on_axis in zip(cell, poset.g, poset.strides, poset.axis_masks):
-        first = on_axis[cj]
-        for _ in range(gj - cj):
-            reach &= (reach << stride) | first
-    reach &= tops
+    box = box_mask(cell, poset.g, poset.strides)
+    steps = map(operator.sub, poset.g, cell)
+    # both xors subtract a subset of box
+    blocked = _up_closure(box ^ (box & uncovered), steps, poset.strides, poset.keeps)
+    reach = (box ^ blocked) & tops
     below = [cj - 1 for cj in cell]
     keys = []
     while reach:
@@ -507,6 +498,8 @@ def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sdep
     search behind :func:`sdepth_exact`, also the reference it is tested
     against.
     """
+    if module.is_zero:
+        raise ValueError("Stanley depth of the zero module is undefined")
     poset = build_poset(module, budget)
     ub = min(poset.rho(c) for c in poset.maximal_cells())
     nodes = 0

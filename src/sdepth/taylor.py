@@ -156,8 +156,11 @@ def depth_quotient(ideal: MonomialIdeal) -> DepthReport:
     return DepthReport(n - pd, pd, "taylor")
 
 
-def depth_ideal(ideal: MonomialIdeal) -> int:
-    """depth(I) = depth(S/I) + 1 for a nonzero proper ideal."""
+def depth_ideal(ideal: MonomialIdeal, quotient_depth: int | None = None) -> int:
+    """depth(I) = depth(S/I) + 1 for a nonzero proper ideal; quotient_depth,
+    when given, is depth(S/I), already computed, and no Taylor run is made."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("depth_ideal needs a nonzero proper ideal")
-    return depth_quotient(ideal).depth_quotient + 1
+    if quotient_depth is None:
+        quotient_depth = depth_quotient(ideal).depth_quotient
+    return quotient_depth + 1

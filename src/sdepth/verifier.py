@@ -112,8 +112,11 @@ def _depth_q(ideal: MonomialIdeal) -> int | None:
     return _known(lambda: depth_quotient(ideal).depth_quotient)
 
 
-def _depth_i(ideal: MonomialIdeal) -> int | None:
-    return _known(depth_ideal, ideal)
+def _depths(ideal: MonomialIdeal) -> tuple[int | None, int | None]:
+    """depth(S/I) and depth(I) = depth(S/I) + 1 from one Taylor run; both
+    None when a cap stopped it, which only happens on a nonzero proper ideal."""
+    depth_q = _depth_q(ideal)
+    return depth_q, None if depth_q is None else depth_ideal(ideal, depth_q)
 
 
 def _sum(*values) -> int | None:
@@ -273,10 +276,9 @@ def check_prop_2_2(
               sd_r_prod, _min([sd_rj, _sum(sd_ai, sd_j)]), ">=")
     )
     # (4)-(6): implications recorded as observations
-    d_i, d_j = _depth_i(ideal_a), _depth_i(ideal_b)
-    d_ai, d_bj = _depth_q(ideal_a), _depth_q(ideal_b)
-    d_prod = _depth_i(product)
-    d_r_prod = _depth_q(product)
+    d_ai, d_i = _depths(ideal_a)
+    d_bj, d_j = _depths(ideal_b)
+    d_r_prod, d_prod = _depths(product)
     known = lambda *vs: all(v is not None for v in vs)
     if known(sd_i, d_i, sd_j, d_j, sd_prod, d_prod):
         if sd_i >= d_i and sd_j >= d_j:
@@ -724,8 +726,7 @@ def depth_sequence(ideal: MonomialIdeal, n_max: int) -> list[SequenceRow]:
     rows = []
     for n in range(1, n_max + 1):
         p = _known(ideal.power, n)
-        dq = _depth_q(p) if p is not None else None
-        di = _depth_i(p) if p is not None else None
+        dq, di = _depths(p) if p is not None else (None, None)
         rows.append(
             SequenceRow(n, SequenceEntry.of(dq), SequenceEntry.of(di), SequenceEntry(None, "n/a"))
         )

@@ -379,6 +379,21 @@ class TestSequenceCommand:
         assert all(r["ring_quotient"] == 1 for r in payloads[0]["rows"])
         assert all(r["shell"] is None for r in payloads[0]["rows"])
 
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ("", "depth_ideal needs a nonzero proper ideal"),
+            ("1\n", "depth of the zero module is undefined"),
+        ],
+    )
+    def test_depth_table_of_zero_or_unit_ideal_is_input_error(self, capsys, tmp_path, gens, message):
+        path = tmp_path / "ideal.ideal"
+        path.write_text("vars: x1 x2\n" + gens)
+        code, out, err = run(capsys, "sequence", str(path), "2", "--depth")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("flag, value", [("--time-limit", "5"), ("--cell-cap", "1")])
     def test_budget_flag_with_depth_is_usage_error(self, capsys, flag, value):
         code, out, err = run(capsys, "sequence", CI, "2", "--depth", flag, value)

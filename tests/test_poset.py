@@ -105,7 +105,8 @@ class TestBuildPoset:
 
 
 class TestCandidates:
-    """The prefix-AND sweep lists the same tops as a pointwise walk."""
+    """The up-closure of the blocked points lists the same tops as a
+    pointwise walk."""
 
     @staticmethod
     def _orders(p, c):
@@ -318,6 +319,15 @@ class TestSdepthExact:
         i = ideal(X2, (1, 1))
         with pytest.raises(ValueError):
             sdepth_exact(QuotientModule(i, i))
+
+    def test_zero_module_gets_one_error_from_the_walk_and_over_the_cap(self):
+        zero = QuotientModule(*[ideal(X2, (3, 0), (0, 3))] * 2)
+        message = "Stanley depth of the zero module is undefined"
+        with pytest.raises(ValueError, match=message):
+            poset_module.sdepth_walk(zero)
+        # its 16-point box is over the cap, but the module is checked first
+        with pytest.raises(ValueError, match=message):
+            sdepth_exact(zero, Budget(cell_cap=1))
 
     def test_matches_brute_force(self):
         rng = random.Random(11)

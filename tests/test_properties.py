@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
 from sdepth.poset import (
+    _keep_masks,
+    _up_closure,
     Budget,
     CertificateError,
     IntervalPartition,
@@ -266,6 +268,21 @@ def test_ideal_mask_matches_contains(data):
     assert mask >> math.prod(dims) == 0
     for index, p in _box_points(dims):
         assert (mask >> index) & 1 == ideal.contains(Monomial(ctx, p))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_up_closure_matches_a_pointwise_closure(data):
+    ctx = data.draw(contexts())
+    dims = data.draw(boxes(ctx))
+    points = list(_box_points(dims))
+    chosen = [(index, p) for index, p in points if data.draw(st.booleans())]
+    mask = sum(1 << index for index, _ in chosen)
+    steps = [data.draw(st.integers(0, d - 1)) for d in dims]
+    closure = _up_closure(mask, steps, box_strides(dims), _keep_masks(dims))
+    for index, p in points:
+        reached = any(all(0 <= pj - qj <= n for pj, qj, n in zip(p, q, steps)) for _, q in chosen)
+        assert (closure >> index) & 1 == reached
 
 
 @given(st.data())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sdepth.taylor as taylor
 import sdepth.verifier as verifier
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context, tensor_join
 from sdepth.poset import Budget, sdepth_exact
@@ -293,6 +294,26 @@ class TestSequences:
             assert r.ring_quotient.value == 1
             assert r.shell.value == 1
         assert rows[0].ideal_power.value == 2
+
+    def test_one_taylor_run_per_ideal(self, monkeypatch):
+        runs = []
+        original = taylor.depth_quotient
+
+        def counting(ideal):
+            runs.append(ideal)
+            return original(ideal)
+
+        monkeypatch.setattr(taylor, "depth_quotient", counting)
+        monkeypatch.setattr(verifier, "depth_quotient", counting)
+        for seed in (0, 1):
+            runs.clear()
+            run_random("prop_2_2", seed, budget=BUDGET)
+            # I, J and IJ: depth(I) comes from depth(S/I)
+            assert len(runs) == len(set(runs)) == 3
+        runs.clear()
+        rows = depth_sequence(ideal(make_context("y1", "y2"), (1, 1), (0, 2)), 3)
+        assert len(runs) == len(set(runs)) == 3
+        assert all(r.ideal_power.value == r.ring_quotient.value + 1 for r in rows)
 
     def test_depth_sequence_marks_shell_na(self):
         ctx = make_context("y1", "y2")
