@@ -184,6 +184,16 @@ def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
+def lcm_closure(exps: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The lcms of all nonempty subsets of the exponent tuples: each tuple
+    in turn is joined with every lcm found so far, and added itself."""
+    closure: set[tuple[int, ...]] = set()
+    for g in exps:
+        closure |= {tuple(map(max, g, e)) for e in closure}
+        closure.add(g)
+    return closure
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Monomial ideal in canonical form.

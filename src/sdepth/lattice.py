@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
 
-from .core import CapError, Monomial, MonomialIdeal, RingContext
+from .core import CapError, Monomial, MonomialIdeal, RingContext, lcm_closure
 
 
 # most atoms whose join closure build_lcm_lattice computes
@@ -49,20 +49,10 @@ def build_lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
         raise ValueError("the zero ideal has no lcm-lattice")
     if len(ideal.gens) > LATTICE_CAP:
         raise LatticeCapError(f"{len(ideal.gens)} atoms exceed the lattice cap {LATTICE_CAP}")
-    atoms = ideal.gens
-    elements = set(atoms)
-    frontier = set(atoms)
-    while frontier:
-        new = set()
-        for e in frontier:
-            for a in atoms:
-                j = e.lcm(a)
-                if j not in elements:
-                    elements.add(j)
-                    new.add(j)
-        frontier = new
-    elements.add(ideal.context.one())
-    return LcmLattice(ideal.context, atoms, frozenset(elements))
+    ctx = ideal.context
+    elements = {Monomial(ctx, e) for e in lcm_closure(ideal.exps)}
+    elements.add(ctx.one())
+    return LcmLattice(ctx, ideal.gens, frozenset(elements))
 
 
 def _extend_atom_map(

@@ -1,29 +1,39 @@
-"""Depth of monomial quotients via multigraded Taylor homology.
+"""Depth of monomial quotients via multigraded Betti numbers.
 
 The Taylor complex on the minimal generators of I, tensored with the base
-field, splits into strands indexed by lcm multidegrees; the homology rank of
-each strand is the corresponding multigraded Betti number of S/I.  Depth
-then follows from depth + pd = n (Auslander-Buchsbaum).  Ranks are over the
-rationals, computed by exact fraction-free sparse elimination over the
-integers (``rational_rank``), so depth is the characteristic-0 value; the
-sign of the differential is the position of the dropped generator in the
-sorted subset (any consistent convention gives the same ranks).
+field, splits into strands indexed by lcm multidegrees m, and the homology
+of each strand is the multigraded Betti number beta_{i,m}(S/I).  The
+strand is computed without the 2^t subsets: beta_{i,m} is the reduced
+homology H~_{i-2} of the upper Koszul complex K^m = {squarefree T :
+x^(m-T) in I}, which has at most n vertices and is nonzero only for m in
+the lcm lattice (Miller-Sturmfels, Thm 1.34).  Each generator g dividing m
+gives a facet {k : g_k < m_k} of K^m; an empty facet means m is a
+generator, maximal facets with a common vertex mean K^m is a cone, and
+otherwise the homology is taken on K^m or on the nerve of its maximal
+facets, whichever has fewer vertices (the two are homotopy equivalent).
+Depth then follows from depth + pd = n (Auslander-Buchsbaum).  Ranks are
+over the rationals, computed by exact fraction-free sparse elimination
+over the integers (``rational_rank``), so depth is the characteristic-0
+value.  docs/internals.md has the derivation.
 """
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
 from math import gcd
 
-from .core import CapError, MonomialIdeal
+from .core import CapError, MonomialIdeal, _minimal, lcm_closure
 
 
-# most minimal generators whose 2^t subsets the Taylor complex enumerates
+# most minimal generators taylor_tor_ranks takes: the lcm lattice has up
+# to 2^t elements
 TAYLOR_CAP = 20
 
 
 class TaylorCapError(CapError):
-    """Too many minimal generators for subset enumeration."""
+    """Too many minimal generators for the lcm lattice."""
 
 
 def rational_rank(rows: list[list[int]]) -> int:
@@ -93,63 +103,114 @@ class DepthReport:
     method: str  # "taylor" | "socle-shortcut"
 
 
+def _submasks(mask: int):
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
+
+
+def _reduced_homology(facets: list[int]) -> dict[int, int]:
+    """Nonzero ranks over Q of the reduced homology of the simplicial
+    complex whose faces are the submasks of the given bit masks, keyed by
+    face size: {s: dim H~_(s-1)}.  The complex must have a vertex."""
+    by_size: dict[int, list[int]] = {}
+    for face in sorted({sub for f in facets for sub in _submasks(f)}):
+        by_size.setdefault(face.bit_count(), []).append(face)
+    # rank of the boundary from size s to size s - 1; the augmentation
+    # (s = 1) of a complex with a vertex has rank 1
+    rank = {1: 1}
+    for s in range(2, len(by_size)):
+        col_of = {f: c for c, f in enumerate(by_size[s - 1])}
+        rows = []
+        for face in by_size[s]:
+            row = [0] * len(col_of)
+            sign, rest = 1, face
+            while rest:
+                low = rest & -rest
+                row[col_of[face ^ low]] = sign
+                sign, rest = -sign, rest ^ low
+            rows.append(row)
+        rank[s] = rational_rank(rows)
+    homology = {}
+    for s, faces in by_size.items():
+        h = len(faces) - rank.get(s, 0) - rank.get(s + 1, 0)
+        if h:
+            homology[s] = h
+    return homology
+
+
 def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
-    """Multigraded Betti numbers of S/I from the Taylor complex."""
+    """Multigraded Betti numbers of S/I, from the upper Koszul complexes of
+    the lcm-lattice elements (see the module docstring)."""
     gens = ideal.exps
     t = len(gens)
     if t > TAYLOR_CAP:
         raise TaylorCapError(f"{t} generators exceed the Taylor cap {TAYLOR_CAP}")
     n = ideal.context.arity
-    zero = (0,) * n
-    # group subsets of generators by the exponent vector of their lcm
-    strands: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {}
-    lcm_of: dict[tuple[int, ...], tuple[int, ...]] = {(): zero}
-    strands.setdefault(zero, {}).setdefault(0, []).append(())
-    for size in range(1, t + 1):
-        for subset in itertools.combinations(range(t), size):
-            m = lcm_of[subset[:-1]]
-            last = gens[subset[-1]]
-            m = tuple(max(a, b) for a, b in zip(m, last))
-            lcm_of[subset] = m
-            strands.setdefault(m, {}).setdefault(size, []).append(subset)
-    entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    for m, by_size in strands.items():
-        sizes = sorted(by_size)
-        rank_in: dict[int, int] = {}  # rank of d_i restricted to the strand
-        for i in sizes:
-            if i == 0:
-                continue
-            targets = by_size.get(i - 1, [])
-            if not targets:
-                rank_in[i] = 0
-                continue
-            col_of = {s: c for c, s in enumerate(targets)}
-            rows = []
-            for subset in by_size[i]:
-                row = [0] * len(targets)
-                for pos in range(i):
-                    smaller = subset[:pos] + subset[pos + 1 :]
-                    if lcm_of[smaller] == m:
-                        row[col_of[smaller]] = -1 if pos % 2 else 1
-                rows.append(row)
-            rank_in[i] = rational_rank(rows)
-        for i in sizes:
-            dim = len(by_size[i])
-            betti = dim - rank_in.get(i, 0) - rank_in.get(i + 1, 0)
-            if betti:
-                entries[(i, m)] = betti
+    if ideal.is_unit:
+        return BettiTable(n, {})
+    bits = [1 << k for k in range(n)]
+    entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * n): 1}
+    for m in lcm_closure(gens):
+        # facet of K^m per generator g dividing m: the variables k with g_k < m_k
+        facets = {
+            sum(compress(bits, map(operator.lt, g, m)))
+            for g in gens
+            if all(map(operator.le, g, m))
+        }
+        if 0 in facets:  # m is a minimal generator, and K^m = {empty set}
+            entries[(1, m)] = 1
+            continue
+        maximal = [f for f in facets if not any(f != h and f & h == f for h in facets)]
+        if reduce(operator.and_, maximal):  # a cone: no homology
+            continue
+        vertices = reduce(operator.or_, maximal)
+        complex_ = maximal
+        if vertices.bit_count() > len(maximal):
+            # the nerve: for each vertex, the set of maximal facets holding it
+            complex_ = [
+                sum(1 << j for j, f in enumerate(maximal) if f >> k & 1)
+                for k in range(n)
+                if vertices >> k & 1
+            ]
+        for size, betti in _reduced_homology(complex_).items():
+            entries[(size + 1, m)] = betti
     return BettiTable(n, entries)
+
+
+def has_socle(ideal: MonomialIdeal) -> bool:
+    """Is (I : (x_1,..,x_n)) strictly larger than I, i.e. depth(S/I) = 0?
+
+    (I : x_j) is generated by I and the g / x_j for the minimal generators
+    g with g_j > 0, none of which lies in I.  The colons are intersected
+    one variable at a time, keeping only the minimal generators of the
+    intersection so far that lie outside I: a monomial of the next
+    intersection outside I is a multiple of the lcm of one of them and one
+    g / x_j, and that lcm lies outside I too.  The answer is yes when some
+    remain after the last variable.
+    """
+    outside = None
+    for j in range(ideal.context.arity):
+        colon = [g[:j] + (g[j] - 1,) + g[j + 1 :] for g in ideal.exps if g[j]]
+        if outside is not None:
+            colon = [tuple(map(max, c, b)) for c in outside for b in colon]
+        outside = _minimal(c for c in colon if not ideal._contains(c))
+        if not outside:
+            return False
+    return True
 
 
 def depth_quotient(ideal: MonomialIdeal) -> DepthReport:
     """depth(S/I) = n - pd(S/I); depth 0 is detected without homology when
-    the colon by the maximal ideal is strictly larger than I."""
+    the colon by the maximal ideal is strictly larger than I (has_socle)."""
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
     n = ideal.context.arity
     if ideal.is_zero:
         return DepthReport(n, 0, "taylor")
-    if ideal.colon_maximal() != ideal:
+    if has_socle(ideal):
         return DepthReport(0, n, "socle-shortcut")
     table = taylor_tor_ranks(ideal)
     pd = table.pd

@@ -5,7 +5,9 @@ enumerated exhaustively, dimension scans all variable subsets, colon and
 membership go through degree-bounded monomial enumeration, and box checks
 walk the box point by point with ``contains``, and ranks go through dense
 ``Fraction`` Gaussian elimination.  Ideal arithmetic is redone on
-``Monomial`` objects and minimalised by pairwise divisibility.
+``Monomial`` objects and minimalised by pairwise divisibility.  Betti
+numbers come from the strands of the Taylor complex on all generator
+subsets, not from the lcm-lattice complexes the engine uses.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, tensor_join
 from sdepth.poset import CharPoset, degree_bound_g
+from sdepth.taylor import rational_rank
 
 
 def brute_sdepth(poset: CharPoset) -> int:
@@ -244,3 +247,41 @@ def fraction_rank(rows: list[list[int]]) -> int:
         if row == len(mat):
             break
     return rank
+
+
+def taylor_betti(ideal: MonomialIdeal) -> "dict[tuple[int, tuple[int, ...]], int]":
+    """Multigraded Betti numbers {(i, m): beta_{i,m}(S/I)} of a nonunit
+    ideal from the Taylor complex: the i-subsets of the minimal generators
+    grouped by their lcm m, and the homology of each such strand with the
+    sign of dropping the generator at position pos equal to (-1)^pos.
+    Walks all 2^t subsets; ranks by the engine's ``rational_rank``, itself
+    checked against ``fraction_rank``."""
+    gens = ideal.exps
+    zero = (0,) * ideal.context.arity
+    strands: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {zero: {0: [()]}}
+    lcm_of: dict[tuple[int, ...], tuple[int, ...]] = {(): zero}
+    for size in range(1, len(gens) + 1):
+        for subset in itertools.combinations(range(len(gens)), size):
+            m = tuple(map(max, lcm_of[subset[:-1]], gens[subset[-1]]))
+            lcm_of[subset] = m
+            strands.setdefault(m, {}).setdefault(size, []).append(subset)
+    entries = {}
+    for m, by_size in strands.items():
+        rank_in = {}  # rank of the differential out of size i, within the strand
+        for i in by_size:
+            targets = by_size.get(i - 1, [])
+            col_of = {s: c for c, s in enumerate(targets)}
+            rows = []
+            for subset in by_size[i] if targets else []:
+                row = [0] * len(targets)
+                for pos in range(i):
+                    smaller = subset[:pos] + subset[pos + 1 :]
+                    if lcm_of[smaller] == m:
+                        row[col_of[smaller]] = -1 if pos % 2 else 1
+                rows.append(row)
+            rank_in[i] = rational_rank(rows)
+        for i, subsets in by_size.items():
+            betti = len(subsets) - rank_in[i] - rank_in.get(i + 1, 0)
+            if betti:
+                entries[(i, m)] = betti
+    return entries

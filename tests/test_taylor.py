@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sdepth.taylor as taylor
-from oracles import fraction_rank
+from oracles import fraction_rank, taylor_betti
 from sdepth.core import Monomial, MonomialIdeal, make_context, tensor_join
 from sdepth.taylor import (
+    TAYLOR_CAP,
     TaylorCapError,
     depth_ideal,
     depth_quotient,
+    has_socle,
     rational_rank,
     taylor_tor_ranks,
 )
@@ -93,10 +95,65 @@ def rp2_ideal():
     ))
 
 
+@st.composite
+def small_ideals(draw, max_gens=9, max_vars=6):
+    """Nonzero proper ideals on at most max_gens generators."""
+    n = draw(st.integers(1, max_vars))
+    top = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, top)] * n).filter(any)
+    gens = draw(st.lists(exps, min_size=1, max_size=max_gens))
+    return ideal(make_context(*[f"x{i}" for i in range(n)]), *gens)
+
+
+def squarefree_ideal(n, supports):
+    ctx = make_context(*[f"x{i}" for i in range(n)])
+    return ideal(ctx, *(tuple(int(j in s) for j in range(n)) for s in supports))
+
+
 class TestTaylorRanks:
+    @settings(max_examples=150, deadline=None)
+    @given(small_ideals())
+    def test_matches_taylor_complex(self, i):
+        assert taylor_tor_ranks(i).entries == taylor_betti(i)
+
+    def test_squarefree_veronese_at_the_cap(self):
+        # all 20 squarefree cubics in 6 variables: a linear resolution with
+        # beta_i(S/I) = C(n, d+i-1) C(d+i-2, d-1) (Eagon-Reiner)
+        n, d = 6, 3
+        veronese = squarefree_ideal(n, itertools.combinations(range(n), d))
+        assert len(veronese.exps) == TAYLOR_CAP
+        totals = taylor_tor_ranks(veronese).totals()
+        assert totals == [1] + [math.comb(n, d + i - 1) * math.comb(d + i - 2, d - 1) for i in range(1, n - d + 2)]
+        assert totals == [1, 20, 45, 36, 10]
+        report = depth_quotient(veronese)
+        assert (report.depth_quotient, report.pd, report.method) == (2, 4, "taylor")
+
+    def test_edge_ideal_of_k7_minus_an_edge_at_the_cap(self):
+        # the complement graph (one edge) is chordal, so the resolution is
+        # linear (Froberg) and beta_{i,W}(S/I) = c(complement on W) - 1 for
+        # |W| = i + 1, zero in every other multidegree; the complement on W
+        # has |W| components, one fewer when W holds the missing edge.
+        # K^m has 7 vertices and its nerve 20, so this needs the
+        # fewer-vertices rule
+        n, missing = 7, (0, 1)
+        edges = [e for e in itertools.combinations(range(n), 2) if e != missing]
+        g = squarefree_ideal(n, edges)
+        assert len(g.exps) == TAYLOR_CAP
+        expected = {(0, (0,) * n): 1}
+        for size in range(2, n + 1):
+            for w in itertools.combinations(range(n), size):
+                betti = size - (set(missing) <= set(w)) - 1
+                if betti:
+                    expected[(size - 1, tuple(int(j in w) for j in range(n)))] = betti
+        table = taylor_tor_ranks(g)
+        assert table.entries == expected
+        assert table.totals() == [1, 20, 65, 95, 74, 30, 5]
+        report = depth_quotient(g)
+        assert (report.depth_quotient, report.pd, report.method) == (1, 6, "taylor")
+
     def test_tables_match_fraction_rank_build(self, monkeypatch):
         # equal-degree generators are all minimal; squares of the small ones
-        # give strands up to 60 x 37
+        # give boundary matrices up to 10 x 10
         rng = random.Random(43)
         ideals = []
         for _ in range(60):
@@ -179,6 +236,29 @@ class TestDepth:
         report = depth_quotient(i)
         assert report.depth_quotient == 0
         assert report.method == "socle-shortcut"
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_ideals(max_gens=12))
+    def test_socle_test_matches_colon(self, i):
+        assert has_socle(i) == (i.colon_maximal() != i)
+
+    @pytest.mark.parametrize("n, gens, k, socle", [
+        (2, [(1, 0), (0, 1)], 30, True),
+        (3, [(1, 0, 0), (0, 1, 0)], 20, False),  # x3 is a nonzerodivisor
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 5, True),
+        (3, [(2, 1, 0), (0, 1, 1), (1, 0, 2)], 6, True),
+        (4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)], 6, False),
+        (4, [(1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1)], 5, False),
+    ])
+    def test_socle_test_above_the_taylor_cap(self, n, gens, k, socle):
+        i = ideal(make_context(*[f"x{j}" for j in range(n)]), *gens).power(k)
+        assert len(i.exps) > TAYLOR_CAP
+        assert has_socle(i) == socle == (i.colon_maximal() != i)
+        if socle:
+            assert depth_quotient(i) == taylor.DepthReport(0, n, "socle-shortcut")
+        else:
+            with pytest.raises(TaylorCapError):
+                depth_quotient(i)
 
     def test_shortcut_agrees_with_taylor(self):
         rng = random.Random(23)
