@@ -6,8 +6,9 @@ decide, for each k, whether a partition of the poset into intervals [c, d]
 with rho(d) = #{j : d_j = g_j} >= k exists.  Stanley depth is the largest
 such k; every positive answer ships an interval partition that converts to
 an independently checkable Stanley decomposition.  :func:`sdepth_exact`
-searches the exponent-compressed module (:func:`compress`) and checks the
-witness, mapped back, on the module itself.
+searches the exponent-compressed module (:func:`compress`) on the variables
+its generators involve, once per poset shape, and checks the witness,
+mapped back, on the module itself.
 
 Every box walk goes through one kernel: an ideal becomes a Python-int
 bitmask over a box (:func:`ideal_mask`), bit p set when the point with
@@ -57,7 +58,9 @@ DEFAULT_BUDGET = Budget()
 MEMO_CAP = 200_000
 MEMO_BITS = 2**29
 
-# (compressed module, budget) pairs whose k-walk sdepth_exact remembers
+# poset shapes whose k-walk sdepth_exact remembers: a shape is the
+# compressed exponents on the variables some generator involves, and the
+# budget (see _cached_walk)
 WALK_CACHE_SIZE = 1024
 # boxes whose keep masks the kernel and the search remember
 MASK_CACHE_SIZE = 512
@@ -522,12 +525,55 @@ def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sdep
     raise AssertionError("unreachable: decision at k=0 cannot fail")
 
 
-_cached_walk = functools.lru_cache(maxsize=WALK_CACHE_SIZE)(sdepth_walk)
+@functools.cache
+def _neutral_context(arity: int) -> RingContext:
+    return RingContext(tuple(f"x{j + 1}" for j in range(arity)))
+
+
+@functools.lru_cache(maxsize=WALK_CACHE_SIZE)
+def _cached_walk(
+    arity: int,
+    outer: tuple[tuple[int, ...], ...],
+    inner: tuple[tuple[int, ...], ...],
+    budget: Budget,
+) -> SdepthResult:
+    """:func:`sdepth_walk` of the module outer/inner, given by canonical
+    exponent tuples of this arity, in a ring of neutral variable names:
+    the walk every module of that poset shape shares."""
+    context = _neutral_context(arity)
+    module = QuotientModule(MonomialIdeal(context, outer), MonomialIdeal(context, inner))
+    return sdepth_walk(module, budget)
+
+
+def _widen(partition: IntervalPartition, kept: list[int], arity: int) -> IntervalPartition:
+    """An interval partition of the narrowed poset, with coordinate i on
+    variable kept[i], as one of the poset on all arity variables: 0 on
+    every other variable, the one level of an axis of length one (a
+    coordinate beyond kept is such an axis and is dropped)."""
+
+    def spread(point: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * arity
+        for j, pj in zip(kept, point):
+            out[j] = pj
+        return tuple(out)
+
+    intervals = partition.intervals
+    return IntervalPartition(tuple(Interval(spread(iv.lo), spread(iv.hi)) for iv in intervals))
 
 
 def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
     """Stanley depth by :func:`sdepth_walk` on the compressed module (see
-    :func:`compress`), memoised by the compressed module and the budget.
+    :func:`compress`) narrowed to the variables some generator involves,
+    memoised by that poset shape and the budget, not by variable names.
+
+    A variable no generator involves is an axis of length one in the box
+    [0, g]: dropping it changes no box index and no cell order and lowers
+    every rho by one, so decision k on the module is decision k - z on the
+    narrowed one, z the number of dropped variables, and the result is
+    shifted back by z.  The exception is narrowed decision 0, which hands
+    out singletons without searching where the module's decision z
+    searches; so when the narrowed lower bound is 0, the walk runs once
+    more with one axis of length one kept.
 
     The witness comes back in the module's own coordinates and has passed
     :func:`certify_witness` on the module itself, on every call: its
@@ -540,10 +586,34 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     """
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
-    # the box of the witness check, sized against the cap before searching
-    dims = poset_box(module, budget)
     compressed, levels = compress(module)
-    result = _cached_walk(compressed, budget)
+    # the box [0, g] of the witness check, g_j the top level's exponent,
+    # sized against the cap before searching
+    dims = _capped(tuple(v[-1] + 1 for v in levels), budget, "box")
+    arity = len(levels)
+    # the variables some generator involves; S itself, which involves
+    # none, keeps its first
+    kept = [j for j, v in enumerate(levels) if len(v) > 1] or [0]
+    dropped = arity - len(kept)
+    outer, inner = compressed.outer.exps, compressed.inner.exps
+    if dropped:
+        outer, inner = (
+            tuple(tuple(map(e.__getitem__, kept)) for e in exps) for exps in (outer, inner)
+        )
+    result = _cached_walk(len(kept), outer, inner, budget)
+    if dropped:
+        if result.lo == 0:
+            # one axis of length one, last, so that the shape stays canonical
+            outer, inner = (tuple(e + (0,) for e in exps) for exps in (outer, inner))
+            result = _cached_walk(len(kept) + 1, outer, inner, budget)
+            dropped -= 1
+        result = replace(
+            result,
+            value=None if result.value is None else result.value + dropped,
+            lo=result.lo + dropped,
+            hi=result.hi + dropped,
+            witness=_widen(result.witness, kept, arity),
+        )
     if compressed is not module:
         witness = pull_back(result.witness, levels)
         result = replace(result, witness=witness, reduction="exponent-compression")

@@ -315,6 +315,15 @@ class TestSdepthExact:
             m = QuotientModule.of_ideal(MonomialIdeal.unit(ctx))
             assert sdepth_exact(m).value == ctx.arity
 
+    def test_one_module_under_other_names_shares_one_walk(self):
+        # the walk cache is keyed by the poset's shape: no names, no split
+        gens = [(2, 1, 0), (0, 1, 2)]
+        contexts = [X3, make_context("a", "b", "c"), make_context("x1", "x2", "y1", split=2)]
+        results = [sdepth_exact(QuotientModule.of_quotient_ring(ideal(ctx, *gens)))
+                   for ctx in contexts]
+        assert poset_module._cached_walk.cache_info().misses == 1
+        assert len({(r.value, r.nodes, r.witness) for r in results}) == 1
+
     def test_zero_module_rejected(self):
         i = ideal(X2, (1, 1))
         with pytest.raises(ValueError):

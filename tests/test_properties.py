@@ -1,8 +1,11 @@
 import itertools
 import math
 import operator
+from dataclasses import replace
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+import sdepth.poset as poset_module
 
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
 from sdepth.poset import (
@@ -24,6 +27,7 @@ from sdepth.poset import (
     module_mask,
     partition_to_decomposition,
     poset_box,
+    pull_back,
     sdepth_decision,
     sdepth_exact,
     sdepth_walk,
@@ -209,6 +213,72 @@ def test_compression_keeps_sdepth_and_certifies_on_the_original(case):
     assert verify_decomposition(decomposition, spread)
     assert decomposition.sdepth >= res.value
     assert all(poset.rho(iv.hi) >= res.value for iv in res.witness.intervals)
+
+
+# --- unused variables -----------------------------------------------------------
+
+
+def _with_unused_variables(module, arity, spots, prefix, split=None):
+    """The module in a ring of arity variables named prefix1, prefix2, ...:
+    its own variables sit at the ascending positions spots, and no
+    generator involves the others."""
+    ctx = make_context(*[f"{prefix}{i + 1}" for i in range(arity)], split=split)
+
+    def spread(e):
+        out = [0] * arity
+        for j, ej in zip(spots, e):
+            out[j] = ej
+        return tuple(out)
+
+    def extend(ideal):
+        # zero columns keep the graded-lex order and minimality
+        return MonomialIdeal(ctx, tuple(map(spread, ideal.exps)))
+
+    return QuotientModule(extend(module.outer), extend(module.inner))
+
+
+@st.composite
+def modules_with_unused_variables(draw):
+    """A small module M whose generators involve every variable, and M with
+    z in {1, 2} unused variables inserted, in a freshly named ring that is
+    sometimes split."""
+    module = draw(small_modules(max_volume=60))
+    assume(all(len(v) > 1 for v in compress(module)[1]))
+    arity = module.context.arity + draw(st.integers(1, 2))
+    spots = sorted(draw(st.permutations(range(arity)))[: module.context.arity])
+    prefix = draw(st.sampled_from(["t", "u", "_t"]))
+    split = draw(st.none() | st.integers(1, arity - 1))
+    return module, _with_unused_variables(module, arity, spots, prefix, split)
+
+
+_X12 = make_context("x1", "x2")
+_SQUARE = MonomialIdeal.from_gens(_X12, [Monomial(_X12, e) for e in ((2, 0), (1, 1), (0, 2))])
+# sdepth(S/m^2) = 0 and sdepth(m^2) = 1
+_QUOTIENT, _IDEAL = QuotientModule.of_quotient_ring(_SQUARE), QuotientModule.of_ideal(_SQUARE)
+
+
+@given(modules_with_unused_variables())
+@example((_QUOTIENT, _with_unused_variables(_QUOTIENT, 4, [1, 3], "t", split=2)))
+@example((_IDEAL, _with_unused_variables(_IDEAL, 3, [0, 2], "u")))
+@settings(max_examples=40, deadline=None)
+def test_unused_variables_share_the_walk_of_the_narrowed_module(case):
+    module, extended = case
+    poset_module._cached_walk.cache_clear()
+    own = sdepth_exact(module, budget=BUDGET)
+    res = sdepth_exact(extended, budget=BUDGET)
+    # the uncached walk of the extended module's own compressed poset
+    compressed, levels = compress(extended)
+    direct = sdepth_walk(compressed, budget=BUDGET)
+    if compressed is not extended:
+        direct = replace(direct, witness=pull_back(direct.witness, levels))
+    assert (res.status, res.value, res.lo, res.hi, res.nodes, res.witness) == (
+        direct.status, direct.value, direct.lo, direct.hi, direct.nodes, direct.witness)
+    assert res.value == own.value + extended.context.arity - module.context.arity
+    # M's walk serves the extended module, except when sdepth(M) = 0: then
+    # the narrowed decision 0 searched nothing, and one more walk keeps an
+    # unused axis
+    misses = poset_module._cached_walk.cache_info().misses
+    assert misses == (1 if own.value >= 1 else 2)
 
 
 # --- the box-membership kernel -------------------------------------------------
