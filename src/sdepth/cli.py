@@ -24,7 +24,7 @@ from .core import CapError, DEFAULT_GENERATOR_CAP, MonomialIdeal, QuotientModule
 from .lattice import build_lcm_lattice, lattice_to_dot
 from .parsing import ParseError, format_ideal, parse_ideal, parse_module_expr, split_blocks
 from .poset import DEFAULT_BUDGET, Budget, build_poset, poset_to_dot, sdepth_exact
-from .taylor import depth_quotient
+from .taylor import depth_ideal, depth_quotient
 from .verifier import (
     STATEMENTS,
     HypothesisError,
@@ -145,7 +145,7 @@ def cmd_depth(args) -> int:
     report = depth_quotient(target)
     ideal_depth = None
     if not target.is_zero and target.is_proper:
-        ideal_depth = report.depth_quotient + 1
+        ideal_depth = depth_ideal(target, quotient_depth=report.depth_quotient)
     payload = {
         "command": "depth",
         "depth_quotient": report.depth_quotient,

@@ -6,9 +6,9 @@ decide, for each k, whether a partition of the poset into intervals [c, d]
 with rho(d) = #{j : d_j = g_j} >= k exists.  Stanley depth is the largest
 such k; every positive answer ships an interval partition that converts to
 an independently checkable Stanley decomposition.  :func:`sdepth_exact`
-searches the exponent-compressed module (:func:`compress`) on the variables
-its generators involve, once per poset shape, and checks the witness,
-mapped back, on the module itself.
+searches the poset shape :func:`compress` reads off the generators
+(exponents relabelled, unused variables dropped), once per shape, and
+checks the witness, pulled back, on the module itself.
 
 Every box walk goes through one kernel: an ideal becomes a Python-int
 bitmask over a box (:func:`ideal_mask`), bit p set when the point with
@@ -22,7 +22,7 @@ import math
 import operator
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import CapError, Monomial, MonomialIdeal, QuotientModule, RingContext
 
@@ -53,6 +53,9 @@ class Budget:
 
 DEFAULT_BUDGET = Budget()
 
+# exponent tuples, one per generator (or per variable, for levels)
+Exponents = tuple[tuple[int, ...], ...]
+
 # failed uncovered sets the search remembers per decision, and the bits of
 # box masks they may hold; beyond either the memo is lossy (stops growing)
 MEMO_CAP = 200_000
@@ -78,6 +81,7 @@ def _capped(dims: tuple[int, ...], budget: Budget, what: str) -> tuple[int, ...]
     return dims
 
 
+@functools.lru_cache(maxsize=MASK_CACHE_SIZE)
 def box_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
     """Row-major strides: the last axis varies fastest."""
     strides = []
@@ -132,14 +136,17 @@ def ideal_mask(ideal: MonomialIdeal, dims: tuple[int, ...]) -> int:
     lie in the ideal.
 
     Sets the bits of the generators inside the box, then closes upwards,
-    d-1 unit steps along each axis (:func:`_up_closure`).
+    d-1 unit steps along each axis (:func:`_up_closure`): nothing when no
+    bit is set, the whole box when the origin is.
     """
     strides = box_strides(dims)
     mask = 0
     for e in ideal.exps:
-        if all(ej < d for ej, d in zip(e, dims)):
-            mask |= 1 << sum(ej * s for ej, s in zip(e, strides))
-    return _up_closure(mask, [d - 1 for d in dims], strides, _keep_masks(dims))
+        if all(map(operator.lt, e, dims)):
+            mask |= 1 << sum(map(operator.mul, e, strides))
+    if mask & 1:
+        return (1 << math.prod(dims)) - 1
+    return _up_closure(mask, [d - 1 for d in dims], strides, _keep_masks(dims)) if mask else 0
 
 
 def module_mask(module: QuotientModule, dims: tuple[int, ...]) -> int:
@@ -249,7 +256,7 @@ class Interval:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ValueError("interval needs lo and hi of one length")
-        if any(a > b for a, b in zip(self.lo, self.hi)):
+        if any(map(operator.gt, self.lo, self.hi)):
             raise ValueError("interval needs lo <= hi componentwise")
 
     def points(self):
@@ -449,45 +456,70 @@ def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -
     return Decision(status, partition, nodes, time.monotonic() - start)
 
 
-def compress(module: QuotientModule) -> tuple[QuotientModule, tuple[tuple[int, ...], ...]]:
-    """The module with each variable's exponents relabelled, and per
-    variable the relabelling's levels.
+def compress(module: QuotientModule) -> tuple[Exponents, list[int], Exponents, Exponents]:
+    """The shape of the module's poset, read off its generator exponents:
+    per variable the levels of the relabelling, the variables kept, and the
+    generators of outer and of inner relabelled and restricted to them.
 
     Per variable, the distinct exponents in the generators of outer and
     inner, plus 0, map onto 0, 1, 2, ... in order; ``levels[j][i]`` is the
     exponent that level i stands for.  The map keeps the lcm-lattice of the
-    presentation and the number of variables.  When it is the identity, the
-    module itself comes back.
+    presentation.  The variables kept are those some generator involves (S
+    itself, which involves none, keeps its first): a variable with the one
+    level 0 is an axis of length one.  The relabelled generators come in
+    graded-lex order, ready for :class:`MonomialIdeal`, and are the module's
+    own exponent tuples when the map is the identity and every variable is
+    kept.  No module is built.
     """
-    exps = module.outer.exps + module.inner.exps
-    levels = tuple(tuple(sorted(set(column))) for column in zip((0,) * module.context.arity, *exps))
-    if all(len(v) == v[-1] + 1 for v in levels):
-        return module, levels
-    rank = [{e: i for i, e in enumerate(v)} for v in levels]
+    outer, inner = module.outer.exps, module.inner.exps
+    # per variable its exponents, with a 0 in front
+    columns = list(zip((0,) * module.context.arity, *outer, *inner))
+    levels = tuple(map(tuple, map(sorted, map(set, columns))))
+    kept = [j for j, v in enumerate(levels) if len(v) > 1] or [0]
+    relabelled = [j for j in kept if len(levels[j]) <= levels[j][-1]]
+    if not relabelled and len(kept) == len(levels):
+        return levels, kept, outer, inner
+    for j in relabelled:
+        columns[j] = map(dict(zip(levels[j], itertools.count())).__getitem__, columns[j])
+    rows = list(zip(*map(columns.__getitem__, kept)))
+    # row 0 is the 0 put in front
+    outer, inner = rows[1 : len(outer) + 1], rows[len(outer) + 1 :]
+    if relabelled:
+        # monotone per variable, so minimality and lex order hold; the
+        # degrees change
+        return levels, kept, _graded_lex(outer), _graded_lex(inner)
+    return levels, kept, tuple(outer), tuple(inner)
 
-    def relabel(ideal: MonomialIdeal) -> MonomialIdeal:
-        # monotone per variable, so minimality holds; the degrees change
-        labelled = (tuple(map(dict.__getitem__, rank, e)) for e in ideal.exps)
-        return MonomialIdeal(ideal.context, tuple(sorted(labelled, key=lambda e: (sum(e), e))))
 
-    return QuotientModule(relabel(module.outer), relabel(module.inner)), levels
+def _graded_lex(exps: list[tuple[int, ...]]) -> Exponents:
+    # lex first, then stably by degree
+    return tuple(sorted(sorted(exps), key=sum))
 
 
-def pull_back(
-    partition: IntervalPartition, levels: tuple[tuple[int, ...], ...]
-) -> IntervalPartition:
-    """An interval partition of the compressed poset as one of the original
-    poset, levels as returned by :func:`compress`.
+def pull_back(partition: IntervalPartition, levels: Exponents, kept: list[int]) -> IntervalPartition:
+    """An interval partition of the compressed poset on the variables kept
+    (coordinate i on variable kept[i]) as one of the module's own poset,
+    levels and kept as returned by :func:`compress`: relabelled and widened
+    in one pass.
 
     [c, d] becomes [v(c), h] with h_j = g_j when d_j is the top level and
     h_j = v(d_j + 1) - 1 otherwise: the original cells whose levels lie in
-    [c, d].  Only top levels reach g_j, so rho is unchanged.
+    [c, d].  Only top levels reach g_j, so rho is unchanged.  A variable not
+    kept has the one level 0 = g_j; a coordinate beyond kept is an axis of
+    length one, and is dropped.
     """
-    ceilings = [v[1:] + (v[-1] + 1,) for v in levels]
+    # per variable and level, the top exponent of the level's box: the
+    # level itself when the levels are 0, 1, ..., g_j
+    tops = [v if len(v) > v[-1] else tuple(map((-1).__add__, v[1:])) + v[-1:] for v in levels]
+    # per variable the coordinate it reads: its own if kept, else a 0
+    # appended last; the getter's trailing -1 only makes it return a tuple
+    # for one variable too, and the level maps stop before it
+    where = dict(zip(kept, itertools.count()))
+    spread = operator.itemgetter(*map(where.get, range(len(levels)), itertools.repeat(-1)), -1)
     intervals = tuple(
         Interval(
-            tuple(map(tuple.__getitem__, levels, iv.lo)),
-            tuple(ceiling[dj] - 1 for ceiling, dj in zip(ceilings, iv.hi)),
+            tuple(map(operator.getitem, levels, spread(iv.lo + (0,)))),
+            tuple(map(operator.getitem, tops, spread(iv.hi + (0,)))),
         )
         for iv in partition.intervals
     )
@@ -533,8 +565,8 @@ def _neutral_context(arity: int) -> RingContext:
 @functools.lru_cache(maxsize=WALK_CACHE_SIZE)
 def _cached_walk(
     arity: int,
-    outer: tuple[tuple[int, ...], ...],
-    inner: tuple[tuple[int, ...], ...],
+    outer: Exponents,
+    inner: Exponents,
     budget: Budget,
 ) -> SdepthResult:
     """:func:`sdepth_walk` of the module outer/inner, given by canonical
@@ -545,26 +577,10 @@ def _cached_walk(
     return sdepth_walk(module, budget)
 
 
-def _widen(partition: IntervalPartition, kept: list[int], arity: int) -> IntervalPartition:
-    """An interval partition of the narrowed poset, with coordinate i on
-    variable kept[i], as one of the poset on all arity variables: 0 on
-    every other variable, the one level of an axis of length one (a
-    coordinate beyond kept is such an axis and is dropped)."""
-
-    def spread(point: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * arity
-        for j, pj in zip(kept, point):
-            out[j] = pj
-        return tuple(out)
-
-    intervals = partition.intervals
-    return IntervalPartition(tuple(Interval(spread(iv.lo), spread(iv.hi)) for iv in intervals))
-
-
 def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
-    """Stanley depth by :func:`sdepth_walk` on the compressed module (see
-    :func:`compress`) narrowed to the variables some generator involves,
-    memoised by that poset shape and the budget, not by variable names.
+    """Stanley depth by :func:`sdepth_walk` on the module's compressed,
+    narrowed poset shape (:func:`compress`), memoised by that shape and the
+    budget, not by variable names; only a cache miss builds a module.
 
     A variable no generator involves is an axis of length one in the box
     [0, g]: dropping it changes no box index and no cell order and lowers
@@ -575,50 +591,59 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     searches; so when the narrowed lower bound is 0, the walk runs once
     more with one axis of length one kept.
 
-    The witness comes back in the module's own coordinates and has passed
-    :func:`certify_witness` on the module itself, on every call: its
-    intervals cover the module exactly, and their Stanley depth is at least
-    the lower bound.  A witness failing a check raises CertificateError, so
-    lower bounds are certified on the input.  When compression changed the
-    module, ``reduction`` says so: the refutations were then made on the
+    The witness comes back in the module's own coordinates by one
+    :func:`pull_back`, and has passed :func:`certify_witness` on the module
+    itself, on every call, cache hits included: its intervals cover the
+    module exactly, and their Stanley depth is at least the lower bound.  A
+    witness failing a check raises CertificateError, so lower bounds are
+    certified on the input.  When compression changed the module,
+    ``reduction`` says so: the refutations were then made on the
     compressed poset, and that its Stanley depth is the module's rests on
     the lcm-lattice theorem of Ichim, Katthan and Moyano-Fernandez.
     """
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
-    compressed, levels = compress(module)
+    levels, kept, outer, inner = compress(module)
     # the box [0, g] of the witness check, g_j the top level's exponent,
     # sized against the cap before searching
     dims = _capped(tuple(v[-1] + 1 for v in levels), budget, "box")
-    arity = len(levels)
-    # the variables some generator involves; S itself, which involves
-    # none, keeps its first
-    kept = [j for j, v in enumerate(levels) if len(v) > 1] or [0]
-    dropped = arity - len(kept)
-    outer, inner = compressed.outer.exps, compressed.inner.exps
-    if dropped:
-        outer, inner = (
-            tuple(tuple(map(e.__getitem__, kept)) for e in exps) for exps in (outer, inner)
-        )
+    dropped = len(levels) - len(kept)
     result = _cached_walk(len(kept), outer, inner, budget)
-    if dropped:
-        if result.lo == 0:
-            # one axis of length one, last, so that the shape stays canonical
-            outer, inner = (tuple(e + (0,) for e in exps) for exps in (outer, inner))
-            result = _cached_walk(len(kept) + 1, outer, inner, budget)
-            dropped -= 1
-        result = replace(
-            result,
-            value=None if result.value is None else result.value + dropped,
-            lo=result.lo + dropped,
-            hi=result.hi + dropped,
-            witness=_widen(result.witness, kept, arity),
+    if dropped and result.lo == 0:
+        # one axis of length one, last, so that the shape stays canonical
+        outer, inner = (tuple(e + (0,) for e in exps) for exps in (outer, inner))
+        result = _cached_walk(len(kept) + 1, outer, inner, budget)
+        dropped -= 1
+    relabelled = any(len(v) <= v[-1] for v in levels)
+    if relabelled or len(kept) < len(levels):
+        result = SdepthResult(
+            result.status,
+            None if result.value is None else result.value + dropped,
+            result.lo + dropped,
+            result.hi + dropped,
+            pull_back(result.witness, levels, kept),
+            result.nodes,
+            result.elapsed,
+            "exponent-compression" if relabelled else None,
         )
-    if compressed is not module:
-        witness = pull_back(result.witness, levels)
-        result = replace(result, witness=witness, reduction="exponent-compression")
     certify_witness(result.witness, module, result.lo, dims)
     return result
+
+
+def _intervals_of_box(los: list, his: list, g: tuple[int, ...]) -> bool:
+    """Whether every [los[i], his[i]] has corners of len(g) ints with
+    0 <= lo <= hi <= g, tested on all corners at once."""
+    flat_lo = list(itertools.chain.from_iterable(los))
+    flat_hi = list(itertools.chain.from_iterable(his))
+    # the flat comparisons pair entries up only once every corner has
+    # len(g) of them, and compare only ints
+    return (
+        {*map(len, los), *map(len, his)} <= {len(g)}
+        and {*map(type, flat_lo), *map(type, flat_hi)} <= {int}
+        and min(flat_lo, default=0) >= 0
+        and all(map(operator.le, flat_lo, flat_hi))
+        and all(map(operator.le, flat_hi, itertools.cycle(g)))
+    )
 
 
 def certify_witness(
@@ -642,18 +667,16 @@ def certify_witness(
         return CertificateError(f"the witness for sdepth >= {k} of {module} fails the {check}")
 
     g = tuple(d - 1 for d in dims)
-    for iv in partition.intervals:
-        if not (
-            len(iv.lo) == len(iv.hi) == len(g)
-            and all(type(c) is int and type(d) is int and 0 <= c <= d <= gj
-                    for c, d, gj in zip(iv.lo, iv.hi, g))
-        ):
-            raise fail(f"interval check: [{iv.lo}, {iv.hi}] is not an interval of [0, {g}]")
-    strides = box_strides(dims)
-    masks = (box_mask(iv.lo, iv.hi, strides) for iv in partition.intervals)
+    los = [iv.lo for iv in partition.intervals]
+    his = [iv.hi for iv in partition.intervals]
+    if not _intervals_of_box(los, his, g):
+        # name the first interval that fails
+        iv = next(iv for iv in partition.intervals if not _intervals_of_box([iv.lo], [iv.hi], g))
+        raise fail(f"interval check: [{iv.lo}, {iv.hi}] is not an interval of [0, {g}]")
+    masks = map(box_mask, los, his, itertools.repeat(box_strides(dims)))
     if cover_mismatches(masks, module_mask(module, dims)):
         raise fail("exact-cover check")
-    depth = min((sum(map(operator.eq, iv.hi, g)) for iv in partition.intervals), default=0)
+    depth = min([sum(map(operator.eq, hi, g)) for hi in his], default=0)
     if depth < k:
         raise fail(f"depth check: its Stanley depth is {depth}")
 

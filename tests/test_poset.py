@@ -1,12 +1,15 @@
 import math
+import pathlib
 import random
 import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import sdepth.poset as poset_module
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
+from sdepth.parsing import parse_ideal, split_blocks
 from sdepth.poset import (
     Budget,
     CertificateError,
@@ -37,6 +40,8 @@ from oracles import (
     pointwise_hasse_edges,
     pointwise_maximal_cells,
 )
+
+PAIR = pathlib.Path(__file__).resolve().parent.parent / "ideals" / "pair.ideal"
 
 X1 = make_context("x1")
 X2 = make_context("x1", "x2")
@@ -324,6 +329,19 @@ class TestSdepthExact:
         assert poset_module._cached_walk.cache_info().misses == 1
         assert len({(r.value, r.nodes, r.witness) for r in results}) == 1
 
+    def test_pinned_on_the_square_of_the_pair_block(self):
+        # S/I^2, I = (x1*x2, x1^2) the x block of ideals/pair.ideal: x1's
+        # exponents 0, 2, 3, 4 have a gap, the y block is unused, and the
+        # narrowed walk's lower bound 0 makes it walk again with one y axis
+        block_a, _ = split_blocks(parse_ideal(PAIR.read_text()))
+        res = sdepth_exact(QuotientModule.of_quotient_ring(block_a.power(2)))
+        assert (res.status, res.value, res.lo, res.hi, res.nodes, res.reduction) == (
+            "exact", 2, 2, 2, 3, "exponent-compression")
+        assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == [
+            ((3, 0, 0, 0), (3, 0, 0, 0)), ((2, 0, 0, 0), (2, 1, 0, 0)),
+            ((0, 0, 0, 0), (1, 2, 0, 0))]
+        assert poset_module._cached_walk.cache_info().misses == 2
+
     def test_zero_module_rejected(self):
         i = ideal(X2, (1, 1))
         with pytest.raises(ValueError):
@@ -495,7 +513,19 @@ class TestRuntimeCertificate:
         # K[x1, x2]/(x1^2, x2^3) and K[x1, x2]/(x1^3, x2^2) compress alike
         first = QuotientModule.of_quotient_ring(ideal(X2, (2, 0), (0, 3)))
         second = QuotientModule.of_quotient_ring(ideal(X2, (3, 0), (0, 2)))
+        real_module = poset_module.QuotientModule
+        built = []
+
+        def build_once(*args):
+            if built:
+                raise AssertionError("a module was built after the cache miss")
+            built.append(real_module(*args))
+            return built[-1]
+
+        # the miss builds the one module of the walk; no hit builds any
+        monkeypatch.setattr(poset_module, "QuotientModule", build_once)
         assert sdepth_exact(first).reduction == "exponent-compression"
+        assert len(built) == 1
         real_certify, real_pull_back = poset_module.certify_witness, poset_module.pull_back
         checked = []
 
@@ -512,8 +542,8 @@ class TestRuntimeCertificate:
         assert (res.value, res.witness.intervals) == (0, (Interval((0, 0), (2, 1)),))
         assert checked == [second]
         # a cached witness that no longer covers the module is still caught
-        monkeypatch.setattr(poset_module, "pull_back", lambda partition, levels: IntervalPartition(
-            real_pull_back(partition, levels).intervals[:-1]))
+        monkeypatch.setattr(poset_module, "pull_back", lambda partition, levels, kept: IntervalPartition(
+            real_pull_back(partition, levels, kept).intervals[:-1]))
         with pytest.raises(CertificateError):
             sdepth_exact(second)
 
@@ -571,6 +601,12 @@ class TestCertifyWitness:
     def test_a_corner_that_is_not_arity_non_negative_ints(self, lo, hi):
         with pytest.raises(CertificateError, match="interval check"):
             self._certify((Interval(lo, hi),) + self._witness())
+
+    def test_a_lower_corner_above_the_upper_one(self):
+        # Interval rejects such corners, so only a stand-in object carries them
+        swapped = SimpleNamespace(lo=(1, 1, 0), hi=(1, 0, 0))
+        with pytest.raises(CertificateError, match="interval check"):
+            self._certify((swapped,) + self._witness())
 
     def test_a_witness_below_the_lower_bound(self):
         with pytest.raises(CertificateError, match="depth check: its Stanley depth is 2"):

@@ -193,20 +193,32 @@ def gapped_modules(draw):
     return module, QuotientModule(spread(module.outer), spread(module.inner))
 
 
+def _shape_module(kept, outer, inner):
+    """The module of a shape :func:`compress` returns, in a ring of one
+    variable per kept variable; its generators must be canonical."""
+    ctx = make_context(*[f"x{i + 1}" for i in range(len(kept))])
+    for exps in (outer, inner):
+        assert MonomialIdeal(ctx, exps) == MonomialIdeal.from_gens(ctx, [Monomial(ctx, e) for e in exps])
+    return QuotientModule(MonomialIdeal(ctx, outer), MonomialIdeal(ctx, inner))
+
+
 @given(gapped_modules())
 @settings(max_examples=40, deadline=None)
 def test_compression_keeps_sdepth_and_certifies_on_the_original(case):
     module, spread = case
-    compressed, _ = compress(spread)
+    levels, kept, outer, inner = compress(spread)
+    compressed = _shape_module(kept, outer, inner)
     # idempotent, and the identity once the exponents are consecutive
-    assert compress(compressed)[0] is compressed
-    assert compressed == compress(module)[0]
-    assert all(v == tuple(range(len(v))) for v in compress(compressed)[1])
+    again = compress(compressed)
+    assert again[2] is compressed.outer.exps and again[3] is compressed.inner.exps
+    assert (kept, outer, inner) == compress(module)[1:]
+    assert all(v == tuple(range(len(v))) for v in again[0])
     res = sdepth_exact(spread, budget=BUDGET)
     direct = sdepth_walk(spread, budget=BUDGET)
     assert res.status == direct.status == "exact"
     assert res.value == direct.value
-    assert res.reduction == (None if compressed is spread else "exponent-compression")
+    identity = all(v == tuple(range(len(v))) for v in levels)
+    assert res.reduction == (None if identity else "exponent-compression")
     # the pulled-back witness, checked again on the spread module
     poset = build_poset(spread, budget=BUDGET)
     decomposition = partition_to_decomposition(poset, res.witness)
@@ -243,7 +255,7 @@ def modules_with_unused_variables(draw):
     z in {1, 2} unused variables inserted, in a freshly named ring that is
     sometimes split."""
     module = draw(small_modules(max_volume=60))
-    assume(all(len(v) > 1 for v in compress(module)[1]))
+    assume(all(len(v) > 1 for v in compress(module)[0]))
     arity = module.context.arity + draw(st.integers(1, 2))
     spots = sorted(draw(st.permutations(range(arity)))[: module.context.arity])
     prefix = draw(st.sampled_from(["t", "u", "_t"]))
@@ -255,22 +267,28 @@ _X12 = make_context("x1", "x2")
 _SQUARE = MonomialIdeal.from_gens(_X12, [Monomial(_X12, e) for e in ((2, 0), (1, 1), (0, 2))])
 # sdepth(S/m^2) = 0 and sdepth(m^2) = 1
 _QUOTIENT, _IDEAL = QuotientModule.of_quotient_ring(_SQUARE), QuotientModule.of_ideal(_SQUARE)
+# S/(x1^3, x1*x2^2): gaps in the exponents of both variables
+_GAPPED = QuotientModule.of_quotient_ring(
+    MonomialIdeal.from_gens(_X12, [Monomial(_X12, e) for e in ((3, 0), (1, 2))]))
 
 
 @given(modules_with_unused_variables())
 @example((_QUOTIENT, _with_unused_variables(_QUOTIENT, 4, [1, 3], "t", split=2)))
 @example((_IDEAL, _with_unused_variables(_IDEAL, 3, [0, 2], "u")))
+@example((_GAPPED, _with_unused_variables(_GAPPED, 4, [1, 2], "_t", split=3)))
 @settings(max_examples=40, deadline=None)
 def test_unused_variables_share_the_walk_of_the_narrowed_module(case):
     module, extended = case
     poset_module._cached_walk.cache_clear()
     own = sdepth_exact(module, budget=BUDGET)
     res = sdepth_exact(extended, budget=BUDGET)
-    # the uncached walk of the extended module's own compressed poset
-    compressed, levels = compress(extended)
+    # the uncached walk of the extended module's own compressed poset: the
+    # compressed shape with the unused variables put back
+    levels, kept, outer, inner = compress(extended)
+    arity = extended.context.arity
+    compressed = _with_unused_variables(_shape_module(kept, outer, inner), arity, kept, "c")
     direct = sdepth_walk(compressed, budget=BUDGET)
-    if compressed is not extended:
-        direct = replace(direct, witness=pull_back(direct.witness, levels))
+    direct = replace(direct, witness=pull_back(direct.witness, levels, list(range(arity))))
     assert (res.status, res.value, res.lo, res.hi, res.nodes, res.witness) == (
         direct.status, direct.value, direct.lo, direct.hi, direct.nodes, direct.witness)
     assert res.value == own.value + extended.context.arity - module.context.arity
