@@ -89,6 +89,14 @@ def _load_ideal(path: str) -> MonomialIdeal:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+
+
 def _names_for(ideal: MonomialIdeal) -> dict[str, MonomialIdeal]:
     """Ideal names visible to module expressions.
 
@@ -130,9 +138,7 @@ def cmd_sdepth(args) -> int:
         text = f"sdepth({module}) in [{result.lo}, {result.hi}] (unknown: budget exhausted)"
     _emit(args, payload, text)
     if args.export_poset:
-        poset = build_poset(module, budget=budget)
-        with open(args.export_poset, "w") as fh:
-            fh.write(poset_to_dot(poset, result.witness))
+        _write_text(args.export_poset, poset_to_dot(build_poset(module, budget=budget), result.witness))
     return EXIT_OK if result.status == "exact" else EXIT_UNKNOWN
 
 
@@ -321,8 +327,7 @@ def cmd_export(args) -> int:
     else:
         dot = lattice_to_dot(build_lcm_lattice(ideal))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(dot)
+        _write_text(args.output, dot)
     else:
         print(dot)
     return EXIT_OK

@@ -231,16 +231,14 @@ class CharPoset:
     def arity(self) -> int:
         return len(self.g)
 
-    def rho(self, point: tuple[int, ...]) -> int:
-        return sum(1 for pj, gj in zip(point, self.g) if pj == gj)
-
-    def maximal_cells(self) -> list[tuple[int, ...]]:
-        """Cells with no cell one unit step above them."""
+    def maximal_cells(self) -> list[int]:
+        """Box indices of the cells with no cell one unit step above them,
+        in the cells' order."""
         covered = 0
         for stride, keep in zip(self.strides, self.keeps):
             covered |= (self.mask >> stride) & keep
         top = self.mask & ~covered
-        return [c for c, p in zip(self.cells, self.points) if top >> p & 1]
+        return [p for p in self.points if top >> p & 1]
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -428,17 +426,22 @@ def _search_phase(
 
 
 def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -> Decision:
-    """Does some interval partition of the poset achieve rho >= k everywhere?"""
+    """Does some interval partition of the poset achieve rho >= k everywhere?
+
+    When every cell has rho >= k, as at k = 0, the singletons do, and the
+    answer comes with 0 nodes and no search.  An axis of length one adds
+    one to every rho, so decision k + 1 with it is decision k without it,
+    this case included.
+    """
     if not 0 <= k <= poset.arity:
         raise ValueError("k must lie between 0 and the number of variables")
     if len(poset) == 0:
         raise ValueError("empty poset: the module is zero")
     start = time.monotonic()
-    if k == 0:
-        # singleton intervals always work
+    tops = functools.reduce(operator.or_, (1 << p for p, r in poset.rho_at.items() if r >= k), 0)
+    if tops == poset.mask:
         intervals = tuple(Interval(c, c) for c in poset.cells)
         return Decision("true", IntervalPartition(intervals), 0, time.monotonic() - start)
-    tops = functools.reduce(operator.or_, (1 << p for p, r in poset.rho_at.items() if r >= k), 0)
     failed: set[int] = set()
     nodes = 0
     # two-phase portfolio: restart with the frugal ordering when the greedy
@@ -505,8 +508,7 @@ def pull_back(partition: IntervalPartition, levels: Exponents, kept: list[int]) 
     [c, d] becomes [v(c), h] with h_j = g_j when d_j is the top level and
     h_j = v(d_j + 1) - 1 otherwise: the original cells whose levels lie in
     [c, d].  Only top levels reach g_j, so rho is unchanged.  A variable not
-    kept has the one level 0 = g_j; a coordinate beyond kept is an axis of
-    length one, and is dropped.
+    kept has the one level 0 = g_j.
     """
     # per variable and level, the top exponent of the level's box: the
     # level itself when the levels are 0, 1, ..., g_j
@@ -536,7 +538,7 @@ def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sdep
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
     poset = build_poset(module, budget)
-    ub = min(poset.rho(c) for c in poset.maximal_cells())
+    ub = min(map(poset.rho_at.__getitem__, poset.maximal_cells()))
     nodes = 0
     elapsed = 0.0
     hi = ub
@@ -553,7 +555,7 @@ def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sdep
             hi = k - 1
         else:
             saw_unknown = True
-    # k = 0 always succeeds on a nonempty poset
+    # at k = 0 every cell is a top, so the decision hands out singletons
     raise AssertionError("unreachable: decision at k=0 cannot fail")
 
 
@@ -585,11 +587,8 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     A variable no generator involves is an axis of length one in the box
     [0, g]: dropping it changes no box index and no cell order and lowers
     every rho by one, so decision k on the module is decision k - z on the
-    narrowed one, z the number of dropped variables, and the result is
-    shifted back by z.  The exception is narrowed decision 0, which hands
-    out singletons without searching where the module's decision z
-    searches; so when the narrowed lower bound is 0, the walk runs once
-    more with one axis of length one kept.
+    narrowed one, z the number of dropped variables, node for node and
+    interval for interval, and the result is shifted back by z.
 
     The witness comes back in the module's own coordinates by one
     :func:`pull_back`, and has passed :func:`certify_witness` on the module
@@ -607,15 +606,10 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     # the box [0, g] of the witness check, g_j the top level's exponent,
     # sized against the cap before searching
     dims = _capped(tuple(v[-1] + 1 for v in levels), budget, "box")
-    dropped = len(levels) - len(kept)
     result = _cached_walk(len(kept), outer, inner, budget)
-    if dropped and result.lo == 0:
-        # one axis of length one, last, so that the shape stays canonical
-        outer, inner = (tuple(e + (0,) for e in exps) for exps in (outer, inner))
-        result = _cached_walk(len(kept) + 1, outer, inner, budget)
-        dropped -= 1
     relabelled = any(len(v) <= v[-1] for v in levels)
-    if relabelled or len(kept) < len(levels):
+    dropped = len(levels) - len(kept)
+    if relabelled or dropped:
         result = SdepthResult(
             result.status,
             None if result.value is None else result.value + dropped,

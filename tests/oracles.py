@@ -19,6 +19,11 @@ from sdepth.poset import CharPoset, degree_bound_g
 from sdepth.taylor import rational_rank
 
 
+def rho(g: "tuple[int, ...]", point: "tuple[int, ...]") -> int:
+    """The number of coordinates on which the point reaches g."""
+    return sum(pj == gj for pj, gj in zip(point, g))
+
+
 def brute_sdepth(poset: CharPoset) -> int:
     """Max over ALL interval partitions of the min rho; memoized recursion
     over uncovered cell sets."""
@@ -40,7 +45,7 @@ def brute_sdepth(poset: CharPoset) -> int:
             if all(a <= b for a, b in zip(c, d)):
                 points = set(interval_points(c, d))
                 if points <= uncovered:
-                    val = min(poset.rho(d), best(uncovered - points))
+                    val = min(rho(poset.g, d), best(uncovered - points))
                     result = max(result, val)
         memo[uncovered] = result
         return result
@@ -218,7 +223,7 @@ def brute_candidates(
     the uncovered set, in the poset's order."""
     out = []
     for d in poset.cells:
-        if poset.rho(d) >= k and all(a <= b for a, b in zip(c, d)):
+        if rho(poset.g, d) >= k and all(a <= b for a, b in zip(c, d)):
             box = itertools.product(*(range(a, b + 1) for a, b in zip(c, d)))
             if all(p in uncovered for p in box):
                 out.append(d)

@@ -61,6 +61,13 @@ class TestSdepthCommand:
         assert code == EXIT_OK
         assert dot.read_text().startswith("digraph")
 
+    def test_unwritable_export_poset_is_input_error(self, capsys, tmp_path):
+        dot = tmp_path / "missing" / "poset.dot"
+        code, _, err = run(capsys, "sdepth", CI, "--export-poset", str(dot))
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: cannot write {dot}: ")
+        assert not dot.exists()
+
     def test_json_reports_the_reduction(self, capsys, tmp_path):
         # the exponents of J^2 = (x1*x2, x3)^2 are consecutive: no reduction
         _, payloads = run_json(capsys, "sdepth", CI, "--module", "S/J^2")
@@ -423,6 +430,14 @@ class TestExportCommand:
         code, _, _ = run(capsys, "export", "lattice", CI, "-o", str(target))
         assert code == EXIT_OK
         assert target.read_text().startswith("digraph")
+
+    @pytest.mark.parametrize("what", ["poset", "lattice"])
+    def test_unwritable_output_is_input_error(self, capsys, tmp_path, what):
+        target = tmp_path / "missing" / "out.dot"
+        code, out, err = run(capsys, "export", what, CI, "-o", str(target))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
 
     def test_cell_cap_with_lattice_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "lat.dot"

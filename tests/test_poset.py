@@ -39,6 +39,7 @@ from oracles import (
     brute_sdepth,
     pointwise_hasse_edges,
     pointwise_maximal_cells,
+    rho,
 )
 
 PAIR = pathlib.Path(__file__).resolve().parent.parent / "ideals" / "pair.ideal"
@@ -102,8 +103,8 @@ class TestBuildPoset:
         rng = random.Random(29)
         for _ in range(40):
             p = build_poset(_random_module(rng))
-            assert p.maximal_cells() == pointwise_maximal_cells(p)
-            assert p.rho_at == {q: p.rho(c) for q, c in zip(p.points, p.cells)}
+            assert [p.cell_at[q] for q in p.maximal_cells()] == pointwise_maximal_cells(p)
+            assert p.rho_at == {q: rho(p.g, c) for q, c in zip(p.points, p.cells)}
             strides = [math.prod(d + 1 for d in p.g[j + 1 :]) for j in range(p.arity)]
             assert p.points == [sum(cj * s for cj, s in zip(c, strides)) for c in p.cells]
             assert p.mask == sum(1 << q for q in p.points)
@@ -116,8 +117,8 @@ class TestCandidates:
     @staticmethod
     def _orders(p, c):
         size = lambda d: math.prod(b - a + 1 for a, b in zip(c, d))
-        greedy = lambda d: (-p.rho(d), -size(d), d)
-        frugal = lambda d: (size(d), -p.rho(d), d)
+        greedy = lambda d: (-rho(p.g, d), -size(d), d)
+        frugal = lambda d: (size(d), -rho(p.g, d), d)
         return [(False, greedy), (True, frugal)]
 
     def test_tops_match_brute_force(self):
@@ -193,11 +194,9 @@ class TestGoldenSearch:
         ("shell", [(1, 1, 0), (0, 1, 1)], 2, "exact", 1, 6,
          [((3, 2, 0), (3, 2, 0)), ((1, 3, 1), (1, 3, 1)), ((0, 3, 2), (0, 3, 2)),
           ((2, 2, 0), (2, 3, 0)), ((1, 2, 1), (3, 2, 1)), ((0, 2, 2), (3, 2, 3))]),
-        ("shell", [(2, 0, 0, 1), (1, 0, 1, 2), (1, 0, 2, 1)], 1, "exact", 1, 8,
-         [((2, 0, 3, 2), (2, 0, 3, 2)), ((3, 0, 1, 2), (3, 0, 1, 2)),
-          ((2, 0, 2, 2), (2, 0, 2, 3)), ((3, 0, 0, 2), (3, 0, 0, 4)),
-          ((2, 0, 0, 2), (2, 0, 1, 4)), ((1, 0, 2, 1), (1, 0, 4, 1)),
-          ((1, 0, 1, 2), (1, 0, 4, 4)), ((2, 0, 0, 1), (4, 0, 4, 1))]),
+        # x2 is unused, so every cell has rho >= 1 and the upper bound 1
+        # is decided without a search
+        ("shell", [(2, 0, 0, 1), (1, 0, 1, 2), (1, 0, 2, 1)], 1, "exact", 1, 0, "singletons"),
     ]
 
     NAMES = ["m3^2", "m4", "m4^2", "cyclic", "quotient", "shell", "shell_L^2", "shell_free_axis"]
@@ -215,6 +214,8 @@ class TestGoldenSearch:
         }[kind]
         res = sdepth_exact(mod)
         assert (res.status, res.value, res.nodes) == (status, value, nodes)
+        if witness == "singletons":
+            witness = [(c, c) for c in build_poset(mod).cells]
         assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == witness
 
     FRUGAL_M4_SQUARED = [
@@ -250,12 +251,28 @@ class TestDecision:
         p = build_poset(QuotientModule.of_quotient_ring(ideal(X2, (1, 1))))
         d = sdepth_decision(p, 1)
         assert d.status == "true"
-        assert min(p.rho(iv.hi) for iv in d.partition.intervals) >= 1
+        assert min(rho(p.g, iv.hi) for iv in d.partition.intervals) >= 1
         assert sdepth_decision(p, 2).status == "false"
 
     def test_k_zero_always_true(self):
         p = build_poset(QuotientModule.of_ideal(ideal(X2, (1, 1))))
         assert sdepth_decision(p, 0).status == "true"
+
+    def test_every_cell_a_top_is_decided_without_a_search(self):
+        # the shell_free_axis golden module: x2 is unused, so every cell has
+        # rho >= 1; then random modules with an unused axis, at their least rho
+        x4 = make_context("x1", "x2", "x3", "x4")
+        base = ideal(x4, (2, 0, 0, 1), (1, 0, 1, 2), (1, 0, 2, 1))
+        rng = random.Random(37)
+        modules = [QuotientModule(base, base.multiply(base))]
+        modules += [_with_free_axis(_random_module(rng)) for _ in range(20)]
+        for mod in modules:
+            p = build_poset(mod)
+            k = min(rho(p.g, c) for c in p.cells)
+            assert k >= 1
+            d = sdepth_decision(p, k)
+            assert (d.status, d.nodes) == ("true", 0)
+            assert [(iv.lo, iv.hi) for iv in d.partition.intervals] == [(c, c) for c in p.cells]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_quotient_by_maximal_is_zero(self, n):
@@ -331,16 +348,34 @@ class TestSdepthExact:
 
     def test_pinned_on_the_square_of_the_pair_block(self):
         # S/I^2, I = (x1*x2, x1^2) the x block of ideals/pair.ideal: x1's
-        # exponents 0, 2, 3, 4 have a gap, the y block is unused, and the
-        # narrowed walk's lower bound 0 makes it walk again with one y axis
+        # exponents 0, 2, 3, 4 have a gap and the y block is unused, so
+        # every cell has rho >= 2, the upper bound: the compressed
+        # singletons, widened on x1, with no search
         block_a, _ = split_blocks(parse_ideal(PAIR.read_text()))
         res = sdepth_exact(QuotientModule.of_quotient_ring(block_a.power(2)))
         assert (res.status, res.value, res.lo, res.hi, res.nodes, res.reduction) == (
-            "exact", 2, 2, 2, 3, "exponent-compression")
+            "exact", 2, 2, 2, 0, "exponent-compression")
         assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == [
-            ((3, 0, 0, 0), (3, 0, 0, 0)), ((2, 0, 0, 0), (2, 1, 0, 0)),
-            ((0, 0, 0, 0), (1, 2, 0, 0))]
-        assert poset_module._cached_walk.cache_info().misses == 2
+            ((0, 0, 0, 0), (1, 0, 0, 0)), ((0, 1, 0, 0), (1, 1, 0, 0)),
+            ((2, 0, 0, 0), (2, 0, 0, 0)), ((0, 2, 0, 0), (1, 2, 0, 0)),
+            ((2, 1, 0, 0), (2, 1, 0, 0)), ((3, 0, 0, 0), (3, 0, 0, 0))]
+        assert poset_module._cached_walk.cache_info().misses == 1
+
+    def test_a_block_in_its_own_ring_and_in_the_joint_ring_share_one_walk(self):
+        # S/I, I = (x1*x2, x1^2) the x block of ideals/pair.ideal, has
+        # Stanley depth 0 in K[x1, x2]; in K[x1, x2, y1, y2] the unused y
+        # axes add 2 to every rho and to every k, and change nothing else
+        block_a, _ = split_blocks(parse_ideal(PAIR.read_text()))
+        own = QuotientModule.of_quotient_ring(MonomialIdeal(X2, tuple(e[:2] for e in block_a.exps)))
+        res_own = sdepth_exact(own)
+        res_joint = sdepth_exact(QuotientModule.of_quotient_ring(block_a))
+        assert (res_own.status, res_own.value, res_own.nodes) == ("exact", 0, 0)
+        assert (res_joint.status, res_joint.value - 2, res_joint.nodes) == (
+            res_own.status, res_own.value, res_own.nodes)
+        assert [(iv.lo[:2], iv.hi[:2]) for iv in res_joint.witness.intervals] == [
+            (iv.lo, iv.hi) for iv in res_own.witness.intervals]
+        assert all(iv.lo[2:] == iv.hi[2:] == (0, 0) for iv in res_joint.witness.intervals)
+        assert poset_module._cached_walk.cache_info().misses == 1
 
     def test_zero_module_rejected(self):
         i = ideal(X2, (1, 1))
@@ -644,7 +679,7 @@ class TestDotExport:
 
 def _tops(p: CharPoset, k: int) -> int:
     """Mask of the cells with rho >= k, the candidate tops of a decision."""
-    return sum(1 << q for q, c in zip(p.points, p.cells) if p.rho(c) >= k)
+    return sum(1 << q for q, c in zip(p.points, p.cells) if rho(p.g, c) >= k)
 
 
 def _random_module(rng: random.Random, max_vars: int = 3) -> QuotientModule:
