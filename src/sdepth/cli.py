@@ -136,9 +136,10 @@ def cmd_sdepth(args) -> int:
         text = f"sdepth({module}) = {result.value}"
     else:
         text = f"sdepth({module}) in [{result.lo}, {result.hi}] (unknown: budget exhausted)"
-    _emit(args, payload, text)
+    # written first, so that a failed write prints no result
     if args.export_poset:
         _write_text(args.export_poset, poset_to_dot(build_poset(module, budget=budget), result.witness))
+    _emit(args, payload, text)
     return EXIT_OK if result.status == "exact" else EXIT_UNKNOWN
 
 

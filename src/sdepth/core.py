@@ -16,6 +16,8 @@ from typing import Iterable
 
 
 DEFAULT_GENERATOR_CAP = 5000
+# most generators lcm_closure takes: the lcm lattice has up to 2^t elements
+LATTICE_CAP = 20
 
 
 class ContextMismatchError(ValueError):
@@ -25,13 +27,17 @@ class ContextMismatchError(ValueError):
 class CapError(RuntimeError):
     """A resource cap ran out: the answer is unknown, not wrong.
 
-    Every cap of the engine raises a subclass: GeneratorCapError here,
-    ResourceCapError (cell cap), TaylorCapError and LatticeCapError.
+    Every cap of the engine raises a subclass: GeneratorCapError and
+    LatticeCapError here, and ResourceCapError (cell cap).
     """
 
 
 class GeneratorCapError(CapError):
     """An ideal operation would exceed the configured generator cap."""
+
+
+class LatticeCapError(CapError):
+    """Too many generators for the lcm lattice (LATTICE_CAP)."""
 
 
 @dataclass(frozen=True)
@@ -184,9 +190,12 @@ def _minimal(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
-def lcm_closure(exps: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+def lcm_closure(exps: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
     """The lcms of all nonempty subsets of the exponent tuples: each tuple
-    in turn is joined with every lcm found so far, and added itself."""
+    in turn is joined with every lcm found so far, and added itself.
+    LatticeCapError, before any join, when there are more than LATTICE_CAP."""
+    if len(exps) > LATTICE_CAP:
+        raise LatticeCapError(f"{len(exps)} generators exceed the lcm-lattice cap {LATTICE_CAP}")
     closure: set[tuple[int, ...]] = set()
     for g in exps:
         closure |= {tuple(map(max, g, e)) for e in closure}

@@ -11,15 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
 
-from .core import CapError, Monomial, MonomialIdeal, RingContext, lcm_closure
-
-
-# most atoms whose join closure build_lcm_lattice computes
-LATTICE_CAP = 20
-
-
-class LatticeCapError(CapError):
-    """Too many atoms for join closure."""
+from .core import Monomial, MonomialIdeal, RingContext, lcm_closure
 
 
 class TransferWithoutIsoError(RuntimeError):
@@ -44,11 +36,10 @@ class LcmLattice:
 
 
 def build_lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
-    """Join closure of the minimal generators under lcm."""
+    """Join closure of the minimal generators under lcm (LatticeCapError
+    from :func:`lcm_closure` beyond its cap)."""
     if ideal.is_zero:
         raise ValueError("the zero ideal has no lcm-lattice")
-    if len(ideal.gens) > LATTICE_CAP:
-        raise LatticeCapError(f"{len(ideal.gens)} atoms exceed the lattice cap {LATTICE_CAP}")
     ctx = ideal.context
     elements = {Monomial(ctx, e) for e in lcm_closure(ideal.exps)}
     elements.add(ctx.one())

@@ -319,11 +319,9 @@ class SdepthResult:
 
 
 def degree_bound_g(module: QuotientModule) -> tuple[int, ...]:
-    """Componentwise max over the generator exponents of both ideals."""
-    g = (0,) * module.context.arity
-    for e in module.outer.exps + module.inner.exps:
-        g = tuple(map(max, g, e))
-    return g
+    """Componentwise max over the generator exponents of both ideals, and 0."""
+    columns = zip((0,) * module.context.arity, *module.outer.exps, *module.inner.exps)
+    return tuple(map(max, columns))
 
 
 def poset_box(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> tuple[int, ...]:
@@ -602,10 +600,10 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     """
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
+    # the box [0, g] of the witness check, sized against the cap before
+    # searching
+    dims = poset_box(module, budget)
     levels, kept, outer, inner = compress(module)
-    # the box [0, g] of the witness check, g_j the top level's exponent,
-    # sized against the cap before searching
-    dims = _capped(tuple(v[-1] + 1 for v in levels), budget, "box")
     result = _cached_walk(len(kept), outer, inner, budget)
     relabelled = any(len(v) <= v[-1] for v in levels)
     dropped = len(levels) - len(kept)

@@ -24,16 +24,7 @@ from functools import reduce
 from itertools import compress
 from math import gcd
 
-from .core import CapError, MonomialIdeal, _minimal, lcm_closure
-
-
-# most minimal generators taylor_tor_ranks takes: the lcm lattice has up
-# to 2^t elements
-TAYLOR_CAP = 20
-
-
-class TaylorCapError(CapError):
-    """Too many minimal generators for the lcm lattice."""
+from .core import MonomialIdeal, _minimal, lcm_closure
 
 
 def rational_rank(rows: list[list[int]]) -> int:
@@ -145,9 +136,6 @@ def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
     """Multigraded Betti numbers of S/I, from the upper Koszul complexes of
     the lcm-lattice elements (see the module docstring)."""
     gens = ideal.exps
-    t = len(gens)
-    if t > TAYLOR_CAP:
-        raise TaylorCapError(f"{t} generators exceed the Taylor cap {TAYLOR_CAP}")
     n = ideal.context.arity
     if ideal.is_unit:
         return BettiTable(n, {})

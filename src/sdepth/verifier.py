@@ -599,7 +599,7 @@ def sdepth_ci_power_via_transfer(
 ) -> int | None:
     """sdepth(J^k) for a complete intersection, computed in t variables on
     the maximal-ideal side and moved along the verified lattice isomorphism;
-    None when the budget or the lattice cap runs out."""
+    None when the budget or the lcm-lattice cap of either lattice runs out."""
     _require_ci(ideal_b)
     t = len(ideal_b.exps)
     s = ideal_b.context.arity
@@ -720,7 +720,7 @@ def depth_sequence(ideal: MonomialIdeal, n_max: int) -> list[SequenceRow]:
 
     The depth engine resolves cyclic quotients only, so the shell column is
     reported as n/a rather than approximated.  No budget: it makes no
-    Stanley-depth decision, and the generator and Taylor caps bound it.
+    Stanley-depth decision, and the generator and lcm-lattice caps bound it.
     """
     _require_power(n_max, "n_max")
     rows = []

@@ -68,6 +68,14 @@ class TestSdepthCommand:
         assert err.startswith(f"error: cannot write {dot}: ")
         assert not dot.exists()
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_unwritable_export_poset_prints_no_result(self, capsys, tmp_path, json_flag):
+        dot = tmp_path / "missing" / "poset.dot"
+        code, out, err = run(capsys, "sdepth", CI, "--export-poset", str(dot), *json_flag)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: cannot write {dot}: ")
+
     def test_json_reports_the_reduction(self, capsys, tmp_path):
         # the exponents of J^2 = (x1*x2, x3)^2 are consecutive: no reduction
         _, payloads = run_json(capsys, "sdepth", CI, "--module", "S/J^2")

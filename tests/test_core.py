@@ -6,19 +6,21 @@ from sdepth.core import (
     CapError,
     ContextMismatchError,
     GeneratorCapError,
+    LATTICE_CAP,
+    LatticeCapError,
     Monomial,
     MonomialIdeal,
     QuotientModule,
     RingContext,
     is_complete_intersection,
     krull_dim_quotient,
+    lcm_closure,
     make_context,
     tensor_join,
 )
 
-from sdepth.lattice import LatticeCapError, TransferWithoutIsoError
+from sdepth.lattice import TransferWithoutIsoError
 from sdepth.poset import CertificateError, ResourceCapError
-from sdepth.taylor import TaylorCapError
 
 from oracles import brute_colon, brute_krull_dim, ideal_members_box
 
@@ -160,11 +162,19 @@ class TestCapFamily:
     """Every budget cap is a CapError, which callers turn into 'unknown';
     a failed certificate or an unverified transfer is a bug, never that."""
 
-    @pytest.mark.parametrize(
-        "cls", [GeneratorCapError, ResourceCapError, TaylorCapError, LatticeCapError]
-    )
+    @pytest.mark.parametrize("cls", [GeneratorCapError, ResourceCapError, LatticeCapError])
     def test_caps_are_cap_errors(self, cls):
         assert issubclass(cls, CapError)
+
+    def test_one_class_per_cap(self):
+        assert set(CapError.__subclasses__()) == {GeneratorCapError, ResourceCapError, LatticeCapError}
+
+    def test_lcm_closure_takes_at_most_the_lattice_cap(self):
+        # the coprime powers of 21 variables, one more than the cap
+        units = [tuple(int(i == j) for j in range(LATTICE_CAP + 1)) for i in range(LATTICE_CAP + 1)]
+        with pytest.raises(LatticeCapError):
+            lcm_closure(tuple(units))
+        assert len(lcm_closure(tuple(units[:3]))) == 7
 
     @pytest.mark.parametrize("cls", [CertificateError, TransferWithoutIsoError])
     def test_bugs_are_not_cap_errors(self, cls):

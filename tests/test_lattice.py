@@ -2,9 +2,8 @@ import itertools
 
 import pytest
 
-from sdepth.core import Monomial, MonomialIdeal, make_context
+from sdepth.core import LatticeCapError, Monomial, MonomialIdeal, make_context
 from sdepth.lattice import (
-    LatticeCapError,
     TransferWithoutIsoError,
     build_lcm_lattice,
     ci_power_atom_map,
@@ -43,8 +42,11 @@ class TestBuild:
         # (x0, x1, x2)^5 has 21 generators, one more than the lattice cap
         ctx = make_context(*[f"x{i}" for i in range(3)])
         m = MonomialIdeal.from_gens(ctx, [ctx.variable(j) for j in range(3)])
+        power = m.power(5)
         with pytest.raises(LatticeCapError):
-            build_lcm_lattice(m.power(5))
+            build_lcm_lattice(power)
+        # refused on the exponent tuples, before any Monomial is built
+        assert "gens" not in power.__dict__
 
 
 class TestIsoCheck:

@@ -72,6 +72,10 @@ class TestDegreeBound:
         )
         assert degree_bound_g(QuotientModule.of_quotient_ring(i)) == (6, 6, 1, 1, 3, 3)
 
+    def test_module_with_no_generators(self):
+        zero = MonomialIdeal.zero(X3)
+        assert degree_bound_g(QuotientModule(zero, zero)) == (0, 0, 0)
+
 
 class TestBuildPoset:
     def test_quotient_by_variable(self):
@@ -588,6 +592,16 @@ class TestRuntimeCertificate:
         assert sdepth_exact(mod, budget=Budget(cell_cap=4)).value == 1
         with pytest.raises(ResourceCapError):
             sdepth_exact(mod, budget=Budget(cell_cap=3))
+
+    def test_the_input_box_not_the_compressed_one_counts_before_any_walk(self):
+        # S/(x1^5): the input box [0, 5] has 6 points, the compressed one 2
+        mod = QuotientModule.of_quotient_ring(ideal(X1, (5,)))
+        assert poset_box(mod) == (6,)
+        levels, kept, outer, inner = poset_module.compress(mod)
+        assert math.prod(len(levels[j]) for j in kept) == 2
+        with pytest.raises(ResourceCapError):
+            sdepth_exact(mod, budget=Budget(cell_cap=3))
+        assert poset_module._cached_walk.cache_info().misses == 0
 
 
 class TestCertifyWitness:

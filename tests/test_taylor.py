@@ -7,10 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 import sdepth.taylor as taylor
 from oracles import fraction_rank, taylor_betti
-from sdepth.core import Monomial, MonomialIdeal, make_context, tensor_join
+from sdepth.core import (
+    LATTICE_CAP,
+    LatticeCapError,
+    Monomial,
+    MonomialIdeal,
+    make_context,
+    tensor_join,
+)
 from sdepth.taylor import (
-    TAYLOR_CAP,
-    TaylorCapError,
     depth_ideal,
     depth_quotient,
     has_socle,
@@ -121,7 +126,7 @@ class TestTaylorRanks:
         # beta_i(S/I) = C(n, d+i-1) C(d+i-2, d-1) (Eagon-Reiner)
         n, d = 6, 3
         veronese = squarefree_ideal(n, itertools.combinations(range(n), d))
-        assert len(veronese.exps) == TAYLOR_CAP
+        assert len(veronese.exps) == LATTICE_CAP
         totals = taylor_tor_ranks(veronese).totals()
         assert totals == [1] + [math.comb(n, d + i - 1) * math.comb(d + i - 2, d - 1) for i in range(1, n - d + 2)]
         assert totals == [1, 20, 45, 36, 10]
@@ -138,7 +143,7 @@ class TestTaylorRanks:
         n, missing = 7, (0, 1)
         edges = [e for e in itertools.combinations(range(n), 2) if e != missing]
         g = squarefree_ideal(n, edges)
-        assert len(g.exps) == TAYLOR_CAP
+        assert len(g.exps) == LATTICE_CAP
         expected = {(0, (0,) * n): 1}
         for size in range(2, n + 1):
             for w in itertools.combinations(range(n), size):
@@ -211,10 +216,10 @@ class TestTaylorRanks:
             assert table.total(1) == len(i.gens)
 
     def test_cap(self):
-        # (x0, x1, x2)^5 has 21 generators, one more than the Taylor cap
+        # (x0, x1, x2)^5 has 21 generators, one more than the lattice cap
         ctx = make_context(*[f"x{i}" for i in range(3)])
         m = MonomialIdeal.from_gens(ctx, [ctx.variable(j) for j in range(3)])
-        with pytest.raises(TaylorCapError):
+        with pytest.raises(LatticeCapError):
             taylor_tor_ranks(m.power(5))
 
 
@@ -252,12 +257,12 @@ class TestDepth:
     ])
     def test_socle_test_above_the_taylor_cap(self, n, gens, k, socle):
         i = ideal(make_context(*[f"x{j}" for j in range(n)]), *gens).power(k)
-        assert len(i.exps) > TAYLOR_CAP
+        assert len(i.exps) > LATTICE_CAP
         assert has_socle(i) == socle == (i.colon_maximal() != i)
         if socle:
             assert depth_quotient(i) == taylor.DepthReport(0, n, "socle-shortcut")
         else:
-            with pytest.raises(TaylorCapError):
+            with pytest.raises(LatticeCapError):
                 depth_quotient(i)
 
     def test_shortcut_agrees_with_taylor(self):

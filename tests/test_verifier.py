@@ -219,7 +219,7 @@ class TestCapsBecomeUnknown:
 
     def test_taylor_cap_in_lemma_2_1(self):
         # (x1, x2)^20 has 21 generators; x3 keeps the socle shortcut from
-        # answering before the Taylor cap is reached
+        # answering before the lattice cap is reached
         ca = make_context("x1", "x2", "x3")
         cb = make_context("y1")
         ia = ideal(ca, (1, 0, 0), (0, 1, 0)).power(20)
