@@ -598,24 +598,24 @@ def sdepth_ci_power_via_transfer(
     ideal_b: MonomialIdeal, k: int, budget: Budget = DEFAULT_BUDGET
 ) -> int | None:
     """sdepth(J^k) for a complete intersection, computed in t variables on
-    the maximal-ideal side and moved along the verified lattice isomorphism;
-    None when the budget or the lcm-lattice cap of either lattice runs out."""
+    the maximal-ideal side and moved along the verified lattice isomorphism,
+    whose atom map is on exponent tuples; None when the lcm-lattice cap of
+    either lattice or the budget runs out.  Both lattices are built before
+    the search, so a capped lattice costs no search."""
     _require_ci(ideal_b)
     t = len(ideal_b.exps)
-    s = ideal_b.context.arity
     small = RingContext(tuple(f"_t{i + 1}" for i in range(t)))
     maximal = MonomialIdeal.from_gens(small, [small.variable(j) for j in range(t)])
     m_k = maximal.power(k)
-    source_value = _sd(QuotientModule.of_ideal(m_k), budget)
-    if source_value is None:
-        return None
     j_k = ideal_b.power(k)
-    phi = ci_power_atom_map(m_k, ideal_b.gens)
     lattices = _known(lambda: (build_lcm_lattice(m_k), build_lcm_lattice(j_k)))
     if lattices is None:
         return None
-    source, target = lattices
-    return sdepth_transfer(source_value, t, s, source, target, phi)
+    source_value = _sd(QuotientModule.of_ideal(m_k), budget)
+    if source_value is None:
+        return None
+    phi = ci_power_atom_map(m_k, ideal_b.exps)
+    return sdepth_transfer(source_value, *lattices, phi)
 
 
 def check_prop_2_14(

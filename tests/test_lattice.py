@@ -1,8 +1,10 @@
 import itertools
+import pathlib
 
 import pytest
 
 from sdepth.core import LatticeCapError, Monomial, MonomialIdeal, make_context
+from sdepth.parsing import parse_ideal
 from sdepth.lattice import (
     TransferWithoutIsoError,
     build_lcm_lattice,
@@ -22,8 +24,16 @@ class TestBuild:
         ctx = make_context("x1", "x2")
         m = ideal(ctx, (1, 0), (0, 1))
         lat = build_lcm_lattice(m)
-        assert lat.elements == {ctx.one(), ctx.variable(0), ctx.variable(1),
-                                Monomial(ctx, (1, 1))}
+        assert lat.elements == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+    def test_built_on_exponent_tuples(self):
+        ctx = make_context("x1", "x2", "x3")
+        m = ideal(ctx, (2, 1, 0), (0, 1, 1), (1, 0, 2))
+        lat = build_lcm_lattice(m)
+        assert lat.atoms == m.exps
+        assert lat.bottom == (0, 0, 0)
+        # no Monomial view of the generators is built
+        assert "gens" not in m.__dict__
 
     def test_boolean_lattice_for_ci(self):
         # pairwise coprime generators give the full Boolean lattice
@@ -56,8 +66,7 @@ class TestIsoCheck:
         cb = make_context("x1", "x2", "x3")
         src = build_lcm_lattice(ideal(ca, (1, 0), (0, 1)))
         tgt = build_lcm_lattice(ideal(cb, (1, 1, 0), (0, 0, 1)))
-        phi = {ca.variable(0): Monomial(cb, (1, 1, 0)),
-               ca.variable(1): cb.variable(2)}
+        phi = {(1, 0): (1, 1, 0), (0, 1): (0, 0, 1)}
         assert lattice_iso_check(src, tgt, phi)
 
     def test_triangle_not_isomorphic_to_boolean(self):
@@ -73,13 +82,10 @@ class TestIsoCheck:
     def test_bad_atom_map_rejected(self):
         ctx = make_context("x1", "x2")
         lat = build_lcm_lattice(ideal(ctx, (1, 0), (0, 1)))
-        with pytest.raises(ValueError):
-            lattice_iso_check(lat, lat, {ctx.variable(0): ctx.variable(1)})
-        with pytest.raises(ValueError):
-            lattice_iso_check(lat, lat, {
-                ctx.variable(0): Monomial(ctx, (5, 5)),
-                ctx.variable(1): ctx.variable(1),
-            })
+        with pytest.raises(ValueError, match="exactly on the source atoms"):
+            lattice_iso_check(lat, lat, {(1, 0): (0, 1)})
+        with pytest.raises(ValueError, match="target lattice elements"):
+            lattice_iso_check(lat, lat, {(1, 0): (5, 5), (0, 1): (0, 1)})
 
     def test_identity_is_iso(self):
         ctx = make_context("x1", "x2", "x3")
@@ -98,28 +104,36 @@ class TestCiPowerTransfer:
         for i, w in enumerate(widths):
             names.extend(f"y{i}{j}" for j in range(w))
         ctx = make_context(*names)
-        ci_gens = []
+        ci_exps = []
         pos = 0
         for w in widths:
             exps = [0] * len(names)
             for j in range(w):
                 exps[pos + j] = j + 1
-            ci_gens.append(Monomial(ctx, tuple(exps)))
+            ci_exps.append(tuple(exps))
             pos += w
-        j_ideal = MonomialIdeal.from_gens(ctx, ci_gens)
+        j_ideal = ideal(ctx, *ci_exps)
         src = build_lcm_lattice(maximal.power(k))
         tgt = build_lcm_lattice(j_ideal.power(k))
-        phi = ci_power_atom_map(maximal.power(k), tuple(ci_gens))
+        phi = ci_power_atom_map(maximal.power(k), tuple(ci_exps))
         assert lattice_iso_check(src, tgt, phi)
+
+    def test_atom_map_on_tuples(self):
+        # a -> a_1*v_1 + a_2*v_2 for v = (1, 1, 0), (0, 0, 2)
+        small = make_context("_t1", "_t2")
+        maximal = ideal(small, (1, 0), (0, 1))
+        phi = ci_power_atom_map(maximal.power(2), ((1, 1, 0), (0, 0, 2)))
+        assert phi == {(2, 0): (2, 2, 0), (1, 1): (1, 1, 2), (0, 2): (0, 0, 4)}
+        with pytest.raises(ValueError):
+            ci_power_atom_map(maximal, ((1, 1, 0),))
 
     def test_transfer_shifts_by_arity_difference(self):
         ca = make_context("x1", "x2")
         cb = make_context("x1", "x2", "x3")
         src = build_lcm_lattice(ideal(ca, (1, 0), (0, 1)))
         tgt = build_lcm_lattice(ideal(cb, (1, 1, 0), (0, 0, 1)))
-        phi = {ca.variable(0): Monomial(cb, (1, 1, 0)),
-               ca.variable(1): cb.variable(2)}
-        assert sdepth_transfer(1, 2, 3, src, tgt, phi) == 2
+        phi = {(1, 0): (1, 1, 0), (0, 1): (0, 0, 1)}
+        assert sdepth_transfer(1, src, tgt, phi) == 2
 
     def test_transfer_refuses_without_iso(self):
         ctx = make_context("x1", "x2", "x3")
@@ -127,7 +141,7 @@ class TestCiPowerTransfer:
         tgt = build_lcm_lattice(ideal(ctx, (1, 1, 0), (0, 1, 1), (1, 0, 1)))
         phi = dict(zip(src.atoms, tgt.atoms))
         with pytest.raises(TransferWithoutIsoError):
-            sdepth_transfer(2, 3, 3, src, tgt, phi)
+            sdepth_transfer(2, src, tgt, phi)
 
 
 class TestDot:
@@ -138,3 +152,23 @@ class TestDot:
         assert dot.startswith("digraph")
         assert dot.count("->") == 4
         assert "doublecircle" in dot
+
+    def test_golden_ci(self):
+        # J = (x1*x2, x3): the Boolean lattice on two atoms, in graded-lex
+        # order, with one edge per cover
+        path = pathlib.Path(__file__).resolve().parent.parent / "ideals" / "ci.ideal"
+        lat = build_lcm_lattice(parse_ideal(path.read_text()))
+        assert lattice_to_dot(lat) == "\n".join([
+            "digraph lcm_lattice {",
+            "  rankdir=BT;",
+            "  node [shape=ellipse];",
+            '  m0 [label="1", shape=ellipse];',
+            '  m1 [label="x3", shape=doublecircle];',
+            '  m2 [label="x1*x2", shape=doublecircle];',
+            '  m3 [label="x1*x2*x3", shape=ellipse];',
+            "  m0 -> m1;",
+            "  m0 -> m2;",
+            "  m1 -> m3;",
+            "  m2 -> m3;",
+            "}",
+        ])

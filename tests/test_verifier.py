@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sdepth.poset
 import sdepth.taylor as taylor
 import sdepth.verifier as verifier
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context, tensor_join
@@ -226,6 +227,14 @@ class TestCapsBecomeUnknown:
         report = check_lemma_2_1(ia, ideal(cb, (1,)), budget=BUDGET)
         assert report.verdict == "unknown"
         assert [i.verdict for i in report.items] == ["holds", "unknown"]
+
+    def test_lattice_cap_in_the_transfer_costs_no_search(self):
+        # (x1, .., x4)^4 has 35 generators, over the lattice cap: the
+        # transfer is unknown before m^4 is searched
+        ctx = make_context("x1", "x2", "x3", "x4")
+        j = ideal(ctx, *[tuple(int(i == v) for i in range(4)) for v in range(4)])
+        assert sdepth_ci_power_via_transfer(j, 4, budget=Budget(time_limit=1.0)) is None
+        assert sdepth.poset._cached_walk.cache_info().misses == 0
 
     def test_cell_cap_in_prop_2_2(self):
         ia, ib = block_pair()
