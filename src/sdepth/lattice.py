@@ -35,13 +35,9 @@ class LcmLattice:
     def bottom(self) -> Exponent:
         return (0,) * self.context.arity
 
-    @property
-    def proper_elements(self) -> frozenset[Exponent]:
-        return self.elements - {self.bottom}
 
-
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(map(operator.le, a, b))
+def _join(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(map(max, a, b))
 
 
 def build_lcm_lattice(ideal: MonomialIdeal) -> LcmLattice:
@@ -58,28 +54,29 @@ def lattice_iso_check(
 ) -> bool:
     """Is the join-extension of the atom map a join-preserving bijection?
 
-    The extension ψ sends each proper element e to the componentwise max of
-    φ(a) over the atoms a dividing e.
+    ψ sends each element to the join of φ(a) over the atoms a below it, and
+    the bottom (the zero tuple, listed or not) to the bottom.  Every element
+    y is the join of the atoms a_1..a_k below it, so it suffices that
+    ψ(x ∨ a) = ψ(x) ∨ φ(a) for each element x and atom a: ψ(x ∨ y) =
+    ψ(x) ∨ φ(a_1) ∨ .. ∨ φ(a_k) = ψ(x) ∨ ψ(y).  It is necessary, as
+    ψ(a) = φ(a) for minimal generators.  The ψ(x ∨ a) lookups check closure
+    under joins with atoms, and with injectivity that is all the proof
+    needs: the join z of the atoms below y is an element with ψ(z) = ψ(y),
+    so z = y.  A source that is not the lcm lattice of its atoms is never
+    accepted (False or KeyError).
     """
     if set(phi) != set(source.atoms):
         raise ValueError("atom map must be defined exactly on the source atoms")
     if any(v not in target.elements for v in phi.values()):
         raise ValueError("atom map values must be target lattice elements")
-    psi: dict[Exponent, Exponent] = {}
-    for e in source.proper_elements:
-        below = [phi[a] for a in source.atoms if _divides(a, e)]
-        if not below:
-            return False
-        psi[e] = tuple(map(max, zip(*below)))
+    psi = {
+        e: tuple(map(max, zip(target.bottom, *(phi[a] for a in source.atoms if _join(a, e) == e))))
+        for e in source.elements | {source.bottom}
+    }
     image = set(psi.values())
-    if len(image) != len(psi) or image != set(target.proper_elements):
+    if len(image) != len(psi) or image != target.elements | {target.bottom}:
         return False
-    elems = sorted(psi, key=lambda e: (sum(e), e))
-    for i, x in enumerate(elems):
-        for y in elems[i:]:
-            if psi[tuple(map(max, x, y))] != tuple(map(max, psi[x], psi[y])):
-                return False
-    return True
+    return all(psi[_join(x, a)] == _join(psi[x], phi[a]) for x in psi for a in source.atoms)
 
 
 def sdepth_transfer(
@@ -116,25 +113,25 @@ def ci_power_atom_map(
 
 
 def lattice_to_dot(lattice: LcmLattice) -> str:
-    """DOT rendering of the lattice's Hasse diagram (divisibility order)."""
+    """DOT rendering of the lattice's Hasse diagram (divisibility order).
+
+    The upper covers of p are the minimal joins p ∨ a ≠ p over the atoms a:
+    a cover q of p is the join of its atoms, one of which, a, is not below
+    p, so q = p ∨ a; and an element strictly between p and p ∨ a has an
+    atom b not below p, so p ∨ b is a smaller join.  Edges are sorted by
+    the rank of the upper element, then of the lower one.
+    """
     elems = sorted(lattice.elements, key=lambda e: (sum(e), e))
-    below: dict[Exponent, list[Exponent]] = {e: [] for e in elems}
+    rank = {e: i for i, e in enumerate(elems)}
+    edges = []
     for p in elems:
-        for q in elems:
-            if p != q and _divides(p, q):
-                below[q].append(p)
+        ups = {_join(p, a) for a in lattice.atoms} - {p}
+        covers = [q for q in ups if not any(r != q and _join(r, q) == q for r in ups)]
+        edges += [(rank[q], rank[p]) for q in covers]
     lines = ["digraph lcm_lattice {", "  rankdir=BT;", "  node [shape=ellipse];"]
-    ids = {e: f"m{i}" for i, e in enumerate(elems)}
-    for e in elems:
+    for i, e in enumerate(elems):
         shape = "doublecircle" if e in lattice.atoms else "ellipse"
-        lines.append(f'  {ids[e]} [label="{Monomial(lattice.context, e)}", shape={shape}];')
-    for q in elems:
-        covers = [
-            p
-            for p in below[q]
-            if not any(_divides(p, r) and r != p for r in below[q])
-        ]
-        for p in covers:
-            lines.append(f"  {ids[p]} -> {ids[q]};")
+        lines.append(f'  m{i} [label="{Monomial(lattice.context, e)}", shape={shape}];')
+    lines += [f"  m{p} -> m{q};" for q, p in sorted(edges)]
     lines.append("}")
     return "\n".join(lines)

@@ -7,7 +7,9 @@ walk the box point by point with ``contains``, and ranks go through dense
 ``Fraction`` Gaussian elimination.  Ideal arithmetic is redone on
 ``Monomial`` objects and minimalised by pairwise divisibility.  Betti
 numbers come from the strands of the Taylor complex on all generator
-subsets, not from the lcm-lattice complexes the engine uses.
+subsets, not from the lcm-lattice complexes the engine uses.  lcm-lattice
+isomorphisms and Hasse diagrams compare every pair of elements, where the
+engine reads the lattice through its atoms.
 """
 from __future__ import annotations
 
@@ -196,16 +198,45 @@ def pointwise_thm_2_11_mismatches(ideal_a: MonomialIdeal, v: Monomial, n: int) -
     return mismatches
 
 
-def pointwise_hasse_edges(poset: CharPoset) -> "set[tuple[tuple[int, ...], tuple[int, ...]]]":
-    """Cover pairs (p, q) of the poset by the pairwise definition: p < q
-    with no cell strictly between."""
-    cells = poset.cells
+def hasse_by_all_pairs(points) -> "set[tuple[tuple[int, ...], tuple[int, ...]]]":
+    """Cover pairs (p, q) of divisibility on the points, the transitive
+    reduction by the pairwise definition: p < q with no point strictly
+    between."""
+    points = list(points)
     below = lambda p, q: p != q and all(a <= b for a, b in zip(p, q))
     edges = set()
-    for q in cells:
-        lower = [p for p in cells if below(p, q)]
+    for q in points:
+        lower = [p for p in points if below(p, q)]
         edges.update((p, q) for p in lower if not any(below(p, r) for r in lower))
     return edges
+
+
+def pointwise_hasse_edges(poset: CharPoset) -> "set[tuple[tuple[int, ...], tuple[int, ...]]]":
+    """Cover pairs (p, q) of the poset's cells, by :func:`hasse_by_all_pairs`."""
+    return hasse_by_all_pairs(poset.cells)
+
+
+def iso_by_all_pairs(source, target, phi) -> bool:
+    """Is the join-extension ψ of the atom map between two lcm lattices a
+    join-preserving bijection?  ψ(e) is the componentwise max of φ(a) over
+    the atoms a dividing the proper element e; joins are compared on every
+    pair of proper elements."""
+    divides = lambda a, b: all(x <= y for x, y in zip(a, b))
+    psi = {}
+    for e in source.elements - {source.bottom}:
+        below = [phi[a] for a in source.atoms if divides(a, e)]
+        if not below:
+            return False
+        psi[e] = tuple(map(max, zip(*below)))
+    image = set(psi.values())
+    if len(image) != len(psi) or image != target.elements - {target.bottom}:
+        return False
+    elems = list(psi)
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            if psi[tuple(map(max, x, y))] != tuple(map(max, psi[x], psi[y])):
+                return False
+    return True
 
 
 def pointwise_maximal_cells(poset: CharPoset) -> "list[tuple[int, ...]]":

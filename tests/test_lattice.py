@@ -1,7 +1,9 @@
 import itertools
 import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdepth.core import LatticeCapError, Monomial, MonomialIdeal, make_context
 from sdepth.parsing import parse_ideal
@@ -13,6 +15,8 @@ from sdepth.lattice import (
     lattice_to_dot,
     sdepth_transfer,
 )
+
+import oracles
 
 
 def ideal(ctx, *gens):
@@ -86,6 +90,22 @@ class TestIsoCheck:
             lattice_iso_check(lat, lat, {(1, 0): (0, 1)})
         with pytest.raises(ValueError, match="target lattice elements"):
             lattice_iso_check(lat, lat, {(1, 0): (5, 5), (0, 1): (0, 1)})
+
+    def test_join_clause(self):
+        # ψ is a bijection (six proper elements on each side), but it does
+        # not preserve the join of a and c: ψ(a ∨ c) is J's top, while
+        # ψ(a) ∨ ψ(c) = p ∨ r = lcm(p, q) lies below it
+        cx = make_context("x1", "x2", "x3", "x4", "x5")
+        cy = make_context("y1", "y2", "y3", "y4", "y5")
+        a, b, c, d = (0, 1, 1, 1, 0), (1, 0, 1, 1, 0), (1, 1, 0, 1, 1), (1, 1, 1, 0, 1)
+        p, q, r, s = (0, 1, 1, 1, 0), (1, 0, 1, 1, 0), (1, 1, 0, 1, 0), (1, 1, 1, 0, 1)
+        src = build_lcm_lattice(ideal(cx, a, b, c, d))
+        tgt = build_lcm_lattice(ideal(cy, p, q, r, s))
+        assert len(src.elements) == len(tgt.elements) == 7
+        phi = {a: p, b: q, c: r, d: s}
+        assert not lattice_iso_check(src, tgt, phi)
+        with pytest.raises(TransferWithoutIsoError):
+            sdepth_transfer(2, src, tgt, phi)
 
     def test_identity_is_iso(self):
         ctx = make_context("x1", "x2", "x3")
@@ -172,3 +192,57 @@ class TestDot:
             "  m2 -> m3;",
             "}",
         ])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_boolean_edge_count(self, n):
+        # the Boolean lattice on n atoms has n * 2^(n-1) covers
+        ctx = make_context(*[f"x{i}" for i in range(n)])
+        lat = build_lcm_lattice(MonomialIdeal.from_gens(ctx, [ctx.variable(j) for j in range(n)]))
+        assert lattice_to_dot(lat).count("->") == n * 2 ** (n - 1)
+
+
+@st.composite
+def lattice_ideals(draw, ctx):
+    """Nonzero ideals of at most 6 generators with exponents up to 3."""
+    exps = st.tuples(*[st.integers(0, 3)] * ctx.arity).filter(any)
+    gens = draw(st.lists(exps, min_size=1, max_size=6))
+    return ideal(ctx, *gens)
+
+
+CTX4 = make_context("x1", "x2", "x3", "x4")
+
+
+def test_iso_check_matches_all_pairs():
+    verdicts = set()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(data):
+        src = build_lcm_lattice(data.draw(lattice_ideals(CTX4)))
+        # the second ideal is sometimes the first, so that the identity map
+        # and other automorphisms are among the permutations
+        tgt_ideal = data.draw(st.one_of(st.just(None), lattice_ideals(CTX4)))
+        tgt = src if tgt_ideal is None else build_lcm_lattice(tgt_ideal)
+        maps = [dict(zip(src.atoms, data.draw(st.lists(
+            st.sampled_from(sorted(tgt.elements)), min_size=len(src.atoms), max_size=len(src.atoms)
+        ))))]
+        if len(tgt.atoms) == len(src.atoms):
+            maps.append(dict(zip(src.atoms, data.draw(st.permutations(tgt.atoms)))))
+        for phi in maps:
+            got = lattice_iso_check(src, tgt, phi)
+            assert got == oracles.iso_by_all_pairs(src, tgt, phi)
+            verdicts.add(got)
+
+    check()
+    assert verdicts == {True, False}
+
+
+@given(lattice_ideals(CTX4))
+@settings(max_examples=100, deadline=None)
+def test_dot_edges_are_the_hasse_diagram(lattice_ideal):
+    lat = build_lcm_lattice(lattice_ideal)
+    elems = sorted(lat.elements, key=lambda e: (sum(e), e))
+    edges = [(int(p), int(q)) for p, q in re.findall(r"m(\d+) -> m(\d+);", lattice_to_dot(lat))]
+    # listed by the rank of the upper element, then of the lower one
+    assert edges == sorted(edges, key=lambda pq: (pq[1], pq[0]))
+    assert {(elems[p], elems[q]) for p, q in edges} == oracles.hasse_by_all_pairs(lat.elements)
