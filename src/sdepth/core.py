@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable
 
 
@@ -115,16 +115,8 @@ class Monomial:
             raise ContextMismatchError("monomials from different contexts")
 
     @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        # graded-lex: total degree first, then lexicographic on exponents
-        return (self.degree, self.exponents)
 
     def divides(self, other: "Monomial") -> bool:
         self._check(other)
@@ -151,11 +143,6 @@ class Monomial:
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
         return Monomial(self.context, tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def __pow__(self, k: int) -> "Monomial":
-        if k < 0:
-            raise ValueError("negative power")
-        return Monomial(self.context, tuple(e * k for e in self.exponents))
 
     def __str__(self) -> str:
         parts = []
@@ -291,21 +278,6 @@ class MonomialIdeal:
         return MonomialIdeal(
             self.context, _minimal(tuple(map(max, a, b)) for a in self.exps for b in other.exps)
         )
-
-    def colon(self, m: Monomial) -> "MonomialIdeal":
-        """Monomial colon (I : m), generated by g / gcd(g, m)."""
-        if m.context != self.context:
-            raise ContextMismatchError("monomial from a different context")
-        e = m.exponents
-        return MonomialIdeal(
-            self.context,
-            _minimal(tuple(a - b if a > b else 0 for a, b in zip(g, e)) for g in self.exps),
-        )
-
-    def colon_maximal(self) -> "MonomialIdeal":
-        """(I : (x_1,...,x_n)), the intersection of the variable colons."""
-        colons = [self.colon(self.context.variable(j)) for j in range(self.context.arity)]
-        return reduce(MonomialIdeal.intersect, colons)
 
     def _check(self, other: "MonomialIdeal") -> None:
         if self.context != other.context:

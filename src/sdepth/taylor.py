@@ -71,9 +71,9 @@ def rational_rank(rows: list[list[int]]) -> int:
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Nonzero multigraded Betti numbers beta_{i,m}(S/I)."""
+    """Nonzero multigraded Betti numbers beta_{i,m}(S/I), keyed by (i, m)
+    with m an exponent tuple of the ring's arity."""
 
-    arity: int
     entries: dict[tuple[int, tuple[int, ...]], int]
 
     @property
@@ -138,7 +138,7 @@ def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
     gens = ideal.exps
     n = ideal.context.arity
     if ideal.is_unit:
-        return BettiTable(n, {})
+        return BettiTable({})
     bits = [1 << k for k in range(n)]
     entries: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * n): 1}
     for m in lcm_closure(gens):
@@ -165,7 +165,7 @@ def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
             ]
         for size, betti in _reduced_homology(complex_).items():
             entries[(size + 1, m)] = betti
-    return BettiTable(n, entries)
+    return BettiTable(entries)
 
 
 def has_socle(ideal: MonomialIdeal) -> bool:
@@ -205,11 +205,9 @@ def depth_quotient(ideal: MonomialIdeal) -> DepthReport:
     return DepthReport(n - pd, pd, "taylor")
 
 
-def depth_ideal(ideal: MonomialIdeal, quotient_depth: int | None = None) -> int:
-    """depth(I) = depth(S/I) + 1 for a nonzero proper ideal; quotient_depth,
-    when given, is depth(S/I), already computed, and no Taylor run is made."""
+def depth_ideal(ideal: MonomialIdeal, quotient_depth: int) -> int:
+    """depth(I) = depth(S/I) + 1 for a nonzero proper ideal, from
+    quotient_depth = depth(S/I) as :func:`depth_quotient` computed it."""
     if ideal.is_zero or ideal.is_unit:
         raise ValueError("depth_ideal needs a nonzero proper ideal")
-    if quotient_depth is None:
-        quotient_depth = depth_quotient(ideal).depth_quotient
     return quotient_depth + 1

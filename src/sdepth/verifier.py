@@ -193,17 +193,14 @@ def _ci_report(statement: str, ideal_b: MonomialIdeal, power: str, n: int, least
 def q_chain(
     ideal_a: MonomialIdeal, ideal_b: MonomialIdeal, n: int
 ) -> list[MonomialIdeal]:
-    """The ascending chain Q_i = sum_{j<=i} I^(n-j) J^j from I^n to (I+J)^n."""
+    """The ascending chain Q_i = sum_{j<=i} I^(n-j) J^j from I^n to (I+J)^n,
+    for I and J in one ring, such as the joint ring of :func:`tensor_join`."""
     if n < 1:
         raise ValueError("q_chain needs n >= 1")
-    if ideal_a.context == ideal_b.context:
-        ia, ib = ideal_a, ideal_b
-    else:
-        _, ia, ib = tensor_join(ideal_a, ideal_b)
     chain = []
-    current = MonomialIdeal.zero(ia.context)
+    current = MonomialIdeal.zero(ideal_a.context)
     for i in range(n + 1):
-        current = current.add(ia.power(n - i).multiply(ib.power(i)))
+        current = current.add(ideal_a.power(n - i).multiply(ideal_b.power(i)))
         chain.append(current)
     return chain
 

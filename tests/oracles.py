@@ -1,15 +1,14 @@
 """Independent brute-force oracles used to cross-check the engines.
 
 These deliberately avoid the production search machinery: partitions are
-enumerated exhaustively, dimension scans all variable subsets, colon and
-membership go through degree-bounded monomial enumeration, and box checks
+enumerated exhaustively, dimension scans all variable subsets, box checks
 walk the box point by point with ``contains``, and ranks go through dense
-``Fraction`` Gaussian elimination.  Ideal arithmetic is redone on
-``Monomial`` objects and minimalised by pairwise divisibility.  Betti
-numbers come from the strands of the Taylor complex on all generator
-subsets, not from the lcm-lattice complexes the engine uses.  lcm-lattice
-isomorphisms and Hasse diagrams compare every pair of elements, where the
-engine reads the lattice through its atoms.
+``Fraction`` Gaussian elimination.  Ideal arithmetic, and the colon by the
+maximal ideal, is redone on ``Monomial`` objects and minimalised by
+pairwise divisibility.  Betti numbers come from the strands of the Taylor
+complex on all generator subsets, not from the lcm-lattice complexes the
+engine uses.  lcm-lattice isomorphisms and Hasse diagrams compare every
+pair of elements, where the engine reads the lattice through its atoms.
 """
 from __future__ import annotations
 
@@ -69,12 +68,17 @@ def brute_krull_dim(ideal: MonomialIdeal) -> int:
     return n - best
 
 
+def graded_lex(m: Monomial) -> "tuple[int, tuple[int, ...]]":
+    """Sort key of the graded-lex order: total degree, then exponents."""
+    return (sum(m.exponents), m.exponents)
+
+
 def _minimal_monomials(gens) -> "list[Monomial]":
     """The minimal monomials of a set by the pairwise-divisibility
     definition, in graded-lex order."""
     gens = set(gens)
     minimal = [m for m in gens if not any(k != m and k.divides(m) for k in gens)]
-    return sorted(minimal, key=Monomial.sort_key)
+    return sorted(minimal, key=graded_lex)
 
 
 def _exps(gens) -> "tuple[tuple[int, ...], ...]":
@@ -100,10 +104,6 @@ def monomial_intersect(a: MonomialIdeal, b: MonomialIdeal) -> "tuple[tuple[int, 
     return _exps(g.lcm(h) for g in a.gens for h in b.gens)
 
 
-def monomial_colon(ideal: MonomialIdeal, m: Monomial) -> "tuple[tuple[int, ...], ...]":
-    return _exps(g / g.gcd(m) for g in ideal.gens)
-
-
 def monomial_colon_maximal(ideal: MonomialIdeal) -> "tuple[tuple[int, ...], ...]":
     """The intersection of the colons by each variable."""
     ctx = ideal.context
@@ -113,33 +113,6 @@ def monomial_colon_maximal(ideal: MonomialIdeal) -> "tuple[tuple[int, ...], ...]
         colon = _minimal_monomials(g / g.gcd(x) for g in ideal.gens)
         meet = colon if meet is None else _minimal_monomials(a.lcm(b) for a in meet for b in colon)
     return _exps(meet)
-
-
-def brute_colon(ideal: MonomialIdeal, m: Monomial, degree_bound: int) -> "set[tuple[int, ...]]":
-    """Members of (I : m) up to a degree bound, by direct enumeration."""
-    ctx = ideal.context
-    out = set()
-    for p in itertools.product(*(range(degree_bound + 1) for _ in range(ctx.arity))):
-        u = Monomial(ctx, p)
-        if ideal.contains(u * m):
-            out.add(p)
-    return out
-
-
-def ideal_members_box(ideal: MonomialIdeal, bound: int) -> "set[tuple[int, ...]]":
-    out = set()
-    for p in itertools.product(*(range(bound + 1) for _ in range(ideal.context.arity))):
-        if ideal.contains(Monomial(ideal.context, p)):
-            out.add(p)
-    return out
-
-
-def module_members_box(module: QuotientModule, bounds) -> "set[tuple[int, ...]]":
-    out = set()
-    for p in itertools.product(*(range(b + 1) for b in bounds)):
-        if module.contains(Monomial(module.context, p)):
-            out.add(p)
-    return out
 
 
 def pointwise_prop_2_3_mismatches(ideal_a: MonomialIdeal, ideal_b: MonomialIdeal, n: int) -> int:
@@ -177,7 +150,9 @@ def pointwise_thm_2_11_mismatches(ideal_a: MonomialIdeal, v: Monomial, n: int) -
     principal = MonomialIdeal.from_gens(v.context, [v])
     ctx, ia, iv = tensor_join(ideal_a, principal)
     total_n = ia.add(iv).power(n)
-    v_ext = iv.gens[0]
+    powers_v = [ctx.one()]
+    for _ in range(n):
+        powers_v.append(powers_v[-1] * iv.gens[0])
     powers_a = [ia.power(i) for i in range(n + 1)]
     g = degree_bound_g(QuotientModule.of_quotient_ring(total_n))
     mismatches = 0
@@ -186,10 +161,10 @@ def pointwise_thm_2_11_mismatches(ideal_a: MonomialIdeal, v: Monomial, n: int) -
         member = not total_n.contains(w)
         hits = 0
         for alpha in range(n):
-            va = v_ext**alpha
+            va = powers_v[alpha]
             if not va.divides(w):
                 continue
-            if (v_ext ** (alpha + 1)).divides(w):
+            if powers_v[alpha + 1].divides(w):
                 continue
             if not powers_a[n - alpha].contains(w / va):
                 hits += 1

@@ -597,3 +597,18 @@ def test_readme_examples_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {command}")
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    namespace = {}
+    exec(block, namespace)
+    # the results the README states in its comments and the text below
+    for claim in (
+        "res.value == 2",
+        "rep.depth_quotient == 0",
+        "m.exps == ((0, 0, 1), (0, 1, 0), (1, 0, 0))",
+    ):
+        assert claim in text
+        assert eval(claim, namespace), claim

@@ -22,7 +22,7 @@ from sdepth.core import (
 from sdepth.lattice import TransferWithoutIsoError
 from sdepth.poset import CertificateError, ResourceCapError
 
-from oracles import brute_colon, brute_krull_dim, ideal_members_box
+from oracles import brute_krull_dim, graded_lex
 
 X2 = make_context("x1", "x2")
 X3 = make_context("x1", "x2", "x3")
@@ -90,7 +90,7 @@ class TestMinimalize:
 
     def test_sorted_graded_lex(self):
         i = ideal(X2, (0, 2), (1, 1), (2, 0), (0, 3))
-        keys = [g.sort_key() for g in i.gens]
+        keys = [graded_lex(g) for g in i.gens]
         assert keys == sorted(keys)
 
     def test_matches_pairwise_definition(self):
@@ -101,7 +101,7 @@ class TestMinimalize:
             draw = lambda: Monomial(ctx, tuple(rng.randint(0, 3) for _ in range(n)))
             gens = {draw() for _ in range(rng.randint(1, 25))}
             minimal = [m for m in gens if not any(k != m and k.divides(m) for k in gens)]
-            expected = sorted(minimal, key=Monomial.sort_key)
+            expected = sorted(minimal, key=graded_lex)
             assert list(MonomialIdeal.from_gens(ctx, gens).gens) == expected
 
 
@@ -119,19 +119,11 @@ class TestIdealArithmetic:
         assert m.power(2) == ideal(X2, (2, 0), (1, 1), (0, 2))
         assert m.power(0) == MonomialIdeal.unit(X2)
 
-    def test_colon_power_identity(self):
-        # ((x1^2, x2)^2 : x2) = (x1^2, x2)
+    def test_power_of_mixed_degree_ideal(self):
+        # (x1^2, x2)^2 = (x1^4, x1^2 x2, x2^2)
         i = ideal(X2, (2, 0), (0, 1))
         sq = i.power(2)
         assert sq == ideal(X2, (4, 0), (2, 1), (0, 2))
-        assert sq.colon(mono(X2, 0, 1)) == i
-
-    def test_colon_against_enumeration(self):
-        i = ideal(X3, (2, 1, 0), (0, 0, 2), (1, 0, 1))
-        m = mono(X3, 1, 0, 1)
-        got = i.colon(m)
-        members = {p for p in brute_colon(i, m, 4)}
-        assert {p for p in ideal_members_box(got, 4)} == members
 
     def test_contains(self):
         i = ideal(X2, (1, 1))
@@ -154,8 +146,6 @@ class TestIdealArithmetic:
         assert i.add(u).is_unit
         assert i.intersect(z).is_zero
         assert i.intersect(u) == i
-        assert z.colon(mono(X2, 1, 0)).is_zero
-        assert u.colon(mono(X2, 1, 0)).is_unit
 
 
 class TestCapFamily:

@@ -43,7 +43,7 @@ class TestBuild:
         # pairwise coprime generators give the full Boolean lattice
         for t in (2, 3, 4):
             ctx = make_context(*[f"x{i}" for i in range(t)])
-            gens = [ctx.variable(j) ** 2 for j in range(t)]
+            gens = [Monomial(ctx, tuple(2 if i == j else 0 for i in range(t))) for j in range(t)]
             lat = build_lcm_lattice(MonomialIdeal.from_gens(ctx, gens))
             assert len(lat.elements) == 2 ** t
 

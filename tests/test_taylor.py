@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sdepth.taylor as taylor
-from oracles import fraction_rank, taylor_betti
+from oracles import fraction_rank, monomial_colon_maximal, taylor_betti
 from sdepth.core import (
     LATTICE_CAP,
     LatticeCapError,
@@ -245,7 +245,7 @@ class TestDepth:
     @settings(max_examples=200, deadline=None)
     @given(small_ideals(max_gens=12))
     def test_socle_test_matches_colon(self, i):
-        assert has_socle(i) == (i.colon_maximal() != i)
+        assert has_socle(i) == (monomial_colon_maximal(i) != i.exps)
 
     @pytest.mark.parametrize("n, gens, k, socle", [
         (2, [(1, 0), (0, 1)], 30, True),
@@ -258,7 +258,7 @@ class TestDepth:
     def test_socle_test_above_the_taylor_cap(self, n, gens, k, socle):
         i = ideal(make_context(*[f"x{j}" for j in range(n)]), *gens).power(k)
         assert len(i.exps) > LATTICE_CAP
-        assert has_socle(i) == socle == (i.colon_maximal() != i)
+        assert has_socle(i) == socle == (monomial_colon_maximal(i) != i.exps)
         if socle:
             assert depth_quotient(i) == taylor.DepthReport(0, n, "socle-shortcut")
         else:
@@ -345,9 +345,9 @@ class TestDepth:
     def test_depth_ideal(self):
         ctx = make_context("x1", "x2")
         m = MonomialIdeal.from_gens(ctx, [ctx.variable(0), ctx.variable(1)])
-        assert depth_ideal(m) == 1
+        assert depth_ideal(m, depth_quotient(m).depth_quotient) == 1
         with pytest.raises(ValueError):
-            depth_ideal(MonomialIdeal.zero(ctx))
+            depth_ideal(MonomialIdeal.zero(ctx), 2)
 
     def test_zero_and_unit(self):
         ctx = make_context("x1", "x2")

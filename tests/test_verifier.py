@@ -49,7 +49,7 @@ class TestQChain:
         ia, ib = block_pair()
         _, ea, eb = tensor_join(ia, ib)
         for n in (1, 2, 3):
-            chain = q_chain(ia, ib, n)
+            chain = q_chain(ea, eb, n)
             assert len(chain) == n + 1
             assert chain[0] == ea.power(n)
             assert chain[-1] == ea.add(eb).power(n)
@@ -58,8 +58,8 @@ class TestQChain:
 
     def test_successive_quotients_have_equal_sdepth_to_blocks(self):
         # each layer Q_i/Q_(i-1) is a shifted copy of a product module
-        ia, ib = block_pair()
-        chain = q_chain(ia, ib, 2)
+        _, ea, eb = tensor_join(*block_pair())
+        chain = q_chain(ea, eb, 2)
         for i in (1, 2):
             m = QuotientModule(chain[i], chain[i - 1])
             res = sdepth_exact(m, budget=BUDGET)
