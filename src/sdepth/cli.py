@@ -19,6 +19,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, astuple
 
 from .core import CapError, DEFAULT_GENERATOR_CAP, MonomialIdeal, QuotientModule, krull_dim_quotient
 from .lattice import build_lcm_lattice, lattice_to_dot
@@ -276,28 +277,18 @@ def cmd_sequence(args) -> int:
         kind, rows = "depth", depth_sequence(ideal, args.n)
     else:
         kind, rows = "sdepth", sdepth_sequence(ideal, args.n, budget=_budget(args))
-    payload = {
-        "command": "sequence",
-        "kind": kind,
-        "rows": [
-            {
-                "n": row.n,
-                "ring_quotient": row.ring_quotient.value,
-                "ideal_power": row.ideal_power.value,
-                "shell": row.shell.value,
-            }
-            for row in rows
-        ],
-    }
+    payload = {"command": "sequence", "kind": kind, "rows": list(map(asdict, rows))}
     lines = [f"{'n':>3} {kind + '(R/L^n)':>16} {kind + '(L^n)':>14} {kind + '(L^n/L^n+1)':>18}"]
+    undecided = False
     for row in rows:
-        lines.append(
-            f"{row.n:>3} {str(row.ring_quotient):>16} {str(row.ideal_power):>14} {str(row.shell):>18}"
-        )
+        cells = [str(v) if v is not None else "?(unknown)" for v in astuple(row)[1:]]
+        if args.depth:
+            # the depth engine computes no shell column
+            cells[2] = "?(n/a)"
+        undecided = undecided or "?(unknown)" in cells
+        lines.append(f"{row.n:>3} {cells[0]:>16} {cells[1]:>14} {cells[2]:>18}")
     _emit(args, payload, "\n".join(lines))
-    if any(e.status == "unknown" for row in rows for e in (row.ring_quotient, row.ideal_power, row.shell)):
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    return EXIT_UNKNOWN if undecided else EXIT_OK
 
 
 def _drop_unread_flags(args) -> None:

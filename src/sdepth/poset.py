@@ -22,7 +22,7 @@ import math
 import operator
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import CapError, Monomial, MonomialIdeal, QuotientModule, RingContext
 
@@ -293,14 +293,25 @@ class Decision:
 
 @dataclass(frozen=True)
 class SdepthResult:
-    status: str  # "exact" | "unknown"
-    value: int | None
+    """What a k-walk established: the Stanley depth lies in [lo, hi], lo
+    proved by the partition found (the witness) and hi by the refutations.
+    The answer is exact exactly when lo == hi; ``status`` and ``value``
+    read it off the bracket."""
+
     lo: int
     hi: int
     witness: IntervalPartition | None
     nodes: int = 0
     elapsed: float = 0.0
     reduction: str | None = None  # None | "exponent-compression"
+
+    @property
+    def status(self) -> str:
+        return "exact" if self.lo == self.hi else "unknown"
+
+    @property
+    def value(self) -> int | None:
+        return self.lo if self.lo == self.hi else None
 
     def to_json_dict(self) -> dict:
         witness = None
@@ -527,32 +538,28 @@ def pull_back(partition: IntervalPartition, levels: Exponents, kept: list[int]) 
 
 
 def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
-    """Largest k admitting an interval partition of the module's own poset,
-    walking down from the maximal-cell upper bound; 'unknown' outcomes carry
-    the bracket.  No reduction, no cache and no certificate check: the
-    search behind :func:`sdepth_exact`, also the reference it is tested
-    against.
+    """The bracket [lo, hi] of the module's own poset, walking k down from
+    the maximal-cell upper bound: the first k with a partition is lo, and
+    hi is one below the last k refuted, or the bound.  An undecided k
+    leaves hi where it is, so the answer is exact exactly when the
+    refutations reach down to lo.  No reduction, no cache and no
+    certificate check: the search behind :func:`sdepth_exact`, also the
+    reference it is tested against.
     """
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
     poset = build_poset(module, budget)
-    ub = min(map(poset.rho_at.__getitem__, poset.maximal_cells()))
+    hi = min(map(poset.rho_at.__getitem__, poset.maximal_cells()))
     nodes = 0
     elapsed = 0.0
-    hi = ub
-    saw_unknown = False
-    for k in range(ub, -1, -1):
+    for k in range(hi, -1, -1):
         decision = sdepth_decision(poset, k, budget)
         nodes += decision.nodes
         elapsed += decision.elapsed
         if decision.status == "true":
-            if saw_unknown:
-                return SdepthResult("unknown", None, k, hi, decision.partition, nodes, elapsed)
-            return SdepthResult("exact", k, k, k, decision.partition, nodes, elapsed)
+            return SdepthResult(k, hi, decision.partition, nodes, elapsed)
         if decision.status == "false":
             hi = k - 1
-        else:
-            saw_unknown = True
     # at k = 0 every cell is a top, so the decision hands out singletons
     raise AssertionError("unreachable: decision at k=0 cannot fail")
 
@@ -608,15 +615,12 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     relabelled = any(len(v) <= v[-1] for v in levels)
     dropped = len(levels) - len(kept)
     if relabelled or dropped:
-        result = SdepthResult(
-            result.status,
-            None if result.value is None else result.value + dropped,
-            result.lo + dropped,
-            result.hi + dropped,
-            pull_back(result.witness, levels, kept),
-            result.nodes,
-            result.elapsed,
-            "exponent-compression" if relabelled else None,
+        result = replace(
+            result,
+            lo=result.lo + dropped,
+            hi=result.hi + dropped,
+            witness=pull_back(result.witness, levels, kept),
+            reduction="exponent-compression" if relabelled else None,
         )
     certify_witness(result.witness, module, result.lo, dims)
     return result

@@ -105,7 +105,7 @@ def _known(fn, *args, **kwargs):
 def _sd(module: QuotientModule, budget: Budget) -> int | None:
     """Stanley depth as a plain value; None when the budget ran out."""
     res = _known(sdepth_exact, module, budget=budget)
-    return res.value if res is not None and res.status == "exact" else None
+    return None if res is None else res.value
 
 
 def _depth_q(ideal: MonomialIdeal) -> int | None:
@@ -217,7 +217,7 @@ def _stratum_item(module: QuotientModule, r: int, strata: Callable, budget: Budg
     each stratum as a pair of block masks."""
     dims = _known(poset_box, module, budget)
     if dims is None:
-        return CheckItem("stratum cover on box", None, None, "==", "unknown")
+        return _item("stratum cover on box", None, None, "==")
     dims_a, dims_b = dims[:r], dims[r:]
     size_b = math.prod(dims_b)
     masks = [kron_mask(mask_a, mask_b, size_b) for mask_a, mask_b in strata(dims_a, dims_b)]
@@ -234,8 +234,7 @@ def check_lemma_2_1(
     depth(R/IJ) = depth_A(A/I) + depth_B(B/J) + 1."""
     report, ia, ib = _pair_report("lemma_2_1", ideal_a, ideal_b)
     product = ia.multiply(ib)
-    same = product == ia.intersect(ib)
-    report.items.append(CheckItem("IJ == I∩J", int(same), 1, "==", "holds" if same else "fails"))
+    report.items.append(_item("IJ == I∩J", int(product == ia.intersect(ib)), 1, "=="))
     lhs = _depth_q(product)
     rhs = _sum(_depth_q(ideal_a), _depth_q(ideal_b), 1)
     report.items.append(_item("depth(R/IJ) == depth(A/I)+depth(B/J)+1", lhs, rhs, "=="))
@@ -433,7 +432,7 @@ def check_prop_2_9(
     sd_ai = _sd(QuotientModule.of_quotient_ring(ideal_a), budget)
     sd_bj2 = _sd(QuotientModule.of_ideal(ideal_b.power(2)), budget)
     if None in (sd_mixed, sd_ai, sd_bj2):
-        report.items.append(CheckItem("(1)", None, None, "<=", "unknown"))
+        report.items.append(_item("(1)", None, None, "<="))
     elif sd_mixed < sd_ai + sd_bj2:
         total2 = ia.add(ib).power(2)
         report.items.append(
@@ -446,7 +445,7 @@ def check_prop_2_9(
     sd_shell_a = _sd(QuotientModule(ideal_a, ideal_a.power(2)), budget)
     sd_j = _sd(QuotientModule.of_ideal(ideal_b), budget)
     if None in (sd_ri2, sd_shell_a, sd_j):
-        report.items.append(CheckItem("(2)", None, None, "<=", "unknown"))
+        report.items.append(_item("(2)", None, None, "<="))
     elif sd_ri2 < sd_shell_a + sd_j:
         report.items.append(
             _item("(2a) sdepth(R/(I^2+IJ)) <= sdepth(R/I^2)", sd_mixed, sd_ri2, "<=")
@@ -668,24 +667,14 @@ def check_thm_2_15(
 
 
 @dataclass(frozen=True)
-class SequenceEntry:
-    value: int | None
-    status: str  # "exact" | "unknown" | "n/a"
-
-    @classmethod
-    def of(cls, value: int | None) -> "SequenceEntry":
-        return cls(value, "exact" if value is not None else "unknown")
-
-    def __str__(self) -> str:
-        return str(self.value) if self.value is not None else f"?({self.status})"
-
-
-@dataclass(frozen=True)
 class SequenceRow:
+    """The values at power n; None where a budget or a cap left one
+    undecided, and always in the shell column of a depth table."""
+
     n: int
-    ring_quotient: SequenceEntry
-    ideal_power: SequenceEntry
-    shell: SequenceEntry
+    ring_quotient: int | None
+    ideal_power: int | None
+    shell: int | None
 
 
 def sdepth_sequence(
@@ -697,26 +686,25 @@ def sdepth_sequence(
     for n in range(1, n_max + 1):
         powers = _known(lambda: (ideal.power(n), ideal.power(n + 1)))
         if powers is None:
-            na = SequenceEntry(None, "unknown")
-            rows.append(SequenceRow(n, na, na, na))
+            rows.append(SequenceRow(n, None, None, None))
             continue
         p, p1 = powers
         rows.append(
             SequenceRow(
                 n,
-                SequenceEntry.of(_sd(QuotientModule.of_quotient_ring(p), budget)),
-                SequenceEntry.of(_sd(QuotientModule.of_ideal(p), budget)),
-                SequenceEntry.of(_sd(QuotientModule(p, p1), budget)),
+                _sd(QuotientModule.of_quotient_ring(p), budget),
+                _sd(QuotientModule.of_ideal(p), budget),
+                _sd(QuotientModule(p, p1), budget),
             )
         )
     return rows
 
 
 def depth_sequence(ideal: MonomialIdeal, n_max: int) -> list[SequenceRow]:
-    """Rows (n, depth(R/L^n), depth(L^n), shell placeholder).
+    """Rows (n, depth(R/L^n), depth(L^n), None).
 
     The depth engine resolves cyclic quotients only, so the shell column is
-    reported as n/a rather than approximated.  No budget: it makes no
+    left empty rather than approximated.  No budget: it makes no
     Stanley-depth decision, and the generator and lcm-lattice caps bound it.
     """
     _require_power(n_max, "n_max")
@@ -724,9 +712,7 @@ def depth_sequence(ideal: MonomialIdeal, n_max: int) -> list[SequenceRow]:
     for n in range(1, n_max + 1):
         p = _known(ideal.power, n)
         dq, di = _depths(p) if p is not None else (None, None)
-        rows.append(
-            SequenceRow(n, SequenceEntry.of(dq), SequenceEntry.of(di), SequenceEntry(None, "n/a"))
-        )
+        rows.append(SequenceRow(n, dq, di, None))
     return rows
 
 

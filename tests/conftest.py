@@ -15,6 +15,20 @@ def _fresh_walk_cache():
     sdepth.poset._cached_walk.cache_clear()
 
 
+@pytest.fixture
+def top_decision_times_out(monkeypatch):
+    """Every k-walk's first decision, at the maximal-cell upper bound,
+    answers 'unknown' as if its time ran out; the others search."""
+    real = sdepth.poset.sdepth_decision
+
+    def patched(poset, k, budget=sdepth.poset.DEFAULT_BUDGET):
+        if k == min(map(poset.rho_at.__getitem__, poset.maximal_cells())):
+            return sdepth.poset.Decision("unknown", None, 0, 0.0)
+        return real(poset, k, budget)
+
+    monkeypatch.setattr(sdepth.poset, "sdepth_decision", patched)
+
+
 def pytest_collection_modifyitems(config, items):
     if os.environ.get("SDEPTH_EXTENDED") == "1":
         return

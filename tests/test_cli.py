@@ -7,8 +7,10 @@ import jsonschema
 import pytest
 
 import sdepth.cli as cli
+import sdepth.verifier as verifier
 from sdepth.cli import EXIT_FAILS, EXIT_INPUT, EXIT_OK, EXIT_UNKNOWN, build_parser, main
 from sdepth.parsing import parse_ideal
+from sdepth.poset import SdepthResult
 from sdepth.verifier import STATEMENTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -54,6 +56,23 @@ class TestSdepthCommand:
     def test_budget_exhaustion_exits_unknown(self, capsys):
         code, _, err = run(capsys, "sdepth", EXAMPLE, "--module", "S/I", "--cell-cap", "10")
         assert code == EXIT_UNKNOWN
+
+    def test_a_refutation_below_an_unknown_is_exact(self, capsys, tmp_path, top_decision_times_out):
+        # sdepth((x1, x2, x3)^2) = 1: the bound 3 times out, 2 is refuted
+        path = tmp_path / "maximal.ideal"
+        path.write_text("vars: x1 x2 x3\nx1\nx2\nx3\n")
+        code, out, _ = run(capsys, "sdepth", str(path), "--module", "I^2")
+        assert code == EXIT_OK
+        assert "= 1" in out
+        code, payloads = run_json(capsys, "sdepth", str(path), "--module", "I^2")
+        assert code == EXIT_OK
+        assert [payloads[0][key] for key in ("status", "value", "lo", "hi")] == ["exact", 1, 1, 1]
+
+    def test_schema_ties_the_value_to_the_status(self, capsys):
+        _, payloads = run_json(capsys, "sdepth", CI)
+        for tampered in ({"value": None}, {"status": "unknown"}, {"lo": None}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**payloads[0], **tampered}, SCHEMA)
 
     def test_export_poset(self, capsys, tmp_path):
         dot = tmp_path / "poset.dot"
@@ -393,6 +412,19 @@ class TestSequenceCommand:
         assert code == EXIT_OK
         assert all(r["ring_quotient"] == 1 for r in payloads[0]["rows"])
         assert all(r["shell"] is None for r in payloads[0]["rows"])
+
+    def test_depth_table_text_marks_the_shell_na(self, capsys):
+        code, out, _ = run(capsys, "sequence", CI, "2", "--depth")
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:]
+        assert [line.split() for line in rows] == [["1", "1", "2", "?(n/a)"], ["2", "1", "2", "?(n/a)"]]
+
+    def test_an_open_bracket_is_an_unknown_cell(self, capsys, monkeypatch):
+        monkeypatch.setattr(verifier, "sdepth_exact", lambda module, budget: SdepthResult(0, 1, None))
+        code, out, _ = run(capsys, "sequence", CI, "2")
+        assert code == EXIT_UNKNOWN
+        rows = out.splitlines()[1:]
+        assert [line.split()[1:] for line in rows] == [["?(unknown)"] * 3] * 2
 
     @pytest.mark.parametrize(
         "gens, message",

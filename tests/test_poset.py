@@ -414,6 +414,29 @@ class TestSdepthExact:
             assert sdepth_exact(mod).value == brute_sdepth(p)
 
 
+class TestBracket:
+    """The answer is the bracket [lo, hi]: exact exactly when lo == hi,
+    whatever the walk could not decide on the way."""
+
+    MAXIMAL3 = MonomialIdeal.from_gens(X3, [X3.variable(j) for j in range(3)])
+    EITHER_WALK = pytest.mark.parametrize(
+        "walk", [poset_module.sdepth_walk, sdepth_exact], ids=["walk", "exact"])
+
+    @EITHER_WALK
+    def test_a_refutation_below_an_unknown_closes_it(self, top_decision_times_out, walk):
+        # (x1, x2, x3)^2: the bound 3 times out, 2 is refuted, 1 holds
+        mod = QuotientModule.of_ideal(self.MAXIMAL3.power(2))
+        res = walk(mod)
+        assert (res.status, res.value, res.lo, res.hi) == ("exact", 1, 1, 1)
+        certify_witness(res.witness, mod, 1, poset_box(mod))
+
+    @EITHER_WALK
+    def test_an_unknown_above_a_partition_leaves_it_open(self, top_decision_times_out, walk):
+        # (x1, x2, x3): the bound 3 times out and 2 holds, with nothing refuted
+        res = walk(QuotientModule.of_ideal(self.MAXIMAL3))
+        assert (res.status, res.value, res.lo, res.hi) == ("unknown", None, 2, 3)
+
+
 class TestInterval:
     def test_lo_and_hi_must_have_one_length(self):
         # zip would stop at the shorter corner and accept both

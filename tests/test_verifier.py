@@ -300,9 +300,9 @@ class TestSequences:
         rows = sdepth_sequence(j, 2, budget=BUDGET)
         assert [r.n for r in rows] == [1, 2]
         for r in rows:
-            assert r.ring_quotient.value == 1
-            assert r.shell.value == 1
-        assert rows[0].ideal_power.value == 2
+            assert r.ring_quotient == 1
+            assert r.shell == 1
+        assert rows[0].ideal_power == 2
 
     def test_one_taylor_run_per_ideal(self, monkeypatch):
         runs = []
@@ -322,14 +322,14 @@ class TestSequences:
         runs.clear()
         rows = depth_sequence(ideal(make_context("y1", "y2"), (1, 1), (0, 2)), 3)
         assert len(runs) == len(set(runs)) == 3
-        assert all(r.ideal_power.value == r.ring_quotient.value + 1 for r in rows)
+        assert all(r.ideal_power == r.ring_quotient + 1 for r in rows)
 
     def test_depth_sequence_marks_shell_na(self):
         ctx = make_context("y1", "y2")
         j = ideal(ctx, (1, 1))
         rows = depth_sequence(j, 2)
-        assert all(r.shell.status == "n/a" for r in rows)
-        assert all(r.ring_quotient.value == 1 for r in rows)
+        assert all(r.shell is None for r in rows)
+        assert all(r.ring_quotient == 1 for r in rows)
 
 
 class TestReportSerialization:
