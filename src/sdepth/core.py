@@ -122,10 +122,6 @@ class Monomial:
         self._check(other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(self.context, tuple(map(max, self.exponents, other.exponents)))
-
     def gcd(self, other: "Monomial") -> "Monomial":
         self._check(other)
         return Monomial(self.context, tuple(map(min, self.exponents, other.exponents)))

@@ -80,12 +80,6 @@ class BettiTable:
     def pd(self) -> int:
         return max((i for (i, _m), v in self.entries.items() if v), default=0)
 
-    def total(self, i: int) -> int:
-        return sum(v for (j, _m), v in self.entries.items() if j == i)
-
-    def totals(self) -> list[int]:
-        return [self.total(i) for i in range(self.pd + 1)]
-
 
 @dataclass(frozen=True)
 class DepthReport:

@@ -1,9 +1,9 @@
 """Executable checks for the catalogued statements about sdepth/depth of
 powers of sums of monomial ideals in disjoint variable blocks.
 
-Each ``check_*`` evaluates both sides of its (in)equalities on a concrete
+Each ``check_*`` brackets both sides of its (in)equalities on a concrete
 instance and returns a :class:`TheoremReport` with verdict ``holds``,
-``fails``, ``unknown`` (budget) or ``vacuous``.  Conjecture-style items are
+``fails``, ``unknown`` (brackets overlap) or ``vacuous``.  Conjecture-style items are
 recorded as observations, never asserted.  A ``fails`` verdict on an
 instance satisfying the hypotheses is a bug, and reports carry a full
 reproducible instance dump for that reason.
@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable
 
 from .core import (
@@ -40,22 +41,21 @@ from .poset import (
 from .taylor import depth_ideal, depth_quotient
 
 
+Bracket = tuple[int, int]
+
+
 @dataclass(frozen=True)
 class CheckItem:
     label: str
-    lhs: int | None
-    rhs: int | None
+    # an int for a closed bracket, [lo, hi] for an open one, None when the
+    # item compares nothing
+    lhs: int | list[int] | None
+    rhs: int | list[int] | None
     relation: str  # "<=", ">=", "==" (lhs REL rhs)
     verdict: str  # holds | fails | unknown | vacuous | observed-holds | observed-fails
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -67,23 +67,14 @@ class TheoremReport:
 
     @property
     def verdict(self) -> str:
-        decisive = [i for i in self.items if not i.verdict.startswith("observed")]
-        if any(i.verdict == "fails" for i in decisive):
-            return "fails"
-        if any(i.verdict == "unknown" for i in decisive):
-            return "unknown"
-        if decisive and all(i.verdict == "vacuous" for i in decisive):
-            return "vacuous"
-        return "holds"
+        decisive = {i.verdict for i in self.items if not i.verdict.startswith("observed")}
+        for verdict in ("fails", "unknown"):
+            if verdict in decisive:
+                return verdict
+        return "vacuous" if decisive == {"vacuous"} else "holds"
 
     def to_json_dict(self) -> dict:
-        return {
-            "statement": self.statement,
-            "verdict": self.verdict,
-            "instance": self.instance,
-            "items": [i.to_json_dict() for i in self.items],
-            "notes": self.notes,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
 
 class HypothesisError(ValueError):
@@ -102,49 +93,87 @@ def _known(fn, *args, **kwargs):
         return None
 
 
-def _sd(module: QuotientModule, budget: Budget) -> int | None:
-    """Stanley depth as a plain value; None when the budget ran out."""
+def _sd(module: QuotientModule, budget: Budget) -> Bracket:
+    """Stanley depth as its bracket [lo, hi]; [0, n] when a cap stopped the
+    walk, since every nonzero module has 0 <= sdepth <= n."""
     res = _known(sdepth_exact, module, budget=budget)
-    return None if res is None else res.value
+    return (0, module.context.arity) if res is None else (res.lo, res.hi)
 
 
-def _depth_q(ideal: MonomialIdeal) -> int | None:
-    return _known(lambda: depth_quotient(ideal).depth_quotient)
+def _depth_q(ideal: MonomialIdeal) -> Bracket:
+    """depth(S/I) as a closed bracket; [0, n] when a cap stopped it."""
+    depth_q = _known(lambda: depth_quotient(ideal).depth_quotient)
+    return (0, ideal.context.arity) if depth_q is None else (depth_q, depth_q)
 
 
-def _depths(ideal: MonomialIdeal) -> tuple[int | None, int | None]:
+def _depths(ideal: MonomialIdeal) -> tuple[Bracket, Bracket]:
     """depth(S/I) and depth(I) = depth(S/I) + 1 from one Taylor run; both
-    None when a cap stopped it, which only happens on a nonzero proper ideal."""
-    depth_q = _depth_q(ideal)
-    return depth_q, None if depth_q is None else depth_ideal(ideal, depth_q)
+    [0, n] when a cap stopped it, which only happens on a nonzero proper ideal."""
+    lo, hi = depth_q = _depth_q(ideal)
+    return depth_q, depth_q if lo < hi else (depth_ideal(ideal, lo),) * 2
 
 
-def _sum(*values) -> int | None:
-    return None if any(v is None for v in values) else sum(values)
+def _ends(value) -> Bracket:
+    """An operand as a bracket: an int v is [v, v]."""
+    return (value, value) if isinstance(value, int) else value
 
 
-def _min(values) -> int | None:
-    values = list(values)
-    if any(v is None for v in values):
-        return None
-    return min(values)
+def _sum(*values) -> Bracket:
+    return tuple(map(sum, zip(*map(_ends, values))))
+
+
+def _min(values) -> Bracket:
+    return tuple(map(min, zip(*map(_ends, values))))
 
 
 def _verdict(lhs, rhs, relation) -> str:
+    """``holds`` when every pair of values in the two brackets satisfies the
+    relation, ``fails`` when no pair does, else (or for a None) ``unknown``."""
     if lhs is None or rhs is None:
         return "unknown"
-    ok = {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[relation]
-    return "holds" if ok else "fails"
+    # lhs <= rhs is rhs >= lhs
+    (a, b), (c, d) = (_ends(rhs), _ends(lhs)) if relation == "<=" else (_ends(lhs), _ends(rhs))
+    holds, fails = (a == b == c == d, b < c or d < a) if relation == "==" else (a >= d, b < c)
+    return "holds" if holds else "fails" if fails else "unknown"
 
 
-def _item(label, lhs, rhs, relation) -> CheckItem:
-    return CheckItem(label, lhs, rhs, relation, _verdict(lhs, rhs, relation))
+# Kleene logic on two or more verdicts, fails < unknown < holds: "and" is
+# the least verdict, "or" the greatest
+_TRUTH = ("fails", "unknown", "holds")
+_and, _or = partial(min, key=_TRUTH.index), partial(max, key=_TRUTH.index)
+
+
+def _operand(value):
+    if value is None or isinstance(value, int):
+        return value
+    return list(value) if _value(value) is None else value[0]
+
+
+def _value(bracket: Bracket) -> int | None:
+    lo, hi = bracket
+    return lo if lo == hi else None
+
+
+def _item(label, lhs, rhs, relation, verdict: str | None = None) -> CheckItem:
+    """The item lhs REL rhs, its verdict by :func:`_verdict` unless given."""
+    verdict = verdict or _verdict(lhs, rhs, relation)
+    return CheckItem(label, _operand(lhs), _operand(rhs), relation, verdict)
+
+
+def _if_below(tag: str, value, bound, claims: Callable[[], list[CheckItem]]) -> list[CheckItem]:
+    """The items of a claim whose hypothesis is value < bound: ``claims()``
+    when it holds, a vacuous item when it fails, else an unknown one."""
+    hypothesis = _verdict(_sum(value, 1), bound, "<=")
+    if hypothesis == "holds":
+        return claims()
+    if hypothesis == "fails":
+        return [_item(f"{tag} hypothesis fails", value, bound, "<=", "vacuous")]
+    return [_item(tag, None, None, "<=")]
 
 
 def _observed(label, lhs, rhs, relation) -> CheckItem:
-    base = _verdict(lhs, rhs, relation)
-    verdict = {"holds": "observed-holds", "fails": "observed-fails"}.get(base, base)
-    return CheckItem(label, lhs, rhs, relation, verdict)
+    verdict = _verdict(lhs, rhs, relation)
+    return _item(label, lhs, rhs, relation, verdict if verdict == "unknown" else f"observed-{verdict}")
 
 
 def _require_blocks(ideal_a: MonomialIdeal, ideal_b: MonomialIdeal) -> None:
@@ -271,31 +300,29 @@ def check_prop_2_2(
         _item("(3b) sdepth(R/IJ) >= min{sdepth(R/J), sdepth_A(A/I)+sdepth_B(J)}",
               sd_r_prod, _min([sd_rj, _sum(sd_ai, sd_j)]), ">=")
     )
-    # (4)-(6): implications recorded as observations
+    # (4)-(6): implications recorded as observations, once both the
+    # hypothesis and the observed inequality are decided
     d_ai, d_i = _depths(ideal_a)
     d_bj, d_j = _depths(ideal_b)
     d_r_prod, d_prod = _depths(product)
-    known = lambda *vs: all(v is not None for v in vs)
-    if known(sd_i, d_i, sd_j, d_j, sd_prod, d_prod):
-        if sd_i >= d_i and sd_j >= d_j:
-            report.items.append(_observed("(4) sdepth(IJ) >= depth(IJ)", sd_prod, d_prod, ">="))
-        else:
-            report.items.append(CheckItem("(4) hypothesis fails", None, None, ">=", "vacuous"))
-    if known(sd_i, sd_ai, sd_j, sd_bj, d_ai, d_bj, sd_r_prod, d_r_prod):
-        conj2 = sd_i >= sd_ai + 1 or sd_j >= sd_bj + 1
-        if conj2 and sd_ai >= d_ai and sd_bj >= d_bj:
-            report.items.append(
-                _observed("(5) sdepth(R/IJ) >= depth(R/IJ)", sd_r_prod, d_r_prod, ">=")
-            )
-        else:
-            report.items.append(CheckItem("(5) hypothesis fails", None, None, ">=", "vacuous"))
-    if known(sd_i, d_i, sd_j, d_j, sd_ai, d_ai, sd_bj, d_bj, sd_r_prod, d_r_prod):
-        if sd_i >= d_i and sd_j >= d_j and sd_ai >= d_ai - 1 and sd_bj >= d_bj - 1:
-            report.items.append(
-                _observed("(6) sdepth(R/IJ) >= depth(R/IJ)-1", sd_r_prod, d_r_prod - 1, ">=")
-            )
-        else:
-            report.items.append(CheckItem("(6) hypothesis fails", None, None, ">=", "vacuous"))
+    at_least = lambda lhs, rhs: _verdict(lhs, rhs, ">=")
+    blocks = _and(at_least(sd_i, d_i), at_least(sd_j, d_j))
+    observations = [
+        ("(4)", blocks, "sdepth(IJ) >= depth(IJ)", sd_prod, d_prod),
+        ("(5)",
+         _and(_or(at_least(sd_i, _sum(sd_ai, 1)), at_least(sd_j, _sum(sd_bj, 1))),
+              at_least(sd_ai, d_ai), at_least(sd_bj, d_bj)),
+         "sdepth(R/IJ) >= depth(R/IJ)", sd_r_prod, d_r_prod),
+        ("(6)",
+         _and(blocks, at_least(sd_ai, _sum(d_ai, -1)), at_least(sd_bj, _sum(d_bj, -1))),
+         "sdepth(R/IJ) >= depth(R/IJ)-1", sd_r_prod, _sum(d_r_prod, -1)),
+    ]
+    for tag, hypothesis, claim, lhs, rhs in observations:
+        item = _observed(f"{tag} {claim}", lhs, rhs, ">=")
+        if "unknown" in (hypothesis, item.verdict):
+            continue
+        vacuous = CheckItem(f"{tag} hypothesis fails", None, None, ">=", "vacuous")
+        report.items.append(item if hypothesis == "holds" else vacuous)
     return report
 
 
@@ -431,31 +458,18 @@ def check_prop_2_9(
     sd_mixed = _sd(QuotientModule.of_quotient_ring(mixed), budget)
     sd_ai = _sd(QuotientModule.of_quotient_ring(ideal_a), budget)
     sd_bj2 = _sd(QuotientModule.of_ideal(ideal_b.power(2)), budget)
-    if None in (sd_mixed, sd_ai, sd_bj2):
-        report.items.append(_item("(1)", None, None, "<="))
-    elif sd_mixed < sd_ai + sd_bj2:
-        total2 = ia.add(ib).power(2)
-        report.items.append(
-            _item("(1) sdepth(R/(I+J)^2) <= sdepth_A(A/I)+sdepth_B(J^2)",
-                  _sd(QuotientModule.of_quotient_ring(total2), budget), sd_ai + sd_bj2, "<=")
-        )
-    else:
-        report.items.append(CheckItem("(1) hypothesis fails", sd_mixed, sd_ai + sd_bj2, "<=", "vacuous"))
+    report.items += _if_below("(1)", sd_mixed, _sum(sd_ai, sd_bj2), lambda: [
+        _item("(1) sdepth(R/(I+J)^2) <= sdepth_A(A/I)+sdepth_B(J^2)",
+              _sd(QuotientModule.of_quotient_ring(ia.add(ib).power(2)), budget), _sum(sd_ai, sd_bj2), "<=")
+    ])
     sd_ri2 = _sd(QuotientModule.of_quotient_ring(ia.power(2)), budget)
     sd_shell_a = _sd(QuotientModule(ideal_a, ideal_a.power(2)), budget)
     sd_j = _sd(QuotientModule.of_ideal(ideal_b), budget)
-    if None in (sd_ri2, sd_shell_a, sd_j):
-        report.items.append(_item("(2)", None, None, "<="))
-    elif sd_ri2 < sd_shell_a + sd_j:
-        report.items.append(
-            _item("(2a) sdepth(R/(I^2+IJ)) <= sdepth(R/I^2)", sd_mixed, sd_ri2, "<=")
-        )
-        sd_ai2 = _sd(QuotientModule.of_quotient_ring(ideal_a.power(2)), budget)
-        report.items.append(
-            _item("(2b) sdepth_A(A/I) <= sdepth_A(A/I^2)", sd_ai, sd_ai2, "<=")
-        )
-    else:
-        report.items.append(CheckItem("(2) hypothesis fails", sd_ri2, sd_shell_a + sd_j, "<=", "vacuous"))
+    report.items += _if_below("(2)", sd_ri2, _sum(sd_shell_a, sd_j), lambda: [
+        _item("(2a) sdepth(R/(I^2+IJ)) <= sdepth(R/I^2)", sd_mixed, sd_ri2, "<="),
+        _item("(2b) sdepth_A(A/I) <= sdepth_A(A/I^2)",
+              sd_ai, _sd(QuotientModule.of_quotient_ring(ideal_a.power(2)), budget), "<="),
+    ])
     return report
 
 
@@ -470,11 +484,8 @@ def check_thm_2_11(
     total = ia.add(ib)
     dim_bj = krull_dim_quotient(ideal_b)
     r = ideal_a.context.arity
-    depth_ai = [None] + [_depth_q(ideal_a.power(i)) for i in range(1, n_max + 1)]
-    sd_ai = [None] + [
-        _sd(QuotientModule.of_quotient_ring(ideal_a.power(i)), budget)
-        for i in range(1, n_max + 1)
-    ]
+    depth_ai = [_depth_q(ideal_a.power(i)) for i in range(1, n_max + 1)]
+    sd_ai = [_sd(QuotientModule.of_quotient_ring(ideal_a.power(i)), budget) for i in range(1, n_max + 1)]
     sd_rq = {}
     sd_pow = {}
     # shell n is (I+J)^n/(I+J)^(n+1); only the items (4) read them
@@ -484,7 +495,7 @@ def check_thm_2_11(
         p_n = total.power(n)
         sd_rq[n] = _sd(QuotientModule.of_quotient_ring(p_n), budget)
         sd_pow[n] = _sd(QuotientModule.of_ideal(p_n), budget)
-        rhs = _sum(_min(depth_ai[1 : n + 1]), dim_bj)
+        rhs = _sum(_min(depth_ai[:n]), dim_bj)
         report.items.append(
             _item(f"(1) depth(R/(I+J)^{n}) == min_i depth(A/I^i)+dim(B/J)", _depth_q(p_n), rhs, "==")
         )
@@ -493,7 +504,7 @@ def check_thm_2_11(
         )
         report.items.append(
             _item(f"(2b) sdepth(R/(I+J)^{n}) >= min_i sdepth(A/I^i)+dim(B/J)",
-                  sd_rq[n], _sum(_min(sd_ai[1 : n + 1]), dim_bj), ">=")
+                  sd_rq[n], _sum(_min(sd_ai[:n]), dim_bj), ">=")
         )
     for n in range(1, n_max):
         report.items.append(
@@ -592,12 +603,12 @@ def check_cor_2_13(
 
 def sdepth_ci_power_via_transfer(
     ideal_b: MonomialIdeal, k: int, budget: Budget = DEFAULT_BUDGET
-) -> int | None:
-    """sdepth(J^k) for a complete intersection, computed in t variables on
-    the maximal-ideal side and moved along the verified lattice isomorphism,
-    whose atom map is on exponent tuples; None when the lcm-lattice cap of
-    either lattice or the budget runs out.  Both lattices are built before
-    the search, so a capped lattice costs no search."""
+) -> Bracket:
+    """The bracket of sdepth(J^k) for a complete intersection: that of m^k in
+    t variables, moved along the verified lattice isomorphism, whose atom map
+    is on exponent tuples; [0, s] when the lcm-lattice cap of either lattice
+    runs out.  Both lattices are built before the search, so a capped lattice
+    costs no search."""
     _require_ci(ideal_b)
     t = len(ideal_b.exps)
     small = RingContext(tuple(f"_t{i + 1}" for i in range(t)))
@@ -606,12 +617,11 @@ def sdepth_ci_power_via_transfer(
     j_k = ideal_b.power(k)
     lattices = _known(lambda: (build_lcm_lattice(m_k), build_lcm_lattice(j_k)))
     if lattices is None:
-        return None
-    source_value = _sd(QuotientModule.of_ideal(m_k), budget)
-    if source_value is None:
-        return None
-    phi = ci_power_atom_map(m_k, ideal_b.exps)
-    return sdepth_transfer(source_value, *lattices, phi)
+        return 0, ideal_b.context.arity
+    lo, hi = _sd(QuotientModule.of_ideal(m_k), budget)
+    # the transfer adds the difference of the arities, to either end alike
+    shift = sdepth_transfer(0, *lattices, ci_power_atom_map(m_k, ideal_b.exps))
+    return lo + shift, hi + shift
 
 
 def check_prop_2_14(
@@ -692,9 +702,9 @@ def sdepth_sequence(
         rows.append(
             SequenceRow(
                 n,
-                _sd(QuotientModule.of_quotient_ring(p), budget),
-                _sd(QuotientModule.of_ideal(p), budget),
-                _sd(QuotientModule(p, p1), budget),
+                _value(_sd(QuotientModule.of_quotient_ring(p), budget)),
+                _value(_sd(QuotientModule.of_ideal(p), budget)),
+                _value(_sd(QuotientModule(p, p1), budget)),
             )
         )
     return rows
@@ -711,7 +721,7 @@ def depth_sequence(ideal: MonomialIdeal, n_max: int) -> list[SequenceRow]:
     rows = []
     for n in range(1, n_max + 1):
         p = _known(ideal.power, n)
-        dq, di = _depths(p) if p is not None else (None, None)
+        dq, di = map(_value, _depths(p)) if p is not None else (None, None)
         rows.append(SequenceRow(n, dq, di, None))
     return rows
 

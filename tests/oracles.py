@@ -81,6 +81,15 @@ def _minimal_monomials(gens) -> "list[Monomial]":
     return sorted(minimal, key=graded_lex)
 
 
+def lcm(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial(a.context, tuple(map(max, a.exponents, b.exponents)))
+
+
+def betti_totals(table) -> "list[int]":
+    """The total Betti numbers beta_i(S/I), i = 0..pd, of a BettiTable."""
+    return [sum(v for (j, _m), v in table.entries.items() if j == i) for i in range(table.pd + 1)]
+
+
 def _exps(gens) -> "tuple[tuple[int, ...], ...]":
     return tuple(m.exponents for m in _minimal_monomials(gens))
 
@@ -101,7 +110,7 @@ def monomial_power(ideal: MonomialIdeal, n: int) -> "tuple[tuple[int, ...], ...]
 
 
 def monomial_intersect(a: MonomialIdeal, b: MonomialIdeal) -> "tuple[tuple[int, ...], ...]":
-    return _exps(g.lcm(h) for g in a.gens for h in b.gens)
+    return _exps(lcm(g, h) for g in a.gens for h in b.gens)
 
 
 def monomial_colon_maximal(ideal: MonomialIdeal) -> "tuple[tuple[int, ...], ...]":
@@ -111,7 +120,7 @@ def monomial_colon_maximal(ideal: MonomialIdeal) -> "tuple[tuple[int, ...], ...]
     for j in range(ctx.arity):
         x = ctx.variable(j)
         colon = _minimal_monomials(g / g.gcd(x) for g in ideal.gens)
-        meet = colon if meet is None else _minimal_monomials(a.lcm(b) for a in meet for b in colon)
+        meet = colon if meet is None else _minimal_monomials(lcm(a, b) for a in meet for b in colon)
     return _exps(meet)
 
 

@@ -182,6 +182,14 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert payloads[0]["verdict"] == "holds"
 
+    def test_schema_takes_an_operand_as_an_int_or_a_bracket(self, capsys):
+        _, payloads = run_json(capsys, "verify", "thm_2_15", "--ideal", CI, "--n-max", "1")
+        payload, item = payloads[0], payloads[0]["items"][0]
+        jsonschema.validate({**payload, "items": [{**item, "lhs": [3, 4]}]}, SCHEMA)
+        for operand in ([4], "3", [3, 4, 5], [-1, 2]):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**payload, "items": [{**item, "lhs": operand}]}, SCHEMA)
+
     def test_pair_statement_needs_split(self, capsys):
         code, _, err = run(capsys, "verify", "lemma_2_1", "--ideal", CI)
         assert code == EXIT_INPUT

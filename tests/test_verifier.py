@@ -1,6 +1,8 @@
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdepth.poset
 import sdepth.taylor as taylor
@@ -155,7 +157,7 @@ class TestStatementChecks:
             direct = sdepth_exact(
                 QuotientModule.of_ideal(j.power(k)), budget=BUDGET
             ).value
-            assert sdepth_ci_power_via_transfer(j, k, budget=BUDGET) == direct
+            assert sdepth_ci_power_via_transfer(j, k, budget=BUDGET) == (direct, direct)
 
 
 def _random_decomposition_instance(rng: random.Random):
@@ -230,10 +232,10 @@ class TestCapsBecomeUnknown:
 
     def test_lattice_cap_in_the_transfer_costs_no_search(self):
         # (x1, .., x4)^4 has 35 generators, over the lattice cap: the
-        # transfer is unknown before m^4 is searched
+        # transfer is the open bracket [0, 4] before m^4 is searched
         ctx = make_context("x1", "x2", "x3", "x4")
         j = ideal(ctx, *[tuple(int(i == v) for i in range(4)) for v in range(4)])
-        assert sdepth_ci_power_via_transfer(j, 4, budget=Budget(time_limit=1.0)) is None
+        assert sdepth_ci_power_via_transfer(j, 4, budget=Budget(time_limit=1.0)) == (0, 4)
         assert sdepth.poset._cached_walk.cache_info().misses == 0
 
     def test_cell_cap_in_prop_2_2(self):
@@ -330,6 +332,44 @@ class TestSequences:
         rows = depth_sequence(j, 2)
         assert all(r.shell is None for r in rows)
         assert all(r.ring_quotient == 1 for r in rows)
+
+
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+_brackets = st.tuples(st.integers(0, 6), st.integers(0, 3)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+class TestBracketVerdicts:
+    """Verdicts from the brackets [lo, hi] that the engine certifies; an int
+    v counts as [v, v]."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(0, 6), _brackets), st.one_of(st.integers(0, 6), _brackets),
+           st.sampled_from(sorted(_RELATIONS)))
+    def test_a_verdict_is_true_of_every_pair_in_the_brackets(self, lhs, rhs, relation):
+        (a, b), (c, d) = [(v, v) if isinstance(v, int) else v for v in (lhs, rhs)]
+        truths = {_RELATIONS[relation](x, y) for x in range(a, b + 1) for y in range(c, d + 1)}
+        verdict = verifier._verdict(lhs, rhs, relation)
+        assert verdict == {frozenset({True}): "holds", frozenset({False}): "fails"}.get(
+            frozenset(truths), "unknown")
+        if relation == "==" and verdict == "holds":
+            assert a == b == c == d
+
+    def test_kleene_logic(self):
+        order = ["fails", "unknown", "holds"]
+        for x in order:
+            for y in order:
+                assert verifier._and(x, y) == order[min(order.index(x), order.index(y))]
+                assert verifier._or(x, y) == order[max(order.index(x), order.index(y))]
+
+    def test_an_open_bracket_decides_prop_2_2_seed_8(self):
+        # sdepth(R/IJ) stays in [3, 4] at every time limit tried, from
+        # 0.05 s to 60 s; the other side is 4 in (2a) and (3a), 3 in (2b)
+        # and (3b)
+        report = run_random("prop_2_2", 8, budget=Budget(time_limit=1.0))
+        assert report.verdict == "holds"
+        operands = [v for item in report.items[1:5] for v in (item.lhs, item.rhs)]
+        assert [3, 4] in operands
+        assert report.to_json_dict()["items"][1]["rhs"] == [3, 4]
 
 
 class TestReportSerialization:
