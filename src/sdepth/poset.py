@@ -7,8 +7,9 @@ with rho(d) = #{j : d_j = g_j} >= k exists.  Stanley depth is the largest
 such k; every positive answer ships an interval partition that converts to
 an independently checkable Stanley decomposition.  :func:`sdepth_exact`
 searches the poset shape :func:`compress` reads off the generators
-(exponents relabelled, unused variables dropped), once per shape, and
-checks the witness, pulled back, on the module itself.
+(exponents relabelled, unused variables dropped), once per shape up to a
+permutation of its variables (:func:`canonical_shape`), and checks the
+witness, pulled back, on the module itself.
 
 Every box walk goes through one kernel: an ideal becomes a Python-int
 bitmask over a box (:func:`ideal_mask`), bit p set when the point with
@@ -62,9 +63,16 @@ MEMO_CAP = 200_000
 MEMO_BITS = 2**29
 
 # poset shapes whose k-walk sdepth_exact remembers: a shape is the
-# compressed exponents on the variables some generator involves, and the
-# budget (see _cached_walk)
+# compressed exponents on the variables some generator involves, in
+# canonical variable order, and the budget (see _cached_walk); the
+# orderings of one shape share an entry
 WALK_CACHE_SIZE = 1024
+# compressed shapes, in their own variable order, whose canonical order and
+# walk sdepth_exact remembers with the budget (about two per walk-cache
+# entry on the benchmark's pools; see _shape_walk), and the orderings of
+# tied variables canonical_shape tries at most
+SHAPE_CACHE_SIZE = 4096
+ORDERINGS_CAP = 720
 # boxes whose keep masks the kernel and the search remember
 MASK_CACHE_SIZE = 512
 
@@ -100,13 +108,14 @@ def _repunit(count: int, step: int) -> int:
 
 def box_mask(lo: tuple[int, ...], hi: tuple[int, ...], strides: tuple[int, ...]) -> int:
     """Mask of the sub-box [lo, hi] (lo <= hi) of a box with these strides:
-    the bit of lo times one repunit per axis the sub-box spans.  The copies
-    sit at distinct mixed-radix offsets, so the product makes no carries."""
-    mask = 1 << sum(map(operator.mul, lo, strides))
+    the product of one repunit per axis the sub-box spans, the shape at the
+    origin, shifted to lo.  The copies sit at distinct mixed-radix offsets,
+    so the product makes no carries."""
+    mask = 1
     for lj, hj, stride in zip(lo, hi, strides):
         if hj > lj:
             mask *= _repunit(hj - lj + 1, stride)
-    return mask
+    return mask << sum(map(operator.mul, lo, strides))
 
 
 @functools.lru_cache(maxsize=MASK_CACHE_SIZE)
@@ -508,6 +517,92 @@ def _graded_lex(exps: list[tuple[int, ...]]) -> Exponents:
     return tuple(sorted(sorted(exps), key=sum))
 
 
+def _interleavings(runs: tuple[tuple[int, ...], ...]):
+    """Every merge of the nonempty runs that keeps each run's own order."""
+    if len(runs) == 1:
+        yield runs[0]
+        return
+    for i, run in enumerate(runs):
+        rest = runs[:i] + ((run[1:],) if len(run) > 1 else ()) + runs[i + 1 :]
+        for tail in _interleavings(rest):
+            yield run[:1] + tail
+
+
+def canonical_shape(
+    arity: int, outer: Exponents, inner: Exponents
+) -> tuple[tuple[int, ...], Exponents, Exponents]:
+    """The shape outer/inner (graded-lex exponent tuples of this arity,
+    outer not empty) with its variables in canonical order: the order
+    (column i of the result is column order[i] of the input) and the
+    generators of outer and inner so permuted, in graded-lex order.
+
+    A permutation of the variables permutes the axes of the poset and keeps
+    its Stanley depth, so all orderings of one shape can share one walk.
+    The order sorts the columns by an invariant no permutation changes: per
+    generator set, the column's exponents paired with their generators'
+    degrees.  Among the orderings that do, it gives the least (outer,
+    inner), which is then the same for every ordering of the shape.  Only
+    tied columns are permuted, and two tied columns whose swap fixes both
+    generator sets are interchangeable, so they keep their relative order.
+    When more than ORDERINGS_CAP orderings remain, the first is taken: a
+    key that fewer orderings share, never a wrong one.
+    """
+    if arity == 1:
+        return (0,), outer, inner
+    rows = outer + inner
+    degrees = list(map(sum, rows))
+    # a row's set and degree, which no permutation changes, in the digits
+    # above its exponent: d * base for outer, -(d + 1) * base for inner
+    base = 1 + max(degrees)
+    tags = [d * base for d in degrees[: len(outer)]] + [~d * base for d in degrees[len(outer) :]]
+    invariants = [tuple(sorted(map(operator.add, tags, column))) for column in zip(*rows)]
+    outer_set, inner_set = set(outer), set(inner)
+
+    def interchangeable(i: int, j: int) -> bool:
+        swap = list(range(arity))
+        swap[i], swap[j] = j, i
+        get = operator.itemgetter(*swap)
+        return set(map(get, outer)) == outer_set and set(map(get, inner)) == inner_set
+
+    # per run of tied columns, its classes of interchangeable ones
+    groups = []
+    orderings = 1
+    columns = sorted(range(arity), key=invariants.__getitem__)
+    for _, tied in itertools.groupby(columns, key=invariants.__getitem__):
+        classes: list[list[int]] = []
+        for j in tied:
+            for same in classes:
+                if interchangeable(same[0], j):
+                    same.append(j)
+                    break
+            else:
+                classes.append([j])
+        groups.append(tuple(map(tuple, classes)))
+        if len(classes) > 1:
+            orderings *= math.factorial(sum(map(len, classes)))
+            orderings //= math.prod(math.factorial(len(c)) for c in classes)
+    # the first ordering puts the classes of each run one after the other
+    first = sum(itertools.chain.from_iterable(groups), ())
+    if orderings == 1 and first == tuple(range(arity)):
+        return first, outer, inner
+    candidates = [(first,)]
+    if 1 < orderings <= ORDERINGS_CAP:
+        candidates = itertools.product(*map(_interleavings, groups))
+    # per set its graded-lex blocks: the degrees do not change under a
+    # permutation, so every ordering sorts within the same blocks, and
+    # comparing the blocks compares the keys
+    blocks = [[list(block) for _, block in itertools.groupby(exps, key=sum)] for exps in (outer, inner)]
+    best = None
+    for parts in candidates:
+        order = sum(parts, ())
+        get = operator.itemgetter(*order)
+        key = [[sorted(map(get, block)) for block in sets] for sets in blocks]
+        if best is None or key < best[0]:
+            best = key, order
+    key, order = best
+    return (order, *(tuple(itertools.chain.from_iterable(sets)) for sets in key))
+
+
 def pull_back(partition: IntervalPartition, levels: Exponents, kept: list[int]) -> IntervalPartition:
     """An interval partition of the compressed poset on the variables kept
     (coordinate i on variable kept[i]) as one of the module's own poset,
@@ -577,17 +672,36 @@ def _cached_walk(
     budget: Budget,
 ) -> SdepthResult:
     """:func:`sdepth_walk` of the module outer/inner, given by canonical
-    exponent tuples of this arity, in a ring of neutral variable names:
-    the walk every module of that poset shape shares."""
+    exponent tuples of this arity (:func:`canonical_shape`), in a ring of
+    neutral variable names: the walk every module of that poset shape, in
+    any order of its variables, shares."""
     context = _neutral_context(arity)
     module = QuotientModule(MonomialIdeal(context, outer), MonomialIdeal(context, inner))
     return sdepth_walk(module, budget)
 
 
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape_walk(
+    arity: int, outer: Exponents, inner: Exponents, budget: Budget
+) -> tuple[tuple[int, ...], SdepthResult]:
+    """The canonical order of the shape outer/inner (:func:`canonical_shape`)
+    and the walk of the shape in that order (:func:`_cached_walk`), memoised
+    by the shape in its own variable order: one lookup on every
+    :func:`sdepth_exact` call, and a canonical form only for a new shape."""
+    order, outer, inner = canonical_shape(arity, outer, inner)
+    return order, _cached_walk(arity, outer, inner, budget)
+
+
 def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
     """Stanley depth by :func:`sdepth_walk` on the module's compressed,
-    narrowed poset shape (:func:`compress`), memoised by that shape and the
-    budget, not by variable names; only a cache miss builds a module.
+    narrowed poset shape (:func:`compress`) with its variables in canonical
+    order (:func:`canonical_shape`), memoised by shape and budget, not by
+    variable names or variable order (:func:`_shape_walk`); only a miss of
+    the walk cache builds a module.
+    Permuting the variables permutes the poset's axes and keeps its Stanley
+    depth, so every ordering of a shape shares one walk; ``nodes`` and the
+    witness are those of the canonical ordering's search, and may differ
+    from a walk in the module's own order.
 
     A variable no generator involves is an axis of length one in the box
     [0, g]: dropping it changes no box index and no cell order and lowers
@@ -596,14 +710,15 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     interval for interval, and the result is shifted back by z.
 
     The witness comes back in the module's own coordinates by one
-    :func:`pull_back`, and has passed :func:`certify_witness` on the module
-    itself, on every call, cache hits included: its intervals cover the
-    module exactly, and their Stanley depth is at least the lower bound.  A
-    witness failing a check raises CertificateError, so lower bounds are
-    certified on the input.  When compression changed the module,
-    ``reduction`` says so: the refutations were then made on the
-    compressed poset, and that its Stanley depth is the module's rests on
-    the lcm-lattice theorem of Ichim, Katthan and Moyano-Fernandez.
+    :func:`pull_back` through the kept variables in canonical order, and
+    has passed :func:`certify_witness` on the module itself, on every call,
+    cache hits included: its intervals cover the module exactly, and their
+    Stanley depth is at least the lower bound.  A witness failing a check
+    raises CertificateError, so lower bounds are certified on the input.
+    When compression changed the module, ``reduction`` says so: the
+    refutations were then made on the compressed poset, and that its
+    Stanley depth is the module's rests on the lcm-lattice theorem of
+    Ichim, Katthan and Moyano-Fernandez.
     """
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
@@ -611,10 +726,11 @@ def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sde
     # searching
     dims = poset_box(module, budget)
     levels, kept, outer, inner = compress(module)
-    result = _cached_walk(len(kept), outer, inner, budget)
+    order, result = _shape_walk(len(kept), outer, inner, budget)
+    kept = [kept[i] for i in order]
     relabelled = any(len(v) <= v[-1] for v in levels)
     dropped = len(levels) - len(kept)
-    if relabelled or dropped:
+    if relabelled or kept != list(range(len(levels))):
         result = replace(
             result,
             lo=result.lo + dropped,

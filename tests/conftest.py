@@ -10,9 +10,11 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture(autouse=True)
 def _fresh_walk_cache():
-    """Each test starts with an empty sdepth_exact result cache, so a walk
-    memoised by an earlier test cannot stand in for one a test patches."""
+    """Each test starts with empty sdepth_exact result and shape caches, so
+    a walk memoised by an earlier test cannot stand in for one a test
+    patches."""
     sdepth.poset._cached_walk.cache_clear()
+    sdepth.poset._shape_walk.cache_clear()
 
 
 @pytest.fixture

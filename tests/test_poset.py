@@ -19,11 +19,14 @@ from sdepth.poset import (
     IntervalPartition,
     ResourceCapError,
     build_poset,
+    canonical_shape,
+    compress,
     degree_bound_g,
     mask_points,
     module_mask,
     partition_to_decomposition,
     poset_to_dot,
+    pull_back,
     sdepth_decision,
     sdepth_exact,
     verify_decomposition,
@@ -216,11 +219,16 @@ class TestGoldenSearch:
             "quotient": QuotientModule.of_quotient_ring(L),
             "shell": QuotientModule(L, L.multiply(base)),
         }[kind]
-        res = sdepth_exact(mod)
+        res = poset_module.sdepth_walk(mod)
         assert (res.status, res.value, res.nodes) == (status, value, nodes)
         if witness == "singletons":
             witness = [(c, c) for c in build_poset(mod).cells]
         assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == witness
+        # the cached walk of the module's canonical shape agrees, and its
+        # witness, pulled back, holds on the module itself
+        exact = sdepth_exact(mod)
+        assert (exact.status, exact.value) == (status, value)
+        certify_witness(exact.witness, mod, exact.value, poset_box(mod))
 
     FRUGAL_M4_SQUARED = [
         ((2, 2, 2, 2), (2, 2, 2, 2)), ((2, 2, 2, 1), (2, 2, 2, 1)), ((2, 2, 1, 2), (2, 2, 1, 2)),
@@ -356,14 +364,25 @@ class TestSdepthExact:
         # every cell has rho >= 2, the upper bound: the compressed
         # singletons, widened on x1, with no search
         block_a, _ = split_blocks(parse_ideal(PAIR.read_text()))
-        res = sdepth_exact(QuotientModule.of_quotient_ring(block_a.power(2)))
+        module = QuotientModule.of_quotient_ring(block_a.power(2))
+        res = sdepth_exact(module)
         assert (res.status, res.value, res.lo, res.hi, res.nodes, res.reduction) == (
             "exact", 2, 2, 2, 0, "exponent-compression")
+        # x2 comes first in the canonical shape, so the singletons come in
+        # its graded-lex order
         assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == [
-            ((0, 0, 0, 0), (1, 0, 0, 0)), ((0, 1, 0, 0), (1, 1, 0, 0)),
-            ((2, 0, 0, 0), (2, 0, 0, 0)), ((0, 2, 0, 0), (1, 2, 0, 0)),
-            ((2, 1, 0, 0), (2, 1, 0, 0)), ((3, 0, 0, 0), (3, 0, 0, 0))]
+            ((0, 0, 0, 0), (1, 0, 0, 0)), ((2, 0, 0, 0), (2, 0, 0, 0)),
+            ((0, 1, 0, 0), (1, 1, 0, 0)), ((3, 0, 0, 0), (3, 0, 0, 0)),
+            ((2, 1, 0, 0), (2, 1, 0, 0)), ((0, 2, 0, 0), (1, 2, 0, 0))]
         assert poset_module._cached_walk.cache_info().misses == 1
+        # the walk of the canonical shape, pulled back through its order
+        levels, kept, outer, inner = compress(module)
+        order, outer, inner = canonical_shape(len(kept), outer, inner)
+        assert order == (1, 0)
+        walk = poset_module.sdepth_walk(QuotientModule(MonomialIdeal(X2, outer), MonomialIdeal(X2, inner)))
+        assert (res.status, res.value, res.lo, res.hi, res.nodes) == (
+            walk.status, walk.value + 2, walk.lo + 2, walk.hi + 2, walk.nodes)
+        assert res.witness == pull_back(walk.witness, levels, [kept[i] for i in order])
 
     def test_a_block_in_its_own_ring_and_in_the_joint_ring_share_one_walk(self):
         # S/I, I = (x1*x2, x1^2) the x block of ideals/pair.ideal, has

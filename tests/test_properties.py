@@ -18,6 +18,7 @@ from sdepth.poset import (
     box_mask,
     box_strides,
     build_poset,
+    canonical_shape,
     certify_witness,
     compress,
     cover_mismatches,
@@ -268,20 +269,133 @@ _GAPPED = QuotientModule.of_quotient_ring(
 def test_unused_variables_share_the_walk_of_the_narrowed_module(case):
     module, extended = case
     poset_module._cached_walk.cache_clear()
+    poset_module._shape_walk.cache_clear()
     own = sdepth_exact(module, budget=BUDGET)
     res = sdepth_exact(extended, budget=BUDGET)
-    # the uncached walk of the extended module's own compressed poset: the
-    # compressed shape with the unused variables put back
+    # the uncached walk of the extended module's canonical compressed
+    # poset: the canonical shape with the unused variables put back last,
+    # pulled back through the permuted kept variables and the unused ones
     levels, kept, outer, inner = compress(extended)
+    order, outer, inner = canonical_shape(len(kept), outer, inner)
+    kept = [kept[i] for i in order]
     arity = extended.context.arity
-    compressed = _with_unused_variables(_shape_module(kept, outer, inner), arity, kept, "c")
-    direct = sdepth_walk(compressed, budget=BUDGET)
-    direct = replace(direct, witness=pull_back(direct.witness, levels, list(range(arity))))
+    canonical = _shape_module(kept, outer, inner)
+    canonical = _with_unused_variables(canonical, arity, range(len(kept)), "c")
+    direct = sdepth_walk(canonical, budget=BUDGET)
+    unused = [j for j in range(arity) if j not in kept]
+    direct = replace(direct, witness=pull_back(direct.witness, levels, kept + unused))
     assert (res.status, res.value, res.lo, res.hi, res.nodes, res.witness) == (
         direct.status, direct.value, direct.lo, direct.hi, direct.nodes, direct.witness)
     assert res.value == own.value + extended.context.arity - module.context.arity
     # M's walk serves the extended module
     assert poset_module._cached_walk.cache_info().misses == 1
+
+
+# --- permuted variables ----------------------------------------------------------
+
+
+def _permuted(exps, order):
+    """The exponent tuples with coordinate i read from coordinate order[i],
+    in graded-lex order."""
+    return tuple(sorted((tuple(e[j] for j in order) for e in exps), key=lambda e: (sum(e), e)))
+
+
+@st.composite
+def permuted_modules(draw):
+    """A small module M and pi(M): its variables permuted, in a freshly
+    named ring."""
+    module = draw(small_modules(max_volume=80))
+    arity = module.context.arity
+    order = draw(st.permutations(range(arity)))
+    prefix = draw(st.sampled_from(["x", "u", "_t"]))
+    ctx = make_context(*[f"{prefix}{i + 1}" for i in range(arity)])
+
+    def permute(ideal):
+        return MonomialIdeal(ctx, _permuted(ideal.exps, order))
+
+    return module, QuotientModule(permute(module.outer), permute(module.inner))
+
+
+_X123 = make_context("x1", "x2", "x3")
+_Y123 = make_context("y1", "y2", "y3")
+
+
+def _of(ctx, *gens):
+    return MonomialIdeal.from_gens(ctx, [Monomial(ctx, e) for e in gens])
+
+
+@given(permuted_modules())
+# S/(x1*x2^2, x3^3): no two columns tie, so the invariant alone orders
+# them; pi swaps x1 and x3
+@example((QuotientModule.of_quotient_ring(_of(_X123, (1, 2, 0), (0, 0, 3))),
+          QuotientModule.of_quotient_ring(_of(_Y123, (0, 2, 1), (3, 0, 0)))))
+# (x1^2*x2, x2^2*x3, x1*x3^2): all columns tie and no swap fixes it, so
+# the arrangements are searched; pi swaps x1 and x2
+@example((QuotientModule.of_ideal(_of(_X123, (2, 1, 0), (0, 2, 1), (1, 0, 2))),
+          QuotientModule.of_ideal(_of(_Y123, (1, 2, 0), (2, 0, 1), (0, 1, 2)))))
+# (x1, x2, x3)^2: every swap fixes it
+@example((QuotientModule.of_ideal(_of(_X123, (1, 0, 0), (0, 1, 0), (0, 0, 1)).power(2)),
+          QuotientModule.of_ideal(_of(_Y123, (1, 0, 0), (0, 1, 0), (0, 0, 1)).power(2))))
+@settings(max_examples=60, deadline=None)
+def test_a_permutation_of_the_variables_shares_the_walk(case):
+    poset_module._cached_walk.cache_clear()
+    poset_module._shape_walk.cache_clear()
+    results = [sdepth_exact(module, budget=BUDGET) for module in case]
+    direct = sdepth_walk(case[0], budget=BUDGET)
+    assert {(r.status, r.value, r.lo, r.hi) for r in results} == {
+        (direct.status, direct.value, direct.lo, direct.hi)}
+    # one walk, of the canonical shape, serves M and pi(M)
+    assert poset_module._cached_walk.cache_info().misses == 1
+    for module, res in zip(case, results):
+        certify_witness(res.witness, module, res.lo, poset_box(module))
+
+
+@st.composite
+def permuted_shapes(draw):
+    """Exponent tuples of outer (at least one) and inner, graded-lex, on up
+    to six variables (at most 6! = 720 orderings, all of which
+    canonical_shape tries when every column ties), and an ordering of the
+    variables."""
+    arity = draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(0, 2)] * arity)
+    outer = draw(st.lists(row, min_size=1, max_size=5, unique=True))
+    inner = draw(st.lists(row, max_size=5, unique=True))
+    identity = tuple(range(arity))
+    shape = arity, _permuted(outer, identity), _permuted(inner, identity)
+    return shape, draw(st.permutations(identity))
+
+
+# m^2 on six variables: all columns tie and all are interchangeable
+_M2 = _permuted([tuple(int(k in (i, j)) + int(k == i == j) for k in range(6))
+                 for i in range(6) for j in range(i, 6)], range(6))
+# the edges of a 5-cycle: all columns tie and no two are interchangeable
+_C5 = _permuted([tuple(int(k in (i, (i + 1) % 5)) for k in range(5)) for i in range(5)], range(5))
+
+
+@given(permuted_shapes())
+@example(((6, _M2, ()), (5, 3, 1, 0, 2, 4)))
+@example(((5, _C5, ()), (0, 2, 4, 1, 3)))
+@settings(max_examples=200, deadline=None)
+def test_the_canonical_shape_is_the_same_for_every_ordering(case):
+    (arity, outer, inner), order = case
+    permuted = (_permuted(outer, order), _permuted(inner, order))
+    key = canonical_shape(arity, outer, inner)
+    assert canonical_shape(arity, *permuted)[1:] == key[1:]
+    # the returned order, applied to the shape, gives the key
+    for exps in (outer, inner), permuted:
+        order, *canonical = canonical_shape(arity, *exps)
+        assert sorted(order) == list(range(arity))
+        assert [_permuted(gens, order) for gens in exps] == canonical
+
+
+def test_the_canonical_shape_beyond_the_orderings_cap_is_the_first_ordering():
+    # the edges of a 9-cycle: every column ties with every other and no swap
+    # fixes the edges, so 9! orderings remain, beyond the cap; the first
+    # keeps the columns in place
+    edges = _permuted([tuple(int(k in (i, (i + 1) % 9)) for k in range(9)) for i in range(9)],
+                      range(9))
+    assert math.factorial(9) > poset_module.ORDERINGS_CAP
+    assert canonical_shape(9, edges, ()) == (tuple(range(9)), edges, ())
 
 
 # --- the box-membership kernel -------------------------------------------------
