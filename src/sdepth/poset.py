@@ -73,6 +73,9 @@ WALK_CACHE_SIZE = 1024
 # tied variables canonical_shape tries at most
 SHAPE_CACHE_SIZE = 4096
 ORDERINGS_CAP = 720
+# operands, by exponent tuples and budget, whose Stanley-depth bracket the
+# verifier remembers (see verifier._bracket): two ints and the key each
+BRACKET_CACHE_SIZE = 4096
 # boxes whose keep masks the kernel and the search remember
 MASK_CACHE_SIZE = 512
 

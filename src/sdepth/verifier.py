@@ -10,11 +10,12 @@ reproducible instance dump for that reason.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from functools import partial
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 from .core import (
     CapError,
@@ -29,6 +30,7 @@ from .core import (
 from .lattice import build_lcm_lattice, ci_power_atom_map, sdepth_transfer
 from .parsing import format_ideal, split_blocks
 from .poset import (
+    BRACKET_CACHE_SIZE,
     Budget,
     DEFAULT_BUDGET,
     cover_mismatches,
@@ -93,11 +95,49 @@ def _known(fn, *args, **kwargs):
         return None
 
 
+class _Operand:
+    """A module as the verifier's memo keys it: the arity, the exponent
+    tuples of its two ideals and the budget, not its ring.  The module
+    rides along uncompared for the one call a miss makes, which takes it,
+    so the memo keeps the key and not the module."""
+
+    __slots__ = ("key", "module")
+
+    def __init__(self, module: QuotientModule, budget: Budget):
+        self.key = (module.context.arity, module.outer.exps, module.inner.exps, budget)
+        self.module = module
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+@lru_cache(maxsize=BRACKET_CACHE_SIZE)
+def _bracket(operand: _Operand) -> Bracket:
+    """The bracket of :func:`_sd`, by one :func:`sdepth_exact` call on the
+    module of the first operand with these exponents and budget."""
+    module, operand.module = operand.module, None
+    arity, _, _, budget = operand.key
+    res = _known(sdepth_exact, module, budget=budget)
+    return (0, arity) if res is None else (res.lo, res.hi)
+
+
 def _sd(module: QuotientModule, budget: Budget) -> Bracket:
     """Stanley depth as its bracket [lo, hi]; [0, n] when a cap stopped the
-    walk, since every nonzero module has 0 <= sdepth <= n."""
-    res = _known(sdepth_exact, module, budget=budget)
-    return (0, module.context.arity) if res is None else (res.lo, res.hi)
+    walk, since every nonzero module has 0 <= sdepth <= n.
+
+    Memoised by the module's exponent tuples and the budget, without its
+    ring (:func:`_bracket`): a block's module in its own variables, in the
+    joint ring or in a split ring, and a module that several checks
+    compare, is decided once per process.  Only the
+    bracket is kept, never the witness.  On a miss :func:`sdepth_exact`
+    runs on this module and certifies its witness on it, so every distinct
+    (exponents, budget) pair is certified on an input once; a
+    CertificateError propagates and nothing is cached.
+    """
+    return _bracket(_Operand(module, budget))
 
 
 def _depth_q(ideal: MonomialIdeal) -> Bracket:
@@ -219,6 +259,26 @@ def _ci_report(statement: str, ideal_b: MonomialIdeal, power: str, n: int, least
     return TheoremReport(statement, {"J": format_ideal(ideal_b), power: str(n)})
 
 
+def _powers(ideal: MonomialIdeal) -> Iterator[MonomialIdeal]:
+    """I^0, I^1, I^2, ...: each by one multiply from the one before, so the
+    powers up to I^m cost m products; a power over the generator cap raises
+    GeneratorCapError, as :meth:`MonomialIdeal.power` does."""
+    power = MonomialIdeal.unit(ideal.context)
+    while True:
+        yield power
+        power = power.multiply(ideal)
+
+
+def _powers_below_cap(ideal: MonomialIdeal, top: int) -> list[MonomialIdeal]:
+    """I^0, ..., I^top from :func:`_powers`, cut before the first power over
+    the generator cap."""
+    chain = _powers(ideal)
+    powers = []
+    while len(powers) <= top and (power := _known(next, chain)) is not None:
+        powers.append(power)
+    return powers
+
+
 def q_chain(
     ideal_a: MonomialIdeal, ideal_b: MonomialIdeal, n: int
 ) -> list[MonomialIdeal]:
@@ -226,17 +286,18 @@ def q_chain(
     for I and J in one ring, such as the joint ring of :func:`tensor_join`."""
     if n < 1:
         raise ValueError("q_chain needs n >= 1")
+    powers_a = list(itertools.islice(_powers(ideal_a), n + 1))
     chain = []
     current = MonomialIdeal.zero(ideal_a.context)
-    for i in range(n + 1):
-        current = current.add(ideal_a.power(n - i).multiply(ideal_b.power(i)))
+    for i, power_b in zip(range(n + 1), _powers(ideal_b)):
+        current = current.add(powers_a[n - i].multiply(power_b))
         chain.append(current)
     return chain
 
 
 def _shell_masks(ideal: MonomialIdeal, n: int, dims: tuple[int, ...]) -> list[int]:
     """Masks of the shells I^i/I^(i+1), i = 0..n, on a box."""
-    powers = [ideal_mask(ideal.power(i), dims) for i in range(n + 2)]
+    powers = [ideal_mask(p, dims) for p in itertools.islice(_powers(ideal), n + 2)]
     return [powers[i] & ~powers[i + 1] for i in range(n + 1)]
 
 
@@ -692,13 +753,13 @@ def sdepth_sequence(
 ) -> list[SequenceRow]:
     """Rows (n, sdepth(R/L^n), sdepth(L^n), sdepth(L^n/L^(n+1)))."""
     _require_power(n_max, "n_max")
+    powers = _powers_below_cap(ideal, n_max + 1)
     rows = []
     for n in range(1, n_max + 1):
-        powers = _known(lambda: (ideal.power(n), ideal.power(n + 1)))
-        if powers is None:
+        if n + 1 >= len(powers):
             rows.append(SequenceRow(n, None, None, None))
             continue
-        p, p1 = powers
+        p, p1 = powers[n], powers[n + 1]
         rows.append(
             SequenceRow(
                 n,
@@ -718,10 +779,10 @@ def depth_sequence(ideal: MonomialIdeal, n_max: int) -> list[SequenceRow]:
     Stanley-depth decision, and the generator and lcm-lattice caps bound it.
     """
     _require_power(n_max, "n_max")
+    powers = _powers_below_cap(ideal, n_max)
     rows = []
     for n in range(1, n_max + 1):
-        p = _known(ideal.power, n)
-        dq, di = map(_value, _depths(p)) if p is not None else (None, None)
+        dq, di = map(_value, _depths(powers[n])) if n < len(powers) else (None, None)
         rows.append(SequenceRow(n, dq, di, None))
     return rows
 

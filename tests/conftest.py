@@ -4,17 +4,19 @@ import sys
 import pytest
 
 import sdepth.poset
+import sdepth.verifier
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 
 @pytest.fixture(autouse=True)
 def _fresh_walk_cache():
-    """Each test starts with empty sdepth_exact result and shape caches, so
-    a walk memoised by an earlier test cannot stand in for one a test
-    patches."""
+    """Each test starts with empty sdepth_exact result and shape caches and
+    an empty verifier bracket memo, so a walk or bracket memoised by an
+    earlier test cannot stand in for one a test patches."""
     sdepth.poset._cached_walk.cache_clear()
     sdepth.poset._shape_walk.cache_clear()
+    sdepth.verifier._bracket.cache_clear()
 
 
 @pytest.fixture

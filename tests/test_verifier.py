@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import sdepth.poset
 import sdepth.taylor as taylor
 import sdepth.verifier as verifier
-from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context, tensor_join
-from sdepth.poset import Budget, sdepth_exact
+from sdepth.core import Monomial, MonomialIdeal, QuotientModule, RingContext, make_context, tensor_join
+from sdepth.poset import Budget, CertificateError, sdepth_exact
 from sdepth.verifier import (
     STATEMENTS,
     HypothesisError,
@@ -135,8 +135,6 @@ class TestStatementChecks:
 
     def test_cor_2_13_colon_shift(self):
         # L = (x1^2, x1*y1): gcd with v = x1*y1 is w = x1
-        from sdepth.core import RingContext
-
         rctx = RingContext(("x1", "y1"), split=1)
         l = ideal(rctx, (2, 0), (1, 1))
         v = Monomial(rctx, (1, 1))
@@ -214,6 +212,65 @@ class TestStratumChecks:
         assert verifier.cover_mismatches([0b0011, 0b0110], member) == 1  # overlap
         assert verifier.cover_mismatches([0b0011, 0b1100], member) == 1  # non-member
         assert verifier.cover_mismatches([0b0111, 0b0111, 0b0111], member) == 3
+
+
+class TestBracketMemo:
+    """The verifier asks sdepth_exact once per (exponents, budget) pair, and
+    keeps only brackets."""
+
+    @staticmethod
+    def recording(monkeypatch) -> list:
+        asked = []
+
+        def recording(module, budget):
+            asked.append((module, budget))
+            return sdepth_exact(module, budget=budget)
+
+        monkeypatch.setattr(verifier, "sdepth_exact", recording)
+        return asked
+
+    def test_one_module_in_two_rings_is_decided_once(self, monkeypatch):
+        asked = self.recording(monkeypatch)
+        gens = [(1, 1), (2, 0)]
+        in_x = QuotientModule.of_quotient_ring(ideal(make_context("x1", "x2"), *gens))
+        in_y = QuotientModule.of_quotient_ring(ideal(make_context("y1", "y2"), *gens))
+        in_split = QuotientModule.of_quotient_ring(ideal(RingContext(("x1", "y1"), split=1), *gens))
+        brackets = {verifier._sd(m, BUDGET) for m in (in_x, in_y, in_split, in_x)}
+        res = sdepth_exact(in_x, budget=BUDGET)
+        assert brackets == {(res.lo, res.hi)}
+        assert asked == [(in_x, BUDGET)]
+
+    def test_a_second_budget_asks_again(self, monkeypatch):
+        asked = self.recording(monkeypatch)
+        module = QuotientModule.of_ideal(block_pair()[0])
+        other = Budget(time_limit=20.0)
+        for budget in (BUDGET, other, BUDGET, other):
+            verifier._sd(module, budget)
+        assert asked == [(module, BUDGET), (module, other)]
+
+    def test_a_certificate_error_is_never_cached(self, monkeypatch):
+        asked = []
+
+        def tampered(module, budget):
+            asked.append(module)
+            raise CertificateError("the witness fails the exact-cover check")
+
+        monkeypatch.setattr(verifier, "sdepth_exact", tampered)
+        module = QuotientModule.of_ideal(block_pair()[0])
+        for calls in (1, 2, 3):
+            with pytest.raises(CertificateError):
+                verifier._sd(module, BUDGET)
+            assert len(asked) == calls
+        assert verifier._bracket.cache_info().currsize == 0
+
+    def test_a_cell_cap_stop_is_the_whole_range(self):
+        # S/(x1*x2, x1^2) has the box 3 x 2, over a cap of 4 cells
+        module = QuotientModule.of_quotient_ring(block_pair()[0])
+        capped = Budget(cell_cap=4)
+        assert verifier._sd(module, capped) == verifier._sd(module, capped) == (0, 2)
+        assert verifier._bracket.cache_info().hits == 1
+        res = sdepth_exact(module, budget=BUDGET)
+        assert verifier._sd(module, BUDGET) == (res.lo, res.hi) != (0, 2)
 
 
 class TestCapsBecomeUnknown:
@@ -305,6 +362,31 @@ class TestSequences:
             assert r.ring_quotient == 1
             assert r.shell == 1
         assert rows[0].ideal_power == 2
+
+    def test_sdepth_sequence_builds_each_power_once(self, monkeypatch):
+        products = []
+        multiply = MonomialIdeal.multiply
+
+        def counting(self, other, *args, **kwargs):
+            products.append(other)
+            return multiply(self, other, *args, **kwargs)
+
+        monkeypatch.setattr(MonomialIdeal, "multiply", counting)
+        j = ideal(make_context("y1", "y2", "y3"), (1, 1, 0), (0, 0, 1))
+        rows = sdepth_sequence(j, 4, budget=BUDGET)
+        # I^1..I^5, one product each (from I^0..I^5 afresh for every row: 24)
+        assert len(products) <= 5
+        assert [(r.ring_quotient, r.ideal_power, r.shell) for r in rows] == [(1, 2, 1)] * 4
+
+    def test_a_row_is_empty_exactly_from_the_power_over_the_generator_cap(self):
+        # (x, y)^70 has 71 generators, and 71 * 71 products exceed the cap
+        # of 5,000: I^2 is over it
+        ctx = make_context("x", "y")
+        power = ideal(ctx, *[(i, 70 - i) for i in range(71)])
+        assert sdepth_sequence(power, 1, budget=BUDGET) == [verifier.SequenceRow(1, None, None, None)]
+        assert depth_sequence(power, 2) == [
+            verifier.SequenceRow(1, 0, 1, None), verifier.SequenceRow(2, None, None, None)
+        ]
 
     def test_one_taylor_run_per_ideal(self, monkeypatch):
         runs = []
