@@ -8,8 +8,9 @@ such k; every positive answer ships an interval partition that converts to
 an independently checkable Stanley decomposition.  :func:`sdepth_exact`
 searches the poset shape :func:`compress` reads off the generators
 (exponents relabelled, unused variables dropped), once per shape up to a
-permutation of its variables (:func:`canonical_shape`), and checks the
-witness, pulled back, on the module itself.
+permutation of its variables (:func:`canonical_shape`) in one memo of
+shapes and walks (:func:`_shape_walk`), and checks the witness, pulled
+back, on the module itself.
 
 Every box walk goes through one kernel: an ideal becomes a Python-int
 bitmask over a box (:func:`ideal_mask`), bit p set when the point with
@@ -62,20 +63,12 @@ Exponents = tuple[tuple[int, ...], ...]
 MEMO_CAP = 200_000
 MEMO_BITS = 2**29
 
-# poset shapes whose k-walk sdepth_exact remembers: a shape is the
-# compressed exponents on the variables some generator involves, in
-# canonical variable order, and the budget (see _cached_walk); the
-# orderings of one shape share an entry
-WALK_CACHE_SIZE = 1024
-# compressed shapes, in their own variable order, whose canonical order and
-# walk sdepth_exact remembers with the budget (about two per walk-cache
-# entry on the benchmark's pools; see _shape_walk), and the orderings of
-# tied variables canonical_shape tries at most
+# poset shapes sdepth_exact remembers with the budget, in one memo (see
+# _shape_walk): each compressed shape in its own variable order with its
+# canonical order, and each canonical shape with its walk; and the
+# orderings of tied variables canonical_shape tries at most
 SHAPE_CACHE_SIZE = 4096
 ORDERINGS_CAP = 720
-# operands, by exponent tuples and budget, whose Stanley-depth bracket the
-# verifier remembers (see verifier._bracket): two ints and the key each
-BRACKET_CACHE_SIZE = 4096
 # boxes whose keep masks the kernel and the search remember
 MASK_CACHE_SIZE = 512
 
@@ -667,40 +660,32 @@ def _neutral_context(arity: int) -> RingContext:
     return RingContext(tuple(f"x{j + 1}" for j in range(arity)))
 
 
-@functools.lru_cache(maxsize=WALK_CACHE_SIZE)
-def _cached_walk(
-    arity: int,
-    outer: Exponents,
-    inner: Exponents,
-    budget: Budget,
-) -> SdepthResult:
-    """:func:`sdepth_walk` of the module outer/inner, given by canonical
-    exponent tuples of this arity (:func:`canonical_shape`), in a ring of
-    neutral variable names: the walk every module of that poset shape, in
-    any order of its variables, shares."""
-    context = _neutral_context(arity)
-    module = QuotientModule(MonomialIdeal(context, outer), MonomialIdeal(context, inner))
-    return sdepth_walk(module, budget)
-
-
 @functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _shape_walk(
     arity: int, outer: Exponents, inner: Exponents, budget: Budget
 ) -> tuple[tuple[int, ...], SdepthResult]:
     """The canonical order of the shape outer/inner (:func:`canonical_shape`)
-    and the walk of the shape in that order (:func:`_cached_walk`), memoised
-    by the shape in its own variable order: one lookup on every
-    :func:`sdepth_exact` call, and a canonical form only for a new shape."""
-    order, outer, inner = canonical_shape(arity, outer, inner)
-    return order, _cached_walk(arity, outer, inner, budget)
+    and the walk of the shape in that order, memoised by the shape in its
+    own variable order: one lookup on every :func:`sdepth_exact` call, and
+    a canonical form only for a new shape.  A canonical shape is walked
+    (:func:`sdepth_walk`) in a ring of neutral variable names; any other
+    takes the walk of its canonical shape from this memo, one level down,
+    since the canonical form of a canonical shape is itself.  So every
+    ordering of a poset shape shares one walk."""
+    order, canonical_outer, canonical_inner = canonical_shape(arity, outer, inner)
+    if (canonical_outer, canonical_inner) != (outer, inner):
+        return order, _shape_walk(arity, canonical_outer, canonical_inner, budget)[1]
+    context = _neutral_context(arity)
+    module = QuotientModule(MonomialIdeal(context, outer), MonomialIdeal(context, inner))
+    return order, sdepth_walk(module, budget)
 
 
 def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:
     """Stanley depth by :func:`sdepth_walk` on the module's compressed,
     narrowed poset shape (:func:`compress`) with its variables in canonical
     order (:func:`canonical_shape`), memoised by shape and budget, not by
-    variable names or variable order (:func:`_shape_walk`); only a miss of
-    the walk cache builds a module.
+    variable names or variable order (:func:`_shape_walk`); only a
+    canonical shape that memo has not seen builds a module and walks it.
     Permuting the variables permutes the poset's axes and keeps its Stanley
     depth, so every ordering of a shape shares one walk; ``nodes`` and the
     witness are those of the canonical ordering's search, and may differ

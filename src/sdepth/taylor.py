@@ -165,6 +165,9 @@ def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
 def has_socle(ideal: MonomialIdeal) -> bool:
     """Is (I : (x_1,..,x_n)) strictly larger than I, i.e. depth(S/I) = 0?
 
+    When every variable has a pure power among the generators, S/I is
+    Artinian and, I being proper, nonzero: its monomials outside I of top
+    degree are socle, and the answer is yes without any colon.  Otherwise
     (I : x_j) is generated by I and the g / x_j for the minimal generators
     g with g_j > 0, none of which lies in I.  The colons are intersected
     one variable at a time, keeping only the minimal generators of the
@@ -173,8 +176,11 @@ def has_socle(ideal: MonomialIdeal) -> bool:
     g / x_j, and that lcm lies outside I too.  The answer is yes when some
     remain after the last variable.
     """
+    arity = ideal.context.arity
+    if len({j for g in ideal.exps for j, e in enumerate(g) if e == sum(g) > 0}) == arity:
+        return True
     outside = None
-    for j in range(ideal.context.arity):
+    for j in range(arity):
         colon = [g[:j] + (g[j] - 1,) + g[j + 1 :] for g in ideal.exps if g[j]]
         if outside is not None:
             colon = [tuple(map(max, c, b)) for c in outside for b in colon]

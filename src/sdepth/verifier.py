@@ -30,7 +30,6 @@ from .core import (
 from .lattice import build_lcm_lattice, ci_power_atom_map, sdepth_transfer
 from .parsing import format_ideal, split_blocks
 from .poset import (
-    BRACKET_CACHE_SIZE,
     Budget,
     DEFAULT_BUDGET,
     cover_mismatches,
@@ -112,6 +111,11 @@ class _Operand:
 
     def __eq__(self, other) -> bool:
         return self.key == other.key
+
+
+# operands, by exponent tuples and budget, whose Stanley-depth bracket the
+# verifier remembers: two ints and the key each
+BRACKET_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)

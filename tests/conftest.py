@@ -11,12 +11,26 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture(autouse=True)
 def _fresh_walk_cache():
-    """Each test starts with empty sdepth_exact result and shape caches and
+    """Each test starts with an empty sdepth_exact shape-and-walk memo and
     an empty verifier bracket memo, so a walk or bracket memoised by an
     earlier test cannot stand in for one a test patches."""
-    sdepth.poset._cached_walk.cache_clear()
     sdepth.poset._shape_walk.cache_clear()
     sdepth.verifier._bracket.cache_clear()
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list:
+    """The modules sdepth_exact walks during the test, one per
+    sdepth.poset.sdepth_walk call."""
+    real = sdepth.poset.sdepth_walk
+    walked = []
+
+    def counting(module, budget=sdepth.poset.DEFAULT_BUDGET):
+        walked.append(module)
+        return real(module, budget)
+
+    monkeypatch.setattr(sdepth.poset, "sdepth_walk", counting)
+    return walked
 
 
 @pytest.fixture

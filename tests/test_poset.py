@@ -349,16 +349,16 @@ class TestSdepthExact:
             m = QuotientModule.of_ideal(MonomialIdeal.unit(ctx))
             assert sdepth_exact(m).value == ctx.arity
 
-    def test_one_module_under_other_names_shares_one_walk(self):
-        # the walk cache is keyed by the poset's shape: no names, no split
+    def test_one_module_under_other_names_shares_one_walk(self, walks):
+        # the walk memo is keyed by the poset's shape: no names, no split
         gens = [(2, 1, 0), (0, 1, 2)]
         contexts = [X3, make_context("a", "b", "c"), make_context("x1", "x2", "y1", split=2)]
         results = [sdepth_exact(QuotientModule.of_quotient_ring(ideal(ctx, *gens)))
                    for ctx in contexts]
-        assert poset_module._cached_walk.cache_info().misses == 1
+        assert len(walks) == 1
         assert len({(r.value, r.nodes, r.witness) for r in results}) == 1
 
-    def test_pinned_on_the_square_of_the_pair_block(self):
+    def test_pinned_on_the_square_of_the_pair_block(self, walks):
         # S/I^2, I = (x1*x2, x1^2) the x block of ideals/pair.ideal: x1's
         # exponents 0, 2, 3, 4 have a gap and the y block is unused, so
         # every cell has rho >= 2, the upper bound: the compressed
@@ -374,7 +374,7 @@ class TestSdepthExact:
             ((0, 0, 0, 0), (1, 0, 0, 0)), ((2, 0, 0, 0), (2, 0, 0, 0)),
             ((0, 1, 0, 0), (1, 1, 0, 0)), ((3, 0, 0, 0), (3, 0, 0, 0)),
             ((2, 1, 0, 0), (2, 1, 0, 0)), ((0, 2, 0, 0), (1, 2, 0, 0))]
-        assert poset_module._cached_walk.cache_info().misses == 1
+        assert len(walks) == 1
         # the walk of the canonical shape, pulled back through its order
         levels, kept, outer, inner = compress(module)
         order, outer, inner = canonical_shape(len(kept), outer, inner)
@@ -384,7 +384,7 @@ class TestSdepthExact:
             walk.status, walk.value + 2, walk.lo + 2, walk.hi + 2, walk.nodes)
         assert res.witness == pull_back(walk.witness, levels, [kept[i] for i in order])
 
-    def test_a_block_in_its_own_ring_and_in_the_joint_ring_share_one_walk(self):
+    def test_a_block_in_its_own_ring_and_in_the_joint_ring_share_one_walk(self, walks):
         # S/I, I = (x1*x2, x1^2) the x block of ideals/pair.ideal, has
         # Stanley depth 0 in K[x1, x2]; in K[x1, x2, y1, y2] the unused y
         # axes add 2 to every rho and to every k, and change nothing else
@@ -398,7 +398,7 @@ class TestSdepthExact:
         assert [(iv.lo[:2], iv.hi[:2]) for iv in res_joint.witness.intervals] == [
             (iv.lo, iv.hi) for iv in res_own.witness.intervals]
         assert all(iv.lo[2:] == iv.hi[2:] == (0, 0) for iv in res_joint.witness.intervals)
-        assert poset_module._cached_walk.cache_info().misses == 1
+        assert len(walks) == 1
 
     def test_zero_module_rejected(self):
         i = ideal(X2, (1, 1))
@@ -635,7 +635,7 @@ class TestRuntimeCertificate:
         with pytest.raises(ResourceCapError):
             sdepth_exact(mod, budget=Budget(cell_cap=3))
 
-    def test_the_input_box_not_the_compressed_one_counts_before_any_walk(self):
+    def test_the_input_box_not_the_compressed_one_counts_before_any_walk(self, walks):
         # S/(x1^5): the input box [0, 5] has 6 points, the compressed one 2
         mod = QuotientModule.of_quotient_ring(ideal(X1, (5,)))
         assert poset_box(mod) == (6,)
@@ -643,7 +643,7 @@ class TestRuntimeCertificate:
         assert math.prod(len(levels[j]) for j in kept) == 2
         with pytest.raises(ResourceCapError):
             sdepth_exact(mod, budget=Budget(cell_cap=3))
-        assert poset_module._cached_walk.cache_info().misses == 0
+        assert walks == []
 
 
 class TestCertifyWitness:

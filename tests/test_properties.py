@@ -3,6 +3,7 @@ import math
 import operator
 from dataclasses import replace
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sdepth.poset as poset_module
@@ -219,6 +220,20 @@ def test_compression_keeps_sdepth_and_certifies_on_the_original(case):
 # --- unused variables -----------------------------------------------------------
 
 
+def _count_walks(patch: pytest.MonkeyPatch) -> list:
+    """The modules sdepth_exact walks while patch is active, one per
+    sdepth_walk call.  Installed in the test body, once per example: a
+    function-scoped fixture would serve all of a test's examples."""
+    walked = []
+
+    def counting(module, budget):
+        walked.append(module)
+        return sdepth_walk(module, budget)
+
+    patch.setattr(poset_module, "sdepth_walk", counting)
+    return walked
+
+
 def _with_unused_variables(module, arity, spots, prefix, split=None):
     """The module in a ring of arity variables named prefix1, prefix2, ...:
     its own variables sit at the ascending positions spots, and no
@@ -268,10 +283,11 @@ _GAPPED = QuotientModule.of_quotient_ring(
 @settings(max_examples=40, deadline=None)
 def test_unused_variables_share_the_walk_of_the_narrowed_module(case):
     module, extended = case
-    poset_module._cached_walk.cache_clear()
     poset_module._shape_walk.cache_clear()
-    own = sdepth_exact(module, budget=BUDGET)
-    res = sdepth_exact(extended, budget=BUDGET)
+    with pytest.MonkeyPatch.context() as patch:
+        walks = _count_walks(patch)
+        own = sdepth_exact(module, budget=BUDGET)
+        res = sdepth_exact(extended, budget=BUDGET)
     # the uncached walk of the extended module's canonical compressed
     # poset: the canonical shape with the unused variables put back last,
     # pulled back through the permuted kept variables and the unused ones
@@ -288,7 +304,7 @@ def test_unused_variables_share_the_walk_of_the_narrowed_module(case):
         direct.status, direct.value, direct.lo, direct.hi, direct.nodes, direct.witness)
     assert res.value == own.value + extended.context.arity - module.context.arity
     # M's walk serves the extended module
-    assert poset_module._cached_walk.cache_info().misses == 1
+    assert len(walks) == 1
 
 
 # --- permuted variables ----------------------------------------------------------
@@ -338,14 +354,15 @@ def _of(ctx, *gens):
           QuotientModule.of_ideal(_of(_Y123, (1, 0, 0), (0, 1, 0), (0, 0, 1)).power(2))))
 @settings(max_examples=60, deadline=None)
 def test_a_permutation_of_the_variables_shares_the_walk(case):
-    poset_module._cached_walk.cache_clear()
     poset_module._shape_walk.cache_clear()
-    results = [sdepth_exact(module, budget=BUDGET) for module in case]
+    with pytest.MonkeyPatch.context() as patch:
+        walks = _count_walks(patch)
+        results = [sdepth_exact(module, budget=BUDGET) for module in case]
     direct = sdepth_walk(case[0], budget=BUDGET)
     assert {(r.status, r.value, r.lo, r.hi) for r in results} == {
         (direct.status, direct.value, direct.lo, direct.hi)}
     # one walk, of the canonical shape, serves M and pi(M)
-    assert poset_module._cached_walk.cache_info().misses == 1
+    assert len(walks) == 1
     for module, res in zip(case, results):
         certify_witness(res.witness, module, res.lo, poset_box(module))
 
@@ -381,6 +398,8 @@ def test_the_canonical_shape_is_the_same_for_every_ordering(case):
     permuted = (_permuted(outer, order), _permuted(inner, order))
     key = canonical_shape(arity, outer, inner)
     assert canonical_shape(arity, *permuted)[1:] == key[1:]
+    # a canonical shape is its own canonical form
+    assert canonical_shape(arity, *key[1:])[1:] == key[1:]
     # the returned order, applied to the shape, gives the key
     for exps in (outer, inner), permuted:
         order, *canonical = canonical_shape(arity, *exps)
@@ -396,6 +415,13 @@ def test_the_canonical_shape_beyond_the_orderings_cap_is_the_first_ordering():
                       range(9))
     assert math.factorial(9) > poset_module.ORDERINGS_CAP
     assert canonical_shape(9, edges, ()) == (tuple(range(9)), edges, ())
+    # with x5^2 added, x5 sorts last and the other 8 columns still tie, 8!
+    # orderings beyond the cap: the first moves x5, and the shape it gives
+    # is its own canonical form
+    squared = _permuted(edges + (tuple(2 * int(k == 4) for k in range(9)),), range(9))
+    key = canonical_shape(9, squared, ())
+    assert key[0] == (0, 1, 2, 3, 5, 6, 7, 8, 4)
+    assert canonical_shape(9, *key[1:])[1:] == key[1:]
 
 
 # --- the box-membership kernel -------------------------------------------------

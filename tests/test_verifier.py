@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import sdepth.poset
 import sdepth.taylor as taylor
 import sdepth.verifier as verifier
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, RingContext, make_context, tensor_join
@@ -287,13 +286,13 @@ class TestCapsBecomeUnknown:
         assert report.verdict == "unknown"
         assert [i.verdict for i in report.items] == ["holds", "unknown"]
 
-    def test_lattice_cap_in_the_transfer_costs_no_search(self):
+    def test_lattice_cap_in_the_transfer_costs_no_search(self, walks):
         # (x1, .., x4)^4 has 35 generators, over the lattice cap: the
         # transfer is the open bracket [0, 4] before m^4 is searched
         ctx = make_context("x1", "x2", "x3", "x4")
         j = ideal(ctx, *[tuple(int(i == v) for i in range(4)) for v in range(4)])
         assert sdepth_ci_power_via_transfer(j, 4, budget=Budget(time_limit=1.0)) == (0, 4)
-        assert sdepth.poset._cached_walk.cache_info().misses == 0
+        assert walks == []
 
     def test_cell_cap_in_prop_2_2(self):
         ia, ib = block_pair()
@@ -407,6 +406,13 @@ class TestSequences:
         rows = depth_sequence(ideal(make_context("y1", "y2"), (1, 1), (0, 2)), 3)
         assert len(runs) == len(set(runs)) == 3
         assert all(r.ideal_power == r.ring_quotient + 1 for r in rows)
+
+    def test_powers_of_the_maximal_ideal_have_depth_zero_at_once(self):
+        # (x1, .., x6)^n is Artinian: the socle test answers it without a
+        # colon, though (x1, .., x6)^8 has 1,287 generators
+        ctx = make_context(*[f"x{j + 1}" for j in range(6)])
+        m = ideal(ctx, *[tuple(int(i == j) for i in range(6)) for j in range(6)])
+        assert depth_sequence(m, 8) == [verifier.SequenceRow(n, 0, 1, None) for n in range(1, 9)]
 
     def test_depth_sequence_marks_shell_na(self):
         ctx = make_context("y1", "y2")
