@@ -5,13 +5,21 @@ variable names (optionally split into two disjoint blocks), a
 :class:`Monomial` is an exponent vector in a context, and a
 :class:`MonomialIdeal` is the exponent tuples of its minimal generators
 sorted in graded-lex order, so ideal equality is plain tuple equality.
+
+The shape layer at the end reduces a presentation to its shape:
+:func:`compress` relabels each variable's exponents onto 0, 1, 2, .. and
+drops the unused variables, and :func:`canonical_shape` puts the kept
+variables in a canonical order.  Stanley depth and pd are read off the
+shape (each unused variable adds one to depth and to Stanley depth), so
+poset memoises its walks and taylor its projective dimensions by it.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 
@@ -374,3 +382,149 @@ class QuotientModule:
     def __str__(self) -> str:
         outer = "S" if self.outer.is_unit else str(self.outer)
         return outer if self.inner.is_zero else f"{outer}/{self.inner}"
+
+
+# --- shapes: presentations up to relabelling and reordering -------------------
+
+# exponent tuples, one per generator (or per variable, for levels)
+Exponents = tuple[tuple[int, ...], ...]
+
+# shapes each memo keyed by them remembers (poset._shape_walk, the walks;
+# taylor._shape_pd, the projective dimensions): each shape in its own
+# variable order, and each canonical shape with its answer; and the
+# orderings of tied variables canonical_shape tries at most
+SHAPE_CACHE_SIZE = 4096
+ORDERINGS_CAP = 720
+
+
+def compress(module: QuotientModule) -> tuple[Exponents, list[int], Exponents, Exponents]:
+    """The shape of the module's poset, read off its generator exponents:
+    per variable the levels of the relabelling, the variables kept, and the
+    generators of outer and of inner relabelled and restricted to them.
+
+    Per variable, the distinct exponents in the generators of outer and
+    inner, plus 0, map onto 0, 1, 2, ... in order; ``levels[j][i]`` is the
+    exponent that level i stands for.  The map keeps the lcm-lattice of the
+    presentation.  The variables kept are those some generator involves (S
+    itself, which involves none, keeps its first): a variable with the one
+    level 0 is an axis of length one.  The relabelled generators come in
+    graded-lex order, ready for :class:`MonomialIdeal`, and are the module's
+    own exponent tuples when the map is the identity and every variable is
+    kept.  No module is built.
+    """
+    outer, inner = module.outer.exps, module.inner.exps
+    # per variable its exponents, with a 0 in front
+    columns = list(zip((0,) * module.context.arity, *outer, *inner))
+    levels = tuple(map(tuple, map(sorted, map(set, columns))))
+    kept = [j for j, v in enumerate(levels) if len(v) > 1] or [0]
+    relabelled = [j for j in kept if len(levels[j]) <= levels[j][-1]]
+    if not relabelled and len(kept) == len(levels):
+        return levels, kept, outer, inner
+    for j in relabelled:
+        columns[j] = map(dict(zip(levels[j], itertools.count())).__getitem__, columns[j])
+    rows = list(zip(*map(columns.__getitem__, kept)))
+    # row 0 is the 0 put in front
+    outer, inner = rows[1 : len(outer) + 1], rows[len(outer) + 1 :]
+    if relabelled:
+        # monotone per variable, so minimality and lex order hold; the
+        # degrees change
+        return levels, kept, _graded_lex(outer), _graded_lex(inner)
+    return levels, kept, tuple(outer), tuple(inner)
+
+
+def _graded_lex(exps: list[tuple[int, ...]]) -> Exponents:
+    # lex first, then stably by degree
+    return tuple(sorted(sorted(exps), key=sum))
+
+
+def _interleavings(runs: tuple[tuple[int, ...], ...]):
+    """Every merge of the nonempty runs that keeps each run's own order."""
+    if len(runs) == 1:
+        yield runs[0]
+        return
+    for i, run in enumerate(runs):
+        rest = runs[:i] + ((run[1:],) if len(run) > 1 else ()) + runs[i + 1 :]
+        for tail in _interleavings(rest):
+            yield run[:1] + tail
+
+
+def canonical_shape(
+    arity: int, outer: Exponents, inner: Exponents
+) -> tuple[tuple[int, ...], Exponents, Exponents]:
+    """The shape outer/inner (graded-lex exponent tuples of this arity,
+    outer not empty) with its variables in canonical order: the order
+    (column i of the result is column order[i] of the input) and the
+    generators of outer and inner so permuted, in graded-lex order.
+
+    A permutation of the variables permutes the axes of the poset and keeps
+    its Stanley depth, and it keeps the lcm lattice and so pd(S/I), so all
+    orderings of one shape can share one walk and one pd.
+    The order sorts the columns by an invariant no permutation changes: per
+    generator set, the column's exponents paired with their generators'
+    degrees.  Among the orderings that do, it gives the least (outer,
+    inner), which is then the same for every ordering of the shape.  Only
+    tied columns are permuted, and two tied columns whose swap fixes both
+    generator sets are interchangeable, so they keep their relative order.
+    When more than ORDERINGS_CAP orderings remain, the first is taken: a
+    key that fewer orderings share, never a wrong one.
+    """
+    if arity == 1:
+        return (0,), outer, inner
+    rows = outer + inner
+    degrees = list(map(sum, rows))
+    # a row's set and degree, which no permutation changes, in the digits
+    # above its exponent: d * base for outer, -(d + 1) * base for inner
+    base = 1 + max(degrees)
+    tags = [d * base for d in degrees[: len(outer)]] + [~d * base for d in degrees[len(outer) :]]
+    invariants = [tuple(sorted(map(operator.add, tags, column))) for column in zip(*rows)]
+    outer_set, inner_set = set(outer), set(inner)
+
+    def interchangeable(i: int, j: int) -> bool:
+        swap = list(range(arity))
+        swap[i], swap[j] = j, i
+        get = operator.itemgetter(*swap)
+        return set(map(get, outer)) == outer_set and set(map(get, inner)) == inner_set
+
+    # per run of tied columns, its classes of interchangeable ones
+    groups = []
+    orderings = 1
+    columns = sorted(range(arity), key=invariants.__getitem__)
+    for _, tied in itertools.groupby(columns, key=invariants.__getitem__):
+        classes: list[list[int]] = []
+        for j in tied:
+            for same in classes:
+                if interchangeable(same[0], j):
+                    same.append(j)
+                    break
+            else:
+                classes.append([j])
+        groups.append(tuple(map(tuple, classes)))
+        if len(classes) > 1:
+            orderings *= math.factorial(sum(map(len, classes)))
+            orderings //= math.prod(math.factorial(len(c)) for c in classes)
+    # the first ordering puts the classes of each run one after the other
+    first = sum(itertools.chain.from_iterable(groups), ())
+    if orderings == 1 and first == tuple(range(arity)):
+        return first, outer, inner
+    candidates = [(first,)]
+    if 1 < orderings <= ORDERINGS_CAP:
+        candidates = itertools.product(*map(_interleavings, groups))
+    # per set its graded-lex blocks: the degrees do not change under a
+    # permutation, so every ordering sorts within the same blocks, and
+    # comparing the blocks compares the keys
+    blocks = [[list(block) for _, block in itertools.groupby(exps, key=sum)] for exps in (outer, inner)]
+    best = None
+    for parts in candidates:
+        order = sum(parts, ())
+        get = operator.itemgetter(*order)
+        key = [[sorted(map(get, block)) for block in sets] for sets in blocks]
+        if best is None or key < best[0]:
+            best = key, order
+    key, order = best
+    return (order, *(tuple(itertools.chain.from_iterable(sets)) for sets in key))
+
+
+@cache
+def _neutral_context(arity: int) -> RingContext:
+    """The ring x1, .., x_arity in which a memo builds a canonical shape."""
+    return RingContext(tuple(f"x{j + 1}" for j in range(arity)))

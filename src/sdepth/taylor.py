@@ -14,17 +14,30 @@ facets, whichever has fewer vertices (the two are homotopy equivalent).
 Depth then follows from depth + pd = n (Auslander-Buchsbaum).  Ranks are
 over the rationals, computed by exact fraction-free sparse elimination
 over the integers (``rational_rank``), so depth is the characteristic-0
-value.  docs/internals.md has the derivation.
+value.  The Betti numbers depend only on the lcm lattice, so
+:func:`depth_quotient` computes pd once per lattice shape: the generators
+compressed and canonically ordered by the shape layer of ``core``
+(:func:`_shape_pd`).  docs/internals.md has the derivation.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
+from functools import lru_cache, reduce
 from math import gcd
 
-from .core import MonomialIdeal, _minimal, lcm_closure
+from .core import (
+    SHAPE_CACHE_SIZE,
+    Exponents,
+    MonomialIdeal,
+    QuotientModule,
+    _minimal,
+    _neutral_context,
+    canonical_shape,
+    compress,
+    lcm_closure,
+)
 
 
 def rational_rank(rows: list[list[int]]) -> int:
@@ -138,7 +151,7 @@ def taylor_tor_ranks(ideal: MonomialIdeal) -> BettiTable:
     for m in lcm_closure(gens):
         # facet of K^m per generator g dividing m: the variables k with g_k < m_k
         facets = {
-            sum(compress(bits, map(operator.lt, g, m)))
+            sum(itertools.compress(bits, map(operator.lt, g, m)))
             for g in gens
             if all(map(operator.le, g, m))
         }
@@ -190,19 +203,48 @@ def has_socle(ideal: MonomialIdeal) -> bool:
     return True
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape_pd(arity: int, exps: Exponents) -> int:
+    """pd(S/I) for the nonzero proper ideal I of this arity whose minimal
+    generators are exps (graded-lex), memoised by the shape in its own
+    variable order.  A shape that is not its own canonical form
+    (:func:`canonical_shape`) takes its canonical shape's entry, one level
+    down.  A canonical shape is computed in a ring of neutral variable
+    names: pd is the arity when it has a socle (depth 0), and otherwise
+    read off its Betti numbers.  A cap error propagates and is not
+    memoised."""
+    canonical = canonical_shape(arity, ((0,) * arity,), exps)[2]
+    if canonical != exps:
+        return _shape_pd(arity, canonical)
+    ideal = MonomialIdeal(_neutral_context(arity), exps)
+    if has_socle(ideal):
+        return arity
+    return taylor_tor_ranks(ideal).pd
+
+
 def depth_quotient(ideal: MonomialIdeal) -> DepthReport:
-    """depth(S/I) = n - pd(S/I); depth 0 is detected without homology when
-    the colon by the maximal ideal is strictly larger than I (has_socle)."""
+    """depth(S/I) = n - pd(S/I), with pd computed once per lcm-lattice
+    shape (:func:`_shape_pd`) on the compressed, canonically ordered
+    generators (:func:`compress`, :func:`canonical_shape`).
+
+    The Betti numbers, and so pd, depend only on the lcm lattice
+    (Gasharov-Peeva-Welker), which the increasing per-variable relabelling
+    and any permutation of the variables keep; a variable no generator
+    involves keeps pd and adds one to depth, since pd is taken in the ring
+    of the kept variables and n counts them all.  Depth 0 means a socle
+    on the shape with no unused variable, which has_socle detects without
+    homology (the colon by the maximal ideal strictly larger than I), so
+    the report is labelled "socle-shortcut" exactly when its depth is 0.
+    """
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
     n = ideal.context.arity
     if ideal.is_zero:
         return DepthReport(n, 0, "taylor")
-    if has_socle(ideal):
-        return DepthReport(0, n, "socle-shortcut")
-    table = taylor_tor_ranks(ideal)
-    pd = table.pd
-    return DepthReport(n - pd, pd, "taylor")
+    _levels, kept, _outer, inner = compress(QuotientModule.of_quotient_ring(ideal))
+    pd = _shape_pd(len(kept), inner)
+    depth = n - pd
+    return DepthReport(depth, pd, "taylor" if depth else "socle-shortcut")
 
 
 def depth_ideal(ideal: MonomialIdeal, quotient_depth: int) -> int:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import sdepth.poset
+import sdepth.taylor
 import sdepth.verifier
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -11,10 +12,12 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture(autouse=True)
 def _fresh_walk_cache():
-    """Each test starts with an empty sdepth_exact shape-and-walk memo and
-    an empty verifier bracket memo, so a walk or bracket memoised by an
-    earlier test cannot stand in for one a test patches."""
+    """Each test starts with an empty sdepth_exact shape-and-walk memo, an
+    empty depth_quotient shape-and-pd memo and an empty verifier bracket
+    memo, so a walk, pd or bracket memoised by an earlier test cannot
+    stand in for one a test patches."""
     sdepth.poset._shape_walk.cache_clear()
+    sdepth.taylor._shape_pd.cache_clear()
     sdepth.verifier._bracket.cache_clear()
 
 
@@ -31,6 +34,21 @@ def walks(monkeypatch) -> list:
 
     monkeypatch.setattr(sdepth.poset, "sdepth_walk", counting)
     return walked
+
+
+@pytest.fixture
+def taylor_runs(monkeypatch) -> list:
+    """The ideals whose Betti numbers are computed during the test, one per
+    sdepth.taylor.taylor_tor_ranks call."""
+    real = sdepth.taylor.taylor_tor_ranks
+    ran = []
+
+    def counting(ideal):
+        ran.append(ideal)
+        return real(ideal)
+
+    monkeypatch.setattr(sdepth.taylor, "taylor_tor_ranks", counting)
+    return ran
 
 
 @pytest.fixture

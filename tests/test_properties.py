@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sdepth.poset as poset_module
+import sdepth.taylor as taylor_module
 
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
+from sdepth.lattice import build_lcm_lattice, lattice_iso_check
 from sdepth.poset import (
     _keep_masks,
     _up_closure,
@@ -422,6 +424,82 @@ def test_the_canonical_shape_beyond_the_orderings_cap_is_the_first_ordering():
     key = canonical_shape(9, squared, ())
     assert key[0] == (0, 1, 2, 3, 5, 6, 7, 8, 4)
     assert canonical_shape(9, *key[1:])[1:] == key[1:]
+
+
+# --- depth by lcm-lattice shape --------------------------------------------------
+
+
+@st.composite
+def _shape_copies(draw, ideal):
+    """The ideal with each variable's exponents relabelled by a strictly
+    increasing map fixing 0, its variables permuted and 1 or 2 unused
+    variables inserted, in a freshly named ring that is sometimes split."""
+    n = ideal.context.arity
+    top = max(map(max, ideal.exps))
+    maps = []
+    for _ in range(n):
+        gaps = draw(st.lists(st.integers(0, 2), min_size=top, max_size=top))
+        maps.append([sum(gaps[:e]) + e for e in range(top + 1)])
+    order = draw(st.permutations(range(n)))
+    arity = n + draw(st.integers(1, 2))
+    spots = sorted(draw(st.permutations(range(arity)))[:n])
+    prefix = draw(st.sampled_from(["t", "u", "_t"]))
+    split = draw(st.none() | st.integers(1, arity - 1))
+    ctx = make_context(*[f"{prefix}{i + 1}" for i in range(arity)], split=split)
+
+    def image(g):
+        out = [0] * arity
+        for spot, j in zip(spots, order):
+            out[spot] = maps[j][g[j]]
+        return Monomial(ctx, tuple(out))
+
+    return MonomialIdeal.from_gens(ctx, map(image, ideal.exps))
+
+
+@st.composite
+def ideals_and_shape_copies(draw):
+    """A nonzero proper ideal within the lcm-lattice cap, at most 9
+    generators on at most 6 variables, and two copies of its shape."""
+    n = draw(st.integers(1, 6))
+    top = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, top)] * n).filter(any)
+    ideal = _of(make_context(*[f"x{i + 1}" for i in range(n)]), *draw(st.lists(row, min_size=1, max_size=9)))
+    return ideal, [draw(_shape_copies(ideal)) for _ in range(2)]
+
+
+@given(ideals_and_shape_copies())
+@settings(max_examples=60, deadline=None)
+def test_copies_of_a_shape_share_one_depth_computation(case):
+    ideal, copies = case
+    taylor_module._shape_pd.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        runs = []
+        real = taylor_module.taylor_tor_ranks
+
+        def counting(i):
+            runs.append(i)
+            return real(i)
+
+        patch.setattr(taylor_module, "taylor_tor_ranks", counting)
+        reports = [taylor_module.depth_quotient(i) for i in (ideal, *copies)]
+    # each report against the uncached reference on the ideal itself
+    for i, report in zip((ideal, *copies), reports):
+        pd = taylor_module.taylor_tor_ranks(i).pd
+        socle = taylor_module.has_socle(i)
+        assert (report.depth_quotient, report.pd) == (i.context.arity - pd, pd)
+        assert socle == (report.depth_quotient == 0)
+        assert report.method == ("socle-shortcut" if socle else "taylor")
+    # the premise of the memo: the compressed, canonically ordered
+    # generators have the input's lcm lattice, atom for atom
+    levels, kept, _, inner = compress(QuotientModule.of_quotient_ring(ideal))
+    arity = len(kept)
+    order, _, canonical = canonical_shape(arity, ((0,) * arity,), inner)
+    phi = {g: tuple(levels[kept[i]].index(g[kept[i]]) for i in order) for g in ideal.exps}
+    assert sorted(phi.values()) == sorted(canonical)
+    shape = MonomialIdeal(make_context(*[f"x{i + 1}" for i in range(arity)]), canonical)
+    assert lattice_iso_check(build_lcm_lattice(ideal), build_lcm_lattice(shape), phi)
+    # one Taylor run serves all copies, and none when the shape has a socle
+    assert len(runs) == int(reports[0].pd < arity)
 
 
 # --- the box-membership kernel -------------------------------------------------

@@ -260,6 +260,10 @@ class TestDepth:
         assert has_socle(i) == socle == (monomial_colon_maximal(i) != i.exps)
         if socle:
             assert depth_quotient(i) == taylor.DepthReport(0, n, "socle-shortcut")
+        elif not all(map(any, zip(*i.exps))):
+            # x3 is unused, and (x1, x2)^20 in K[x1, x2] is Artinian: the
+            # narrowed shape has pd 2 by its socle, below the lattice cap
+            assert depth_quotient(i) == taylor.DepthReport(1, 2, "taylor")
         else:
             with pytest.raises(LatticeCapError):
                 depth_quotient(i)
@@ -350,6 +354,48 @@ class TestDepth:
 
     def test_zero_and_unit(self):
         ctx = make_context("x1", "x2")
-        assert depth_quotient(MonomialIdeal.zero(ctx)).depth_quotient == 2
+        assert depth_quotient(MonomialIdeal.zero(ctx)) == taylor.DepthReport(2, 0, "taylor")
         with pytest.raises(ValueError):
             depth_quotient(MonomialIdeal.unit(ctx))
+        # neither reaches the shape memo
+        assert taylor._shape_pd.cache_info().currsize == 0
+
+
+class TestDepthByShape:
+    def test_an_unused_variable_adds_one_to_depth(self, taylor_runs):
+        # (x1^2, x2^3) narrows to the Artinian (x1, x2) in K[x1, x2]: pd 2
+        # by its socle, no Betti numbers, and x3 adds one to depth
+        i = ideal(make_context("x1", "x2", "x3"), (2, 0, 0), (0, 3, 0))
+        assert depth_quotient(i) == taylor.DepthReport(1, 2, "taylor")
+        assert taylor_runs == []
+
+    def test_a_shape_over_the_cap_raises_and_is_not_memoised(self):
+        # x3 * (x1, x2)^20: 21 generators on every variable, and x1 + x3 is
+        # a nonzerodivisor, so no socle answers before the lattice cap
+        ctx = make_context("x1", "x2", "x3")
+        m = ideal(ctx, (1, 0, 0), (0, 1, 0)).power(20)
+        i = m.multiply(ideal(ctx, (0, 0, 1)))
+        assert len(i.exps) == LATTICE_CAP + 1 and not has_socle(i)
+        for _ in range(2):
+            with pytest.raises(LatticeCapError):
+                depth_quotient(i)
+        assert taylor._shape_pd.cache_info().currsize == 0
+
+    def test_an_artinian_shape_over_the_cap_takes_the_socle_shortcut(self):
+        ctx = make_context("x1", "x2")
+        i = ideal(ctx, (1, 0), (0, 1)).power(30)
+        assert len(i.exps) > LATTICE_CAP
+        assert depth_quotient(i) == taylor.DepthReport(0, 2, "socle-shortcut")
+
+    def test_one_lcm_lattice_shares_one_taylor_run(self, taylor_runs):
+        # RP^2 with every generator squared, and with its variables in
+        # another order and two unused ones, in fresh rings: one lcm
+        # lattice, so one Betti table serves all three
+        rp2 = rp2_ideal()
+        squared = ideal(rp2.context, *(tuple(2 * e for e in g) for g in rp2.exps))
+        ctx = make_context(*[f"y{j}" for j in range(8)], split=3)
+        order = (5, 0, 3, 1, 4, 2)
+        moved = ideal(ctx, *((0,) + tuple(g[j] for j in order) + (0,) for g in rp2.exps))
+        reports = [depth_quotient(i) for i in (rp2, squared, moved)]
+        assert reports == [taylor.DepthReport(3, 3, "taylor")] * 2 + [taylor.DepthReport(5, 3, "taylor")]
+        assert len(taylor_runs) == 1
