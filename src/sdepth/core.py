@@ -391,8 +391,9 @@ Exponents = tuple[tuple[int, ...], ...]
 
 # shapes each memo keyed by them remembers (poset._shape_walk, the walks;
 # taylor._shape_pd, the projective dimensions): each shape in its own
-# variable order, and each canonical shape with its answer; and the
-# orderings of tied variables canonical_shape tries at most
+# variable order, and each canonical shape with its answer; and the most
+# arrangements of tied variables, before class swaps prune them, among which
+# canonical_shape looks for the least key
 SHAPE_CACHE_SIZE = 4096
 ORDERINGS_CAP = 720
 
@@ -437,14 +438,22 @@ def _graded_lex(exps: list[tuple[int, ...]]) -> Exponents:
     return tuple(sorted(sorted(exps), key=sum))
 
 
-def _interleavings(runs: tuple[tuple[int, ...], ...]):
-    """Every merge of the nonempty runs that keeps each run's own order."""
+def _interleavings(runs: tuple[tuple[int, ...], ...], waits: dict[int, int] | None = None):
+    """Every merge of the nonempty runs that keeps each run's own order, in
+    the lex order of the runs its places draw from.  ``waits`` maps the
+    first member of a run to the first member of an earlier run: then only
+    the merges in which the later run starts after the earlier one come,
+    in the same order."""
     if len(runs) == 1:
         yield runs[0]
         return
+    # a run that has started no longer shows its first member
+    heads = {run[0] for run in runs} if waits else ()
     for i, run in enumerate(runs):
+        if waits and waits.get(run[0]) in heads:
+            continue
         rest = runs[:i] + ((run[1:],) if len(run) > 1 else ()) + runs[i + 1 :]
-        for tail in _interleavings(rest):
+        for tail in _interleavings(rest, waits):
             yield run[:1] + tail
 
 
@@ -462,11 +471,18 @@ def canonical_shape(
     The order sorts the columns by an invariant no permutation changes: per
     generator set, the column's exponents paired with their generators'
     degrees.  Among the orderings that do, it gives the least (outer,
-    inner), which is then the same for every ordering of the shape.  Only
-    tied columns are permuted, and two tied columns whose swap fixes both
-    generator sets are interchangeable, so they keep their relative order.
-    When more than ORDERINGS_CAP orderings remain, the first is taken: a
-    key that fewer orderings share, never a wrong one.
+    inner), which is then the same for every ordering of the shape; of the
+    orderings with that key, the first in the order the arrangements are
+    made in.  Only tied columns are permuted, and two tied columns whose
+    swap fixes both generator sets are interchangeable, so they keep their
+    relative order.  Two classes of them in one run whose member-by-member
+    swap fixes both sets are swappable: swapping them keeps the key and
+    makes an earlier arrangement of any in which the later class starts
+    first, so only the arrangements in which swappable classes start in
+    index order are tried, and the first least key is among them.  When
+    more than ORDERINGS_CAP arrangements remain (counted before that
+    pruning), the first is taken: a key that fewer orderings share, never a
+    wrong one.
     """
     if arity == 1:
         return (0,), outer, inner
@@ -479,11 +495,16 @@ def canonical_shape(
     invariants = [tuple(sorted(map(operator.add, tags, column))) for column in zip(*rows)]
     outer_set, inner_set = set(outer), set(inner)
 
-    def interchangeable(i: int, j: int) -> bool:
-        swap = list(range(arity))
-        swap[i], swap[j] = j, i
-        get = operator.itemgetter(*swap)
-        return set(map(get, outer)) == outer_set and set(map(get, inner)) == inner_set
+    def fixes(swaps: Iterable[tuple[int, int]]) -> bool:
+        """Whether swapping each pair of columns (disjoint pairs) fixes both
+        generator sets: the test of a symmetry of the shape.  A permutation
+        maps distinct rows to distinct rows, so a set it maps into itself
+        it maps onto itself, and the first row mapped outside decides."""
+        perm = list(range(arity))
+        for i, j in swaps:
+            perm[i], perm[j] = j, i
+        get = operator.itemgetter(*perm)
+        return outer_set.issuperset(map(get, outer)) and inner_set.issuperset(map(get, inner))
 
     # per run of tied columns, its classes of interchangeable ones
     groups = []
@@ -493,7 +514,7 @@ def canonical_shape(
         classes: list[list[int]] = []
         for j in tied:
             for same in classes:
-                if interchangeable(same[0], j):
+                if fixes([(same[0], j)]):
                     same.append(j)
                     break
             else:
@@ -508,20 +529,51 @@ def canonical_shape(
         return first, outer, inner
     candidates = [(first,)]
     if 1 < orderings <= ORDERINGS_CAP:
-        candidates = itertools.product(*map(_interleavings, groups))
+        merges = []
+        for group in groups:
+            # a class waits for the last earlier class it swaps with member
+            # by member, so the classes of such an orbit start in index order
+            waits: dict[int, int] = {}
+            if len(group) > 1:
+                orbits: list[list[tuple[int, ...]]] = []
+                for members in group:
+                    for orbit in orbits:
+                        if len(orbit[0]) == len(members) and fixes(zip(orbit[0], members)):
+                            waits[members[0]] = orbit[-1][0]
+                            orbit.append(members)
+                            break
+                    else:
+                        orbits.append([members])
+            merges.append(_interleavings(group, waits))
+        candidates = itertools.product(*merges)
     # per set its graded-lex blocks: the degrees do not change under a
     # permutation, so every ordering sorts within the same blocks, and
-    # comparing the blocks compares the keys
-    blocks = [[list(block) for _, block in itertools.groupby(exps, key=sum)] for exps in (outer, inner)]
-    best = None
+    # comparing the blocks in turn compares the keys
+    blocks = [list(block) for _, block in itertools.groupby(outer, key=sum)]
+    split = len(blocks)
+    blocks += [list(block) for _, block in itertools.groupby(inner, key=sum)]
+    best: list[list[tuple[int, ...]]] = []
+    best_order = first
     for parts in candidates:
         order = sum(parts, ())
         get = operator.itemgetter(*order)
-        key = [[sorted(map(get, block)) for block in sets] for sets in blocks]
-        if best is None or key < best[0]:
-            best = key, order
-    key, order = best
-    return (order, *(tuple(itertools.chain.from_iterable(sets)) for sets in key))
+        key = []
+        tied = bool(best)  # equal to the best key so far in the blocks compared
+        for n, block in enumerate(blocks):
+            sorted_block = sorted(map(get, block))
+            if tied:
+                if sorted_block > best[n]:
+                    break
+                tied = sorted_block == best[n]
+            key.append(sorted_block)
+        else:
+            if not tied:
+                best, best_order = key, order
+    return (
+        best_order,
+        tuple(itertools.chain.from_iterable(best[:split])),
+        tuple(itertools.chain.from_iterable(best[split:])),
+    )
 
 
 @cache

@@ -9,6 +9,9 @@ pairwise divisibility.  Betti numbers come from the strands of the Taylor
 complex on all generator subsets, not from the lcm-lattice complexes the
 engine uses.  lcm-lattice isomorphisms and Hasse diagrams compare every
 pair of elements, where the engine reads the lattice through its atoms.
+Canonical shapes try every permutation of the variables, with no classes
+of interchangeable columns and no pruning by their swaps, and merges are
+read off the distinct permutations of a word of run labels.
 """
 from __future__ import annotations
 
@@ -305,3 +308,42 @@ def taylor_betti(ideal: MonomialIdeal) -> "dict[tuple[int, tuple[int, ...]], int
             if betti:
                 entries[(i, m)] = betti
     return entries
+
+
+def brute_canonical_key(arity: int, outer, inner) -> "tuple[tuple, tuple]":
+    """The least (outer, inner), each permuted and in graded-lex order, over
+    every permutation of the variables that sorts the columns by their
+    invariant: per column, its exponent in each generator of inner, with
+    larger degrees first, then in each generator of outer, with smaller
+    degrees first."""
+    def invariant(j):
+        return sorted([(0, -sum(e), e[j]) for e in inner] + [(1, sum(e), e[j]) for e in outer])
+
+    invariants = [invariant(j) for j in range(arity)]
+    keys = []
+    for order in itertools.permutations(range(arity)):
+        if all(invariants[a] <= invariants[b] for a, b in zip(order, order[1:])):
+            keys.append(tuple(tuple(sorted((tuple(e[j] for j in order) for e in exps),
+                                           key=lambda e: (sum(e), e)))
+                              for exps in (outer, inner)))
+    return min(keys)
+
+
+def brute_merges(runs, waits=None) -> "list[tuple[int, ...]]":
+    """Every merge of the runs that keeps each run's own order, in the lex
+    order of its word of run labels: the distinct permutations of the
+    multiset of labels, sorted.  ``waits`` maps the first member of a run to
+    the first member of another, and then only the merges in which the
+    first starts after the second are kept."""
+    labels = [i for i, run in enumerate(runs) for _ in run]
+    merges = []
+    for word in sorted(set(itertools.permutations(labels))):
+        taken = [0] * len(runs)
+        merge = []
+        for i in word:
+            merge.append(runs[i][taken[i]])
+            taken[i] += 1
+        merges.append(tuple(merge))
+    if waits:
+        merges = [m for m in merges if all(m.index(a) > m.index(b) for a, b in waits.items())]
+    return merges

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 from sdepth.core import (
+    _interleavings,
     CapError,
     ContextMismatchError,
     GeneratorCapError,
@@ -22,7 +24,7 @@ from sdepth.core import (
 from sdepth.lattice import TransferWithoutIsoError
 from sdepth.poset import CertificateError, ResourceCapError
 
-from oracles import brute_krull_dim, graded_lex
+from oracles import brute_krull_dim, brute_merges, graded_lex
 
 X2 = make_context("x1", "x2")
 X3 = make_context("x1", "x2", "x3")
@@ -266,3 +268,49 @@ class TestQuotientModule:
         assert m.contains(mono(X2, 1, 3))
         assert not m.contains(mono(X2, 0, 3))
         assert not m.contains(mono(X2, 2, 0))
+
+
+class TestInterleavings:
+    """The merges canonical_shape draws its candidate orderings from."""
+
+    RUNS = [
+        ((0,),),
+        ((0, 1), (2,)),
+        ((0,), (1,), (2,)),
+        ((0, 1), (2, 3), (4,)),
+        ((0,), (1, 2), (3, 4, 5)),
+        ((0, 1), (2,), (3, 4), (5,)),
+    ]
+
+    def test_runs_interleave_in_the_order_of_their_labels(self):
+        # the first place drawn from the earliest run, then the next
+        assert list(_interleavings(((0, 1), (2,)))) == [(0, 1, 2), (0, 2, 1), (2, 0, 1)]
+
+    @pytest.mark.parametrize("runs", RUNS)
+    def test_without_waits_every_merge_comes_once_in_label_order(self, runs):
+        merges = list(_interleavings(runs))
+        assert merges == brute_merges(runs)
+        assert list(_interleavings(runs, {})) == merges
+        sizes = list(map(len, runs))
+        assert len(merges) == math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
+
+    @pytest.mark.parametrize("runs, orbits", [
+        (((0,), (1,)), [[0, 1]]),
+        (((0, 1), (2, 3), (4,)), [[0, 1]]),
+        (((0, 1), (2, 3), (4, 5)), [[0, 1, 2]]),
+        (((0, 1), (2, 3), (4, 5)), [[0, 2]]),
+        (((0,), (1,), (2,), (3,)), [[0, 1], [2, 3]]),
+        (((0, 1), (2,), (3, 4), (5,)), [[0, 2], [1, 3]]),
+        (((0,), (1, 2), (3,), (4, 5)), [[1, 3], [0, 2]]),
+    ])
+    def test_waits_keep_the_merges_where_each_orbit_starts_in_index_order(self, runs, orbits):
+        # each run of an orbit (runs of one size) waits for the one before it
+        waits = {runs[b][0]: runs[a][0] for orbit in orbits for a, b in zip(orbit, orbit[1:])}
+        merges = list(_interleavings(runs, waits))
+        assert merges == brute_merges(runs, waits)
+        assert merges == [m for m in _interleavings(runs)
+                          if all(m.index(runs[a][0]) < m.index(runs[b][0])
+                                 for orbit in orbits for a, b in zip(orbit, orbit[1:]))]
+        sizes = list(map(len, runs))
+        count = math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
+        assert len(merges) == count // math.prod(math.factorial(len(orbit)) for orbit in orbits)

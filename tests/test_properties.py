@@ -372,9 +372,9 @@ def test_a_permutation_of_the_variables_shares_the_walk(case):
 @st.composite
 def permuted_shapes(draw):
     """Exponent tuples of outer (at least one) and inner, graded-lex, on up
-    to six variables (at most 6! = 720 orderings, all of which
-    canonical_shape tries when every column ties), and an ordering of the
-    variables."""
+    to six variables (at most 6! = 720 orderings, within ORDERINGS_CAP, so
+    canonical_shape searches them all for the least key), and an ordering
+    of the variables."""
     arity = draw(st.integers(1, 6))
     row = st.tuples(*[st.integers(0, 2)] * arity)
     outer = draw(st.lists(row, min_size=1, max_size=5, unique=True))
@@ -424,6 +424,80 @@ def test_the_canonical_shape_beyond_the_orderings_cap_is_the_first_ordering():
     key = canonical_shape(9, squared, ())
     assert key[0] == (0, 1, 2, 3, 5, 6, 7, 8, 4)
     assert canonical_shape(9, *key[1:])[1:] == key[1:]
+
+
+@st.composite
+def symmetric_shapes(draw):
+    """Shapes on up to six variables whose tied columns fall into classes
+    that swap member by member: a block of columns with relabelled copies
+    of it, or a power of a complete intersection whose generators repeat
+    one exponent pattern, sometimes with one more generator that breaks
+    part of the symmetry; with the columns shuffled, as an ideal or as the
+    inner ideal of a quotient ring."""
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 3))
+        copies = draw(st.integers(2, 6 // width))
+        block = draw(st.lists(st.tuples(*[st.integers(0, 2)] * width).filter(any),
+                              min_size=1, max_size=3, unique=True))
+        rows = {(0,) * (width * c) + r + (0,) * (width * (copies - 1 - c))
+                for c in range(copies) for r in block}
+        arity = width * copies
+    else:
+        pattern = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+        t = draw(st.integers(2, 6 // len(pattern)))
+        arity = t * len(pattern)
+        gens = [(0,) * (len(pattern) * c) + pattern + (0,) * (len(pattern) * (t - 1 - c))
+                for c in range(t)]
+        ctx = make_context(*[f"x{i + 1}" for i in range(arity)])
+        rows = set(_of(ctx, *gens).power(draw(st.integers(1, 3))).exps)
+    rows |= set(draw(st.lists(st.tuples(*[st.integers(0, 1)] * arity).filter(any), max_size=1)))
+    rows = _permuted(rows, draw(st.permutations(range(arity))))
+    if draw(st.booleans()):
+        return arity, rows, ()
+    return arity, ((0,) * arity,), rows
+
+
+@given(st.one_of(permuted_shapes().map(operator.itemgetter(0)), symmetric_shapes()))
+@example((4, ((0, 0, 0, 0),), ((0, 3, 0, 3), (1, 2, 1, 2), (2, 1, 2, 1), (3, 0, 3, 0))))
+@example((5, _C5, ()))
+@settings(max_examples=150, deadline=None)
+def test_the_canonical_shape_is_the_least_key_over_every_ordering(shape):
+    arity, outer, inner = shape
+    order, *canonical = canonical_shape(arity, outer, inner)
+    assert tuple(canonical) == oracles.brute_canonical_key(arity, outer, inner)
+    assert [_permuted(gens, order) for gens in (outer, inner)] == canonical
+
+
+# shapes whose tied columns fall into classes that swap member by member,
+# each with the (order, outer, inner) the search over every arrangement of
+# the classes gave: the pruned search must return the same order
+_SWAPPED_SHAPES = [
+    # S/J^3, J = (x1*x2, x3*x4), with its variables listed x3 x1 x4 x2
+    ((4, ((0, 0, 0, 0),), ((0, 3, 0, 3), (1, 2, 1, 2), (2, 1, 2, 1), (3, 0, 3, 0))),
+     ((0, 2, 1, 3), ((0, 0, 0, 0),), ((0, 0, 3, 3), (1, 1, 2, 2), (2, 2, 1, 1), (3, 3, 0, 0)))),
+    # a square of three products of two variables, shuffled
+    ((6, ((0, 0, 2, 2, 0, 0), (0, 1, 1, 1, 1, 0), (0, 2, 0, 0, 2, 0), (1, 0, 1, 1, 0, 1),
+          (1, 1, 0, 0, 1, 1), (2, 0, 0, 0, 0, 2)), ()),
+     ((0, 5, 1, 4, 2, 3), ((0, 0, 0, 0, 2, 2), (0, 0, 1, 1, 1, 1), (0, 0, 2, 2, 0, 0),
+                           (1, 1, 0, 0, 1, 1), (1, 1, 1, 1, 0, 0), (2, 2, 0, 0, 0, 0)), ())),
+    # a square of two products of three variables, shuffled
+    ((6, ((0, 2, 0, 2, 0, 2), (1, 1, 1, 1, 1, 1), (2, 0, 2, 0, 2, 0)), ()),
+     ((0, 2, 4, 1, 3, 5), ((0, 0, 0, 2, 2, 2), (1, 1, 1, 1, 1, 1), (2, 2, 2, 0, 0, 0)), ())),
+    # S/(x1^2*x2^2, x3^2*x4^2, x5*x6), compressed and shuffled
+    ((6, ((0, 0, 0, 0, 0, 0),), ((0, 0, 1, 1, 0, 0), (0, 1, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1))),
+     ((0, 5, 1, 4, 2, 3), ((0, 0, 0, 0, 0, 0),), ((0, 0, 0, 0, 1, 1), (0, 0, 1, 1, 0, 0),
+                                                  (1, 1, 0, 0, 0, 0)))),
+    # S/((x1*x2, x3*x4)^2 + (x5*x6)), shuffled
+    ((6, ((0, 0, 0, 0, 0, 0),), ((0, 0, 0, 1, 1, 0), (0, 2, 2, 0, 0, 0), (1, 1, 1, 0, 0, 1),
+                                 (2, 0, 0, 0, 0, 2))),
+     ((3, 4, 0, 5, 1, 2), ((0, 0, 0, 0, 0, 0),), ((1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 2, 2),
+                                                  (0, 0, 1, 1, 1, 1), (0, 0, 2, 2, 0, 0)))),
+]
+
+
+@pytest.mark.parametrize("shape, expected", _SWAPPED_SHAPES)
+def test_class_swaps_keep_the_order_of_the_full_search(shape, expected):
+    assert canonical_shape(*shape) == expected
 
 
 # --- depth by lcm-lattice shape --------------------------------------------------
