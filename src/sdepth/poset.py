@@ -68,7 +68,9 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 # failed uncovered sets the search remembers per decision, and the bits of
-# box masks they may hold; beyond either the memo is lossy (stops growing)
+# box masks they may hold; beyond either the memo is lossy (stops growing).
+# MEMO_BITS also bounds the bits of the per-cell masks a poset keeps for the
+# search (CharPoset.upper and lower), MEMO_BITS // volume masks at most
 MEMO_CAP = 200_000
 MEMO_BITS = 2**29
 
@@ -129,14 +131,47 @@ def _keep_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=MASK_CACHE_SIZE)
+def _degree_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Per degree t = 0, 1, .., sum(d - 1), the box points of degree t: the
+    masks of the box without its first axis, shifted into each of that
+    axis' d slabs, one degree up per slab."""
+    masks = [1]
+    volume = 1
+    for d in reversed(dims):
+        wider = [0] * (len(masks) + d - 1)
+        for e in range(d):
+            for t, mask in enumerate(masks, e):
+                wider[t] |= mask << (e * volume)
+        masks = wider
+        volume *= d
+    return tuple(masks)
+
+
+def _unit_steps(
+    steps, strides: tuple[int, ...], keeps: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """steps[j] unit steps up along each axis j, axis by axis, as (stride,
+    keep mask) pairs: the sweep of :func:`_up_closure`, which the search
+    keeps per branch cell."""
+    out: tuple[tuple[int, int], ...] = ()
+    for count, stride, keep in zip(steps, strides, keeps):
+        out += ((stride, keep),) * count
+    return out
+
+
+def _sweep_up(mask: int, unit_steps) -> int:
+    """mask swept by each (stride, keep) unit step in turn: a shift-OR, the
+    keep mask stopping the step at the axis' last coordinate."""
+    for stride, keep in unit_steps:
+        mask |= (mask & keep) << stride
+    return mask
+
+
 def _up_closure(mask: int, steps, strides: tuple[int, ...], keeps: tuple[int, ...]) -> int:
     """The points reached from mask by at most steps[j] unit steps up along
-    each axis j: a shift-OR sweep, the keep mask stopping each step at the
-    axis' last coordinate."""
-    for count, stride, keep in zip(steps, strides, keeps):
-        for _ in range(count):
-            mask |= (mask & keep) << stride
-    return mask
+    each axis j: a shift-OR sweep (:func:`_sweep_up`)."""
+    return _sweep_up(mask, _unit_steps(steps, strides, keeps))
 
 
 def ideal_mask(ideal: MonomialIdeal, dims: tuple[int, ...]) -> int:
@@ -201,52 +236,138 @@ def cover_mismatches(masks, member: int) -> int:
 # --- the characteristic poset -------------------------------------------------
 
 
+def _count_classes(sets, within: int, most: int) -> list[int]:
+    """Per count r = 0, 1, .., most, the points of within that lie in
+    exactly r of the sets: a bit-sliced counter, bit i of every point's
+    count in slices[i], added to one set at a time."""
+    slices: list[int] = []
+    for carry in sets:
+        carry &= within
+        for i, bits in enumerate(slices):
+            slices[i], carry = bits ^ carry, bits & carry
+        if carry:
+            slices.append(carry)
+    classes = []
+    for r in range(most + 1):
+        cls = within if r >> len(slices) == 0 else 0
+        for i, bits in enumerate(slices):
+            cls &= bits if r >> i & 1 else ~bits
+        classes.append(cls)
+    return classes
+
+
 class CharPoset:
     """Cells of the box [0, g] whose monomials lie in outer but not inner.
 
-    Built from the cells' row-major box indices in ascending (lex) order;
-    ``cells`` lists them in graded-lex order as exponent tuples and
-    ``points`` their box indices; ``cell_at`` and ``rho_at`` map a box index
-    to its cell and its rho.  Sets of cells are box masks: ``mask`` is the
-    set of all cells, ``levels`` the cells of each nonempty degree in
-    ascending degree, and ``keeps`` per axis the box points below its last
-    coordinate (the keep masks of :func:`_up_closure`).  The cells of I/J
-    form a convex set, so the unit steps between cells are exactly the
-    cover relations.
+    Built from the cells' row-major box indices in ascending (lex) order,
+    or from their mask by :meth:`of_mask`.  Sets of cells are box masks:
+    ``mask`` is the set of all cells, ``levels`` the cells of each nonempty
+    degree in ascending degree (the mask cut by the box's degree masks,
+    :func:`_degree_masks`), ``rho_classes[r]`` the cells with rho = r and
+    ``tops[k]`` those with rho >= k, for r and k from 0 to the arity.
+    ``cells`` lists the cells level by level, lex within a level
+    (graded-lex), as exponent tuples, and ``points`` their box indices;
+    ``cell_at`` maps a box index to its cell and ``rho_at``, built when
+    first read, to its rho.  ``keeps`` per axis are the box points below
+    its last coordinate (the keep masks of :func:`_up_closure`).  An empty
+    list of indices gives an empty frame with no work proportional to the
+    box.  The cells of I/J form a convex set, so the unit steps between
+    cells are exactly the cover relations.
+
+    The search reads the sub-boxes [c, g] of its branch cells and [0, d]
+    of its tops through :meth:`upper` and :meth:`lower`: each is built on
+    first use and shared by every decision on the poset, and at most
+    MEMO_BITS // volume of them are kept, the failure memo's bound on box
+    masks; beyond it a mask is built on every use.
     """
 
     def __init__(self, context: RingContext, g: tuple[int, ...], points: list[int]):
+        mask = 0
+        if points:
+            # the mask's binary digits, most significant first
+            digits = bytearray(b"0" * math.prod(gj + 1 for gj in g))
+            for p in points:
+                digits[-1 - p] = 49  # "1"
+            mask = int(digits, 2)
+        self._setup(context, g, mask)
+
+    @classmethod
+    def of_mask(cls, context: RingContext, g: tuple[int, ...], mask: int) -> CharPoset:
+        """The poset whose cells are the set bits of a mask on [0, g]."""
+        poset = cls.__new__(cls)
+        poset._setup(context, g, mask)
+        return poset
+
+    def _setup(self, context: RingContext, g: tuple[int, ...], mask: int) -> None:
         self.context = context
         self.g = g
         self.dims = tuple(gj + 1 for gj in g)
         self.strides = box_strides(self.dims)
-        lex = list(zip(*([p // s % d for p in points] for s, d in zip(self.strides, self.dims))))
-        # graded-lex: a stable sort by degree of the lex-ordered cells
-        degree = list(map(sum, lex))
-        order = sorted(range(len(lex)), key=degree.__getitem__)
-        self.cells = [lex[i] for i in order]
-        self.points = [points[i] for i in order]
+        self.volume = math.prod(self.dims)
+        self._upper: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+        self._lower: dict[int, int] = {}
+        self.mask = mask
+        self.levels: list[int] = []
+        self.rho_classes = [0] * (self.arity + 1)
+        self.tops = [0] * (self.arity + 1)
+        if mask:
+            self.levels = [level for level in map(mask.__and__, _degree_masks(self.dims)) if level]
+            # a cell has one rho per axis on which it sits at g_j
+            faces = (~keep for keep in self.keeps)
+            self.rho_classes = _count_classes(faces, mask, self.arity)
+            self.tops = list(itertools.accumulate(reversed(self.rho_classes), operator.or_))[::-1]
+        self.points = [p for level in self.levels for p in mask_points(level)]
+        columns = ([p // s % d for p in self.points] for s, d in zip(self.strides, self.dims))
+        self.cells = list(zip(*columns))
         self.cell_at = dict(zip(self.points, self.cells))
-        self.rho_at = {p: sum(map(operator.eq, c, g)) for p, c in zip(self.points, self.cells)}
-        self.levels = [
-            functools.reduce(operator.or_, (1 << points[i] for i in level))
-            for _, level in itertools.groupby(order, key=degree.__getitem__)
-        ]
-        self.mask = functools.reduce(operator.or_, self.levels, 0)
-        self.keeps = _keep_masks(self.dims)
+
+    @functools.cached_property
+    def keeps(self) -> tuple[int, ...]:
+        return _keep_masks(self.dims)
+
+    @functools.cached_property
+    def rho_at(self) -> dict[int, int]:
+        return {p: sum(map(operator.eq, c, self.g)) for p, c in zip(self.points, self.cells)}
 
     @property
     def arity(self) -> int:
         return len(self.g)
 
-    def maximal_cells(self) -> list[int]:
-        """Box indices of the cells with no cell one unit step above them,
-        in the cells' order."""
+    def maximal_mask(self) -> int:
+        """The cells with no cell one unit step above them."""
         covered = 0
         for stride, keep in zip(self.strides, self.keeps):
             covered |= (self.mask >> stride) & keep
-        top = self.mask & ~covered
+        return self.mask & ~covered
+
+    def maximal_cells(self) -> list[int]:
+        """Box indices of the maximal cells, in the cells' order."""
+        top = self.maximal_mask()
         return [p for p in self.points if top >> p & 1]
+
+    def upper(self, c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """[c, g] for the cell at box index c, and the unit steps of its
+        upward closure, g_j - c_j along each axis j (:func:`_unit_steps`)."""
+        found = self._upper.get(c)
+        if found is None:
+            cell = self.cell_at[c]
+            unit_steps = _unit_steps(map(operator.sub, self.g, cell), self.strides, self.keeps)
+            found = box_mask(cell, self.g, self.strides), unit_steps
+            if self._room():
+                self._upper[c] = found
+        return found
+
+    def lower(self, d: int) -> int:
+        """[0, d] for the cell at box index d."""
+        found = self._lower.get(d)
+        if found is None:
+            found = box_mask((0,) * self.arity, self.cell_at[d], self.strides)
+            if self._room():
+                self._lower[d] = found
+        return found
+
+    def _room(self) -> bool:
+        return len(self._upper) + len(self._lower) < MEMO_BITS // self.volume
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -354,66 +475,94 @@ def build_poset(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Char
     """Enumerate the cells of the box [0, g] belonging to the module."""
     dims = poset_box(module, budget)
     g = tuple(d - 1 for d in dims)
-    return CharPoset(module.context, g, mask_points(module_mask(module, dims)))
+    return CharPoset.of_mask(module.context, g, module_mask(module, dims))
 
 
-def _candidates(poset: CharPoset, tops: int, c: int, uncovered: int, frugal: bool) -> list[int]:
+def _bits(mask: int):
+    """The indices of the set bits, ascending, one at a time."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _candidates(poset: CharPoset, tops: int, c: int, uncovered: int, frugal: bool):
     """The tops d in tops with [c, d] inside the uncovered set, as box
-    indices in the phase's order.
+    indices in the phase's order, one at a time.
 
     Greedy, best rho first and then larger intervals, is good at refutation
     and on most satisfiable instances.  Frugal, smaller intervals first,
     keeps high-rho tops available for the cells that need them; it rescues
-    instances where greed paints the search into a corner.
+    instances where greed paints the search into a corner.  Greedy sorts
+    one rho class (``rho_classes``) at a time, the next only when the
+    search comes back for it; frugal sorts them all at once.
 
     [c, d] lies inside the uncovered set exactly when no point of [c, g]
     outside it lies below d.  Closing those blocked points upwards, g_j -
-    c_j steps along each axis j (:func:`_up_closure`), gives every point of
-    [c, g] above one of them (the keep masks stop each step at g_j, so the
-    closure stays in [c, g]); the rest of [c, g] is every such d.
+    c_j steps along each axis j (:func:`_sweep_up` of the unit steps that
+    :meth:`CharPoset.upper` keeps with [c, g]), gives every point of [c, g]
+    above one of them (the keep masks stop each step at g_j, so the closure
+    stays in [c, g]); the rest of [c, g] is every such d.
     """
-    cell = poset.cell_at[c]
-    box = box_mask(cell, poset.g, poset.strides)
-    steps = map(operator.sub, poset.g, cell)
+    box, unit_steps = poset.upper(c)
     # both xors subtract a subset of box
-    blocked = _up_closure(box ^ (box & uncovered), steps, poset.strides, poset.keeps)
+    blocked = _sweep_up(box ^ (box & uncovered), unit_steps)
     reach = (box ^ blocked) & tops
-    below = [cj - 1 for cj in cell]
-    keys = []
-    while reach:
-        bit = reach & -reach
-        reach ^= bit
-        d = bit.bit_length() - 1
-        # every point of [c, d] is a cell by convexity
-        size = math.prod(map(operator.sub, poset.cell_at[d], below))
-        rho = poset.rho_at[d]
-        keys.append((size, -rho, d) if frugal else (-rho, -size, d))
-    keys.sort()
-    return [key[-1] for key in keys]
+    cell_at = poset.cell_at
+    below = [cj - 1 for cj in cell_at[c]]
+    # every point of [c, d] is a cell by convexity; the rho classes best first
+    classes = reversed(poset.rho_classes)
+    if frugal:
+        rhos = itertools.count(poset.arity, -1)
+        keys = [
+            (math.prod(map(operator.sub, cell_at[d], below)), -rho, d)
+            for rho, cls in zip(rhos, classes)
+            for d in _bits(cls & reach)
+        ]
+        keys.sort()
+        for key in keys:
+            yield key[-1]
+        return
+    for cls in classes:
+        cls &= reach
+        if cls & (cls - 1):
+            keys = [(-math.prod(map(operator.sub, cell_at[d], below)), d) for d in _bits(cls)]
+            keys.sort()
+            for key in keys:
+                yield key[-1]
+        elif cls:
+            yield cls.bit_length() - 1
+        reach ^= cls
+        if not reach:
+            return
 
 
 def _search_phase(
-    poset: CharPoset, tops: int, failed: set[int], frugal: bool, deadline: float, nodes: int
+    poset: CharPoset, tops: int, failed: set[int], frugal: bool, deadline: float, nodes: int,
+    share: float = 1.0,
 ) -> tuple[str, list[tuple[int, int]] | None, int]:
     """One phase of the partition search: depth-first from the full cell
     set on an explicit stack, branching on the graded-lex smallest
     uncovered cell.  Cell sets are box masks; cells are box indices.
 
-    Failed uncovered sets go into failed (lossy beyond the memo bounds).  nodes
-    counts on from earlier phases; every 256th node checks the deadline.
-    An open node is [uncovered set, branch cell, chosen top, its remaining
-    candidates, degree level of the branch cell].  Returns the status, the
-    (cell, top) pairs deepest first if "true", and the node count; "false"
-    means exhaustive, "unknown" that the deadline passed.
+    Failed uncovered sets go into failed until it holds share of the memo
+    bound (lossy beyond it).  nodes counts on from earlier phases; every
+    256th node checks the deadline.
+    An open node is [uncovered set, branch cell c, chosen top, its remaining
+    candidates, degree level of the branch cell, [c, g]].  Trying top d
+    removes [c, d] = [c, g] & [0, d], both masks from the poset
+    (:meth:`CharPoset.upper`, :meth:`CharPoset.lower`).  Returns the status,
+    the (cell, top) pairs deepest first if "true", and the node count;
+    "false" means exhaustive, "unknown" that the deadline passed.
     """
-    levels, cell_at, strides = poset.levels, poset.cell_at, poset.strides
-    memo_cap = min(MEMO_CAP, MEMO_BITS // math.prod(poset.dims))
+    levels, upper, lower = poset.levels, poset.upper, poset.lower
+    memo_cap = int(share * min(MEMO_CAP, MEMO_BITS // poset.volume))
     stack: list[list] = []
     uncovered = poset.mask
     level = 0
     while True:
         if uncovered == 0:
-            return "true", [(c, d) for _, c, d, _, _ in reversed(stack)], nodes
+            return "true", [(c, d) for _, c, d, _, _, _ in reversed(stack)], nodes
         if uncovered not in failed:
             nodes += 1
             if nodes % 256 == 0 and time.monotonic() > deadline:
@@ -424,15 +573,15 @@ def _search_phase(
                 level += 1
             lowest = uncovered & levels[level]
             c = (lowest & -lowest).bit_length() - 1
-            candidates = iter(_candidates(poset, tops, c, uncovered, frugal))
-            stack.append([uncovered, c, None, candidates, level])
+            candidates = _candidates(poset, tops, c, uncovered, frugal)
+            stack.append([uncovered, c, None, candidates, level, upper(c)[0]])
         # backtrack to the deepest open node with a candidate left
         while stack:
             node = stack[-1]
             d = next(node[3], None)
             if d is not None:
                 node[2] = d
-                uncovered = node[0] & ~box_mask(cell_at[node[1]], cell_at[d], strides)
+                uncovered = node[0] & ~(node[5] & lower(d))
                 level = node[4]
                 break
             stack.pop()
@@ -455,7 +604,7 @@ def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -
     if len(poset) == 0:
         raise ValueError("empty poset: the module is zero")
     start = time.monotonic()
-    tops = functools.reduce(operator.or_, (1 << p for p, r in poset.rho_at.items() if r >= k), 0)
+    tops = poset.tops[k]
     if tops == poset.mask:
         intervals = tuple(Interval(c, c) for c in poset.cells)
         return Decision("true", IntervalPartition(intervals), 0, time.monotonic() - start)
@@ -463,10 +612,11 @@ def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -
     nodes = 0
     # two-phase portfolio: restart with the frugal ordering when the greedy
     # one times out; the failure memo states ordering-independent facts, so
-    # it carries over
+    # it carries over, and greedy may fill it only as far as its share of
+    # the time limit, so that the frugal phase has room in it
     for frugal, share in ((False, 0.5), (True, 1.0)):
         deadline = start + share * budget.time_limit
-        status, chosen, nodes = _search_phase(poset, tops, failed, frugal, deadline, nodes)
+        status, chosen, nodes = _search_phase(poset, tops, failed, frugal, deadline, nodes, share)
         if status != "unknown":
             break
     partition = None
@@ -517,7 +667,8 @@ def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sdep
     if module.is_zero:
         raise ValueError("Stanley depth of the zero module is undefined")
     poset = build_poset(module, budget)
-    hi = min(map(poset.rho_at.__getitem__, poset.maximal_cells()))
+    maximal = poset.maximal_mask()
+    hi = next(rho for rho, cls in enumerate(poset.rho_classes) if cls & maximal)
     nodes = 0
     elapsed = 0.0
     for k in range(hi, -1, -1):

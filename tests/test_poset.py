@@ -1,4 +1,5 @@
 import math
+import operator
 import pathlib
 import random
 import re
@@ -117,6 +118,74 @@ class TestBuildPoset:
             assert p.mask == sum(1 << q for q in p.points)
 
 
+class TestPosetMasks:
+    """The cell-set masks CharPoset builds with the poset, and the per-cell
+    masks it keeps for the search, against the cells and the rho oracle."""
+
+    @staticmethod
+    def _posets():
+        rng = random.Random(41)
+        for trial in range(40):
+            mod = _random_module(rng)
+            yield build_poset(_with_free_axis(mod) if trial % 3 == 0 else mod)
+
+    def test_rho_classes_tops_and_levels_match_the_cells(self):
+        for p in self._posets():
+            def of(keep):
+                return sum(1 << q for q, c in zip(p.points, p.cells) if keep(c))
+
+            assert p.rho_classes == [of(lambda c: rho(p.g, c) == r) for r in range(p.arity + 1)]
+            assert p.tops == [of(lambda c: rho(p.g, c) >= k) for k in range(p.arity + 1)]
+            degrees = sorted({sum(c) for c in p.cells})
+            assert p.levels == [of(lambda c: sum(c) == t) for t in degrees]
+            assert p.cells == sorted(p.cells, key=lambda c: (sum(c), c))
+            assert p.maximal_mask() == sum(1 << q for q in p.maximal_cells())
+            # the constructor from box indices builds the same poset
+            q = CharPoset(p.context, p.g, sorted(p.points))
+            assert (q.mask, q.levels, q.rho_classes, q.tops, q.points, q.cells) == (
+                p.mask, p.levels, p.rho_classes, p.tops, p.points, p.cells)
+
+    def test_an_empty_frame_does_no_work_per_box_point(self):
+        p = CharPoset(X2, (2, 1), [])
+        assert (p.levels, p.rho_classes, p.tops) == ([], [0, 0, 0], [0, 0, 0])
+        # a box of 10^27 points could not even be listed
+        huge = CharPoset(X3, (10**9 - 1,) * 3, [])
+        assert (huge.mask, huge.levels, huge.cells, huge.tops) == (0, [], [], [0] * 4)
+
+    def test_cached_intervals_are_the_box_masks(self):
+        for p in self._posets():
+            for c, lo in zip(p.points, p.cells):
+                box, unit_steps = p.upper(c)
+                assert box == poset_module.box_mask(lo, p.g, p.strides)
+                assert [stride for stride, _ in unit_steps] == [
+                    s for s, gj, cj in zip(p.strides, p.g, lo) for _ in range(gj - cj)]
+                for d, hi in zip(p.points, p.cells):
+                    if all(map(operator.le, lo, hi)):
+                        assert box & p.lower(d) == poset_module.box_mask(lo, hi, p.strides)
+
+    def test_a_small_mask_bound_keeps_the_decision(self, monkeypatch):
+        ctx = make_context("x1", "x2", "x3", "x4")
+        maximal4 = MonomialIdeal.from_gens(ctx, [ctx.variable(j) for j in range(4)])
+        masks = lambda p: len(p._upper) + len(p._lower)
+        for n in (1, 2):
+            module = QuotientModule.of_ideal(maximal4.power(n))
+            free = build_poset(module)
+            full = sdepth_decision(free, 2)
+            assert masks(free) > 2
+            # a bound of 2 masks per poset, and so of 2 failed sets
+            monkeypatch.setattr(poset_module, "MEMO_BITS", 2 * free.volume)
+            p = build_poset(module)
+            runs = [sdepth_decision(p, 2) for _ in range(2)]
+            monkeypatch.undo()
+            assert masks(p) == 2
+            assert runs[1].status == runs[0].status == full.status == "true"
+            assert runs[1].partition == runs[0].partition == full.partition
+            assert runs[1].nodes == runs[0].nodes
+            # m4's search never enters a failed set twice, so only m4^2
+            # loses nodes to the smaller failure memo
+            assert runs[0].nodes == full.nodes if n == 1 else runs[0].nodes > full.nodes
+
+
 class TestCandidates:
     """The up-closure of the blocked points lists the same tops as a
     pointwise walk."""
@@ -146,7 +215,8 @@ class TestCandidates:
                     for q in p.points:
                         expected = brute_candidates(p, cell[q], uncovered, k)
                         for frugal, key in self._orders(p, cell[q]):
-                            got = [cell[d] for d in poset_module._candidates(p, tops, q, mask, frugal)]
+                            got = list(poset_module._candidates(p, tops, q, mask, frugal))
+                            got = [cell[d] for d in got]
                             assert got == sorted(expected, key=key)
                             checked += bool(got)
         assert checked > 100
@@ -156,7 +226,7 @@ class TestCandidates:
         p = build_poset(mod)
         assert p.g == (1, 1, 0)
         tops = _tops(p, 2)
-        candidates = lambda q, uncovered: poset_module._candidates(p, tops, q, uncovered, False)
+        candidates = lambda q, uncovered: list(poset_module._candidates(p, tops, q, uncovered, False))
         cell = dict(zip(p.points, p.cells))
         assert all(candidates(q, 0) == [] for q in p.points)
         bottom = p.points[0]
@@ -229,6 +299,31 @@ class TestGoldenSearch:
         exact = sdepth_exact(mod)
         assert (exact.status, exact.value) == (status, value)
         certify_witness(exact.witness, mod, exact.value, poset_box(mod))
+
+    def test_m4_squared_comes_back_for_lower_rho_classes(self, monkeypatch):
+        # the m4^2 pin above, whose greedy search often backtracks out of a
+        # branch cell's best rho class: so the classes that _candidates sorts
+        # only when the search comes back for them are pinned here too
+        real = poset_module._candidates
+        came_back = []  # per branch node, whether a lower class was tried
+
+        def recording(p, tops, c, uncovered, frugal):
+            node = len(came_back)
+            came_back.append(False)
+            best = None
+            for d in real(p, tops, c, uncovered, frugal):
+                best = p.rho_at[d] if best is None else best
+                came_back[node] |= p.rho_at[d] < best
+                yield d
+
+        monkeypatch.setattr(poset_module, "_candidates", recording)
+        ctx = make_context("x1", "x2", "x3", "x4")
+        maximal4 = MonomialIdeal.from_gens(ctx, [ctx.variable(j) for j in range(4)])
+        res = poset_module.sdepth_walk(QuotientModule.of_ideal(maximal4.power(2)))
+        assert (res.status, res.value, res.nodes, len(res.witness.intervals)) == ("exact", 2, 20615, 15)
+        assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == self.CASES[2][-1]
+        # one candidate list per node, and 2,449 of the nodes tried a lower class
+        assert (len(came_back), sum(came_back)) == (20615, 2449)
 
     FRUGAL_M4_SQUARED = [
         ((2, 2, 2, 2), (2, 2, 2, 2)), ((2, 2, 2, 1), (2, 2, 2, 1)), ((2, 2, 1, 2), (2, 2, 1, 2)),
