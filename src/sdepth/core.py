@@ -11,7 +11,8 @@ The shape layer at the end reduces a presentation to its shape:
 drops the unused variables, and :func:`canonical_shape` puts the kept
 variables in a canonical order.  Stanley depth and pd are read off the
 shape (each unused variable adds one to depth and to Stanley depth), so
-poset memoises its walks and taylor its projective dimensions by it.
+:func:`shape_memo` computes an answer once per shape up to a permutation
+of its variables, on the module :func:`neutral_module` builds.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Iterable
 
 
@@ -389,10 +390,9 @@ class QuotientModule:
 # exponent tuples, one per generator (or per variable, for levels)
 Exponents = tuple[tuple[int, ...], ...]
 
-# shapes each memo keyed by them remembers (poset._shape_walk, the walks;
-# taylor._shape_pd, the projective dimensions): each shape in its own
-# variable order, and each canonical shape with its answer; and the most
-# arrangements of tied variables, before class swaps prune them, among which
+# shapes each shape_memo remembers: each shape in its own variable order,
+# and each canonical shape with its answer; and the most arrangements of
+# tied variables, before class swaps prune them, among which
 # canonical_shape looks for the least key
 SHAPE_CACHE_SIZE = 4096
 ORDERINGS_CAP = 720
@@ -580,3 +580,32 @@ def canonical_shape(
 def _neutral_context(arity: int) -> RingContext:
     """The ring x1, .., x_arity in which a memo builds a canonical shape."""
     return RingContext(tuple(f"x{j + 1}" for j in range(arity)))
+
+
+def neutral_module(arity: int, outer: Exponents, inner: Exponents) -> QuotientModule:
+    """The module outer/inner, given by graded-lex exponent tuples, in the
+    ring x1, .., x_arity."""
+    context = _neutral_context(arity)
+    return QuotientModule(MonomialIdeal(context, outer), MonomialIdeal(context, inner))
+
+
+def shape_memo(compute):
+    """``compute(module, *args)`` memoised by shape: an ``lru_cache`` of
+    SHAPE_CACHE_SIZE entries keyed by ``(arity, outer, inner, *args)``, the
+    shape in its own variable order, that returns ``(order, answer)`` with
+    the canonical order of :func:`canonical_shape`.  A shape that is not
+    its own canonical form takes its canonical shape's answer, one level
+    down, since the canonical form of a canonical shape is itself; a
+    canonical shape seen for the first time is computed on its
+    :func:`neutral_module`.  So every ordering of a shape shares one
+    answer, which must then not depend on the variable order.  An
+    exception propagates and is not memoised."""
+
+    @lru_cache(maxsize=SHAPE_CACHE_SIZE)
+    def memo(arity: int, outer: Exponents, inner: Exponents, *args):
+        order, canonical_outer, canonical_inner = canonical_shape(arity, outer, inner)
+        if (canonical_outer, canonical_inner) != (outer, inner):
+            return order, memo(arity, canonical_outer, canonical_inner, *args)[1]
+        return order, compute(neutral_module(arity, outer, inner), *args)
+
+    return memo

@@ -8,9 +8,9 @@ such k; every positive answer ships an interval partition that converts to
 an independently checkable Stanley decomposition.  :func:`sdepth_exact`
 searches the poset shape :func:`compress` reads off the generators
 (exponents relabelled, unused variables dropped), once per shape up to a
-permutation of its variables (:func:`canonical_shape`) in one memo of
-shapes and walks (:func:`_shape_walk`), and checks the witness, pulled
-back, on the module itself.
+permutation of its variables in the shape memo of ``core``
+(:func:`_shape_walk`), and checks the witness, pulled back, on the module
+itself.
 
 Every box walk goes through one kernel: an ideal becomes a Python-int
 bitmask over a box (:func:`ideal_mask`), bit p set when the point with
@@ -26,18 +26,15 @@ import re
 import time
 from dataclasses import dataclass, replace
 
-from .core import (  # the shape layer, re-exported under its old home
-    ORDERINGS_CAP,
-    SHAPE_CACHE_SIZE,
+from .core import (
     CapError,
     Exponents,
     Monomial,
     MonomialIdeal,
     QuotientModule,
     RingContext,
-    _neutral_context,
-    canonical_shape,
     compress,
+    shape_memo,
 )
 
 
@@ -267,12 +264,11 @@ class CharPoset:
     ``tops[k]`` those with rho >= k, for r and k from 0 to the arity.
     ``cells`` lists the cells level by level, lex within a level
     (graded-lex), as exponent tuples, and ``points`` their box indices;
-    ``cell_at`` maps a box index to its cell and ``rho_at``, built when
-    first read, to its rho.  ``keeps`` per axis are the box points below
-    its last coordinate (the keep masks of :func:`_up_closure`).  An empty
-    list of indices gives an empty frame with no work proportional to the
-    box.  The cells of I/J form a convex set, so the unit steps between
-    cells are exactly the cover relations.
+    ``cell_at`` maps a box index to its cell.  ``keeps`` per axis are the
+    box points below its last coordinate (the keep masks of
+    :func:`_up_closure`).  An empty list of indices gives an empty frame
+    with no work proportional to the box.  The cells of I/J form a convex
+    set, so the unit steps between cells are exactly the cover relations.
 
     The search reads the sub-boxes [c, g] of its branch cells and [0, d]
     of its tops through :meth:`upper` and :meth:`lower`: each is built on
@@ -325,10 +321,6 @@ class CharPoset:
     def keeps(self) -> tuple[int, ...]:
         return _keep_masks(self.dims)
 
-    @functools.cached_property
-    def rho_at(self) -> dict[int, int]:
-        return {p: sum(map(operator.eq, c, self.g)) for p, c in zip(self.points, self.cells)}
-
     @property
     def arity(self) -> int:
         return len(self.g)
@@ -339,11 +331,6 @@ class CharPoset:
         for stride, keep in zip(self.strides, self.keeps):
             covered |= (self.mask >> stride) & keep
         return self.mask & ~covered
-
-    def maximal_cells(self) -> list[int]:
-        """Box indices of the maximal cells, in the cells' order."""
-        top = self.maximal_mask()
-        return [p for p in self.points if top >> p & 1]
 
     def upper(self, c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """[c, g] for the cell at box index c, and the unit steps of its
@@ -683,24 +670,10 @@ def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sdep
     raise AssertionError("unreachable: decision at k=0 cannot fail")
 
 
-@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _shape_walk(
-    arity: int, outer: Exponents, inner: Exponents, budget: Budget
-) -> tuple[tuple[int, ...], SdepthResult]:
-    """The canonical order of the shape outer/inner (:func:`canonical_shape`)
-    and the walk of the shape in that order, memoised by the shape in its
-    own variable order: one lookup on every :func:`sdepth_exact` call, and
-    a canonical form only for a new shape.  A canonical shape is walked
-    (:func:`sdepth_walk`) in a ring of neutral variable names; any other
-    takes the walk of its canonical shape from this memo, one level down,
-    since the canonical form of a canonical shape is itself.  So every
-    ordering of a poset shape shares one walk."""
-    order, canonical_outer, canonical_inner = canonical_shape(arity, outer, inner)
-    if (canonical_outer, canonical_inner) != (outer, inner):
-        return order, _shape_walk(arity, canonical_outer, canonical_inner, budget)[1]
-    context = _neutral_context(arity)
-    module = QuotientModule(MonomialIdeal(context, outer), MonomialIdeal(context, inner))
-    return order, sdepth_walk(module, budget)
+# (order, walk) by (arity, outer, inner, budget): every ordering of a poset
+# shape shares the walk of its canonical shape; sdepth_walk is looked up on
+# each miss, so a patched one is the one that walks
+_shape_walk = shape_memo(lambda module, budget: sdepth_walk(module, budget))
 
 
 def sdepth_exact(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> SdepthResult:

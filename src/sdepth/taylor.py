@@ -15,8 +15,8 @@ Depth then follows from depth + pd = n (Auslander-Buchsbaum).  Ranks are
 over the rationals, computed by exact fraction-free sparse elimination
 over the integers (``rational_rank``), so depth is the characteristic-0
 value.  The Betti numbers depend only on the lcm lattice, so
-:func:`depth_quotient` computes pd once per lattice shape: the generators
-compressed and canonically ordered by the shape layer of ``core``
+:func:`depth_quotient` computes pd once per lattice shape, the generators
+compressed and canonically ordered, in the shape memo of ``core``
 (:func:`_shape_pd`).  docs/internals.md has the derivation.
 """
 from __future__ import annotations
@@ -24,19 +24,16 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd
 
 from .core import (
-    SHAPE_CACHE_SIZE,
-    Exponents,
     MonomialIdeal,
     QuotientModule,
     _minimal,
-    _neutral_context,
-    canonical_shape,
     compress,
     lcm_closure,
+    shape_memo,
 )
 
 
@@ -203,23 +200,17 @@ def has_socle(ideal: MonomialIdeal) -> bool:
     return True
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _shape_pd(arity: int, exps: Exponents) -> int:
-    """pd(S/I) for the nonzero proper ideal I of this arity whose minimal
-    generators are exps (graded-lex), memoised by the shape in its own
-    variable order.  A shape that is not its own canonical form
-    (:func:`canonical_shape`) takes its canonical shape's entry, one level
-    down.  A canonical shape is computed in a ring of neutral variable
-    names: pd is the arity when it has a socle (depth 0), and otherwise
-    read off its Betti numbers.  A cap error propagates and is not
-    memoised."""
-    canonical = canonical_shape(arity, ((0,) * arity,), exps)[2]
-    if canonical != exps:
-        return _shape_pd(arity, canonical)
-    ideal = MonomialIdeal(_neutral_context(arity), exps)
-    if has_socle(ideal):
-        return arity
-    return taylor_tor_ranks(ideal).pd
+def _pd(module: QuotientModule) -> int:
+    """pd(S/I) for the module S/I: the arity when S/I has a socle (depth
+    0), and otherwise read off its Betti numbers."""
+    if has_socle(module.inner):
+        return module.context.arity
+    return taylor_tor_ranks(module.inner).pd
+
+
+# (order, pd) by (arity, outer, inner), outer the unit ideal: one pd per
+# lcm-lattice shape; taylor_tor_ranks is looked up on each miss
+_shape_pd = shape_memo(_pd)
 
 
 def depth_quotient(ideal: MonomialIdeal) -> DepthReport:
@@ -241,8 +232,8 @@ def depth_quotient(ideal: MonomialIdeal) -> DepthReport:
     n = ideal.context.arity
     if ideal.is_zero:
         return DepthReport(n, 0, "taylor")
-    _levels, kept, _outer, inner = compress(QuotientModule.of_quotient_ring(ideal))
-    pd = _shape_pd(len(kept), inner)
+    _levels, kept, outer, inner = compress(QuotientModule.of_quotient_ring(ideal))
+    pd = _shape_pd(len(kept), outer, inner)[1]
     depth = n - pd
     return DepthReport(depth, pd, "taylor" if depth else "socle-shortcut")
 

@@ -19,12 +19,14 @@ from typing import Callable, Iterator
 
 from .core import (
     CapError,
+    Exponents,
     Monomial,
     MonomialIdeal,
     QuotientModule,
     RingContext,
     is_complete_intersection,
     krull_dim_quotient,
+    neutral_module,
     tensor_join,
 )
 from .lattice import build_lcm_lattice, ci_power_atom_map, sdepth_transfer
@@ -94,37 +96,16 @@ def _known(fn, *args, **kwargs):
         return None
 
 
-class _Operand:
-    """A module as the verifier's memo keys it: the arity, the exponent
-    tuples of its two ideals and the budget, not its ring.  The module
-    rides along uncompared for the one call a miss makes, which takes it,
-    so the memo keeps the key and not the module."""
-
-    __slots__ = ("key", "module")
-
-    def __init__(self, module: QuotientModule, budget: Budget):
-        self.key = (module.context.arity, module.outer.exps, module.inner.exps, budget)
-        self.module = module
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
 # operands, by exponent tuples and budget, whose Stanley-depth bracket the
 # verifier remembers: two ints and the key each
 BRACKET_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=BRACKET_CACHE_SIZE)
-def _bracket(operand: _Operand) -> Bracket:
+def _bracket(arity: int, outer: Exponents, inner: Exponents, budget: Budget) -> Bracket:
     """The bracket of :func:`_sd`, by one :func:`sdepth_exact` call on the
-    module of the first operand with these exponents and budget."""
-    module, operand.module = operand.module, None
-    arity, _, _, budget = operand.key
-    res = _known(sdepth_exact, module, budget=budget)
+    module with these exponent tuples in the ring x1, .., x_arity."""
+    res = _known(sdepth_exact, neutral_module(arity, outer, inner), budget=budget)
     return (0, arity) if res is None else (res.lo, res.hi)
 
 
@@ -135,13 +116,14 @@ def _sd(module: QuotientModule, budget: Budget) -> Bracket:
     Memoised by the module's exponent tuples and the budget, without its
     ring (:func:`_bracket`): a block's module in its own variables, in the
     joint ring or in a split ring, and a module that several checks
-    compare, is decided once per process.  Only the
-    bracket is kept, never the witness.  On a miss :func:`sdepth_exact`
-    runs on this module and certifies its witness on it, so every distinct
-    (exponents, budget) pair is certified on an input once; a
-    CertificateError propagates and nothing is cached.
+    compare, is decided once per process.  Only the bracket is kept, never
+    the witness.  On a miss :func:`sdepth_exact` runs on the module with
+    the same exponent tuples in neutral variables, which has the same cells,
+    and certifies its witness there, so every distinct (exponents, budget)
+    pair is certified once; a CertificateError propagates and nothing is
+    cached.
     """
-    return _bracket(_Operand(module, budget))
+    return _bracket(module.context.arity, module.outer.exps, module.inner.exps, budget)
 
 
 def _depth_q(ideal: MonomialIdeal) -> Bracket:

@@ -14,10 +14,12 @@ from sdepth.core import (
     MonomialIdeal,
     QuotientModule,
     RingContext,
+    canonical_shape,
     is_complete_intersection,
     krull_dim_quotient,
     lcm_closure,
     make_context,
+    shape_memo,
     tensor_join,
 )
 
@@ -314,3 +316,55 @@ class TestInterleavings:
         sizes = list(map(len, runs))
         count = math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
         assert len(merges) == count // math.prod(math.factorial(len(orbit)) for orbit in orbits)
+
+
+class TestShapeMemo:
+    """shape_memo computes once per shape up to a permutation of the
+    variables, on the module in the ring x1, .., xn."""
+
+    UNIT = ((0, 0, 0),)
+    # S/(x1^2, x1*x2, x3) and S/(x1*x2, x2^2, x3): one shape, two orders
+    FIRST = ((0, 0, 1), (1, 1, 0), (2, 0, 0))
+    SECOND = ((0, 0, 1), (0, 2, 0), (1, 1, 0))
+
+    @staticmethod
+    def counting(answer):
+        calls = []
+
+        def compute(module, *args):
+            calls.append((module, args))
+            return answer(module)
+
+        return shape_memo(compute), calls
+
+    def test_two_orderings_of_a_shape_share_one_call(self):
+        memo, calls = self.counting(lambda module: len(module.inner.exps))
+        first = memo(3, self.UNIT, self.FIRST, "budget")
+        second = memo(3, self.UNIT, self.SECOND, "budget")
+        assert len(calls) == 1
+        assert (first[1], second[1]) == (3, 3)
+        assert first[0] == canonical_shape(3, self.UNIT, self.FIRST)[0]
+        assert second[0] == canonical_shape(3, self.UNIT, self.SECOND)[0]
+        assert first[0] != second[0]
+        # other arguments are another key
+        memo(3, self.UNIT, self.FIRST, "other")
+        assert [args for _, args in calls] == [("budget",), ("other",)]
+
+    def test_compute_gets_the_canonical_shape_in_the_neutral_ring(self):
+        memo, calls = self.counting(lambda module: None)
+        in_y = ideal(make_context("y1", "y2", "y3"), *self.FIRST)
+        memo(3, self.UNIT, in_y.exps)
+        [(module, _)] = calls
+        _, outer, inner = canonical_shape(3, self.UNIT, self.FIRST)
+        assert module == QuotientModule(MonomialIdeal(X3, outer), MonomialIdeal(X3, inner))
+
+    def test_an_exception_propagates_and_nothing_is_memoised(self):
+        def capped(module):
+            raise LatticeCapError("too many generators")
+
+        memo, calls = self.counting(capped)
+        for attempt in (1, 2):
+            with pytest.raises(LatticeCapError):
+                memo(3, self.UNIT, self.FIRST)
+            assert len(calls) == attempt
+        assert memo.cache_info().currsize == 0

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import sdepth.core as core_module
 import sdepth.poset as poset_module
-from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
+from sdepth.core import Monomial, MonomialIdeal, QuotientModule, canonical_shape, compress, make_context
 from sdepth.parsing import parse_ideal, split_blocks
 from sdepth.poset import (
     Budget,
@@ -20,8 +21,6 @@ from sdepth.poset import (
     IntervalPartition,
     ResourceCapError,
     build_poset,
-    canonical_shape,
-    compress,
     degree_bound_g,
     mask_points,
     module_mask,
@@ -103,16 +102,18 @@ class TestBuildPoset:
         p = CharPoset(X2, (2, 1), [])
         assert len(p) == 0
         assert p.cells == p.points == p.levels == []
-        assert p.cell_at == p.rho_at == {}
-        assert p.mask == 0
-        assert p.maximal_cells() == []
+        assert p.cell_at == {}
+        assert p.mask == p.maximal_mask() == 0
 
     def test_maximal_cells_are_the_pointwise_maxima(self):
         rng = random.Random(29)
         for _ in range(40):
             p = build_poset(_random_module(rng))
-            assert [p.cell_at[q] for q in p.maximal_cells()] == pointwise_maximal_cells(p)
-            assert p.rho_at == {q: rho(p.g, c) for q, c in zip(p.points, p.cells)}
+            maximal, pointwise = p.maximal_mask(), pointwise_maximal_cells(p)
+            assert maximal == sum(1 << q for q, c in zip(p.points, p.cells) if c in pointwise)
+            # the walk's upper bound: the least rho class meeting the maximal cells
+            bound = next(r for r, cls in enumerate(p.rho_classes) if cls & maximal)
+            assert bound == min(rho(p.g, c) for c in pointwise)
             strides = [math.prod(d + 1 for d in p.g[j + 1 :]) for j in range(p.arity)]
             assert p.points == [sum(cj * s for cj, s in zip(c, strides)) for c in p.cells]
             assert p.mask == sum(1 << q for q in p.points)
@@ -139,7 +140,7 @@ class TestPosetMasks:
             degrees = sorted({sum(c) for c in p.cells})
             assert p.levels == [of(lambda c: sum(c) == t) for t in degrees]
             assert p.cells == sorted(p.cells, key=lambda c: (sum(c), c))
-            assert p.maximal_mask() == sum(1 << q for q in p.maximal_cells())
+            assert p.maximal_mask() == of(lambda c: c in pointwise_maximal_cells(p))
             # the constructor from box indices builds the same poset
             q = CharPoset(p.context, p.g, sorted(p.points))
             assert (q.mask, q.levels, q.rho_classes, q.tops, q.points, q.cells) == (
@@ -312,8 +313,9 @@ class TestGoldenSearch:
             came_back.append(False)
             best = None
             for d in real(p, tops, c, uncovered, frugal):
-                best = p.rho_at[d] if best is None else best
-                came_back[node] |= p.rho_at[d] < best
+                r = rho(p.g, p.cell_at[d])
+                best = r if best is None else best
+                came_back[node] |= r < best
                 yield d
 
         monkeypatch.setattr(poset_module, "_candidates", recording)
@@ -689,7 +691,7 @@ class TestRuntimeCertificate:
         # K[x1, x2]/(x1^2, x2^3) and K[x1, x2]/(x1^3, x2^2) compress alike
         first = QuotientModule.of_quotient_ring(ideal(X2, (2, 0), (0, 3)))
         second = QuotientModule.of_quotient_ring(ideal(X2, (3, 0), (0, 2)))
-        real_module = poset_module.QuotientModule
+        real_module = core_module.QuotientModule
         built = []
 
         def build_once(*args):
@@ -699,7 +701,7 @@ class TestRuntimeCertificate:
             return built[-1]
 
         # the miss builds the one module of the walk; no hit builds any
-        monkeypatch.setattr(poset_module, "QuotientModule", build_once)
+        monkeypatch.setattr(core_module, "QuotientModule", build_once)
         assert sdepth_exact(first).reduction == "exponent-compression"
         assert len(built) == 1
         real_certify, real_pull_back = poset_module.certify_witness, poset_module.pull_back

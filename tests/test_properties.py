@@ -9,7 +9,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sdepth.poset as poset_module
 import sdepth.taylor as taylor_module
 
-from sdepth.core import Monomial, MonomialIdeal, QuotientModule, make_context
+from sdepth.core import (
+    ORDERINGS_CAP,
+    Monomial,
+    MonomialIdeal,
+    QuotientModule,
+    canonical_shape,
+    compress,
+    make_context,
+)
 from sdepth.lattice import build_lcm_lattice, lattice_iso_check
 from sdepth.poset import (
     _keep_masks,
@@ -21,9 +29,7 @@ from sdepth.poset import (
     box_mask,
     box_strides,
     build_poset,
-    canonical_shape,
     certify_witness,
-    compress,
     cover_mismatches,
     degree_bound_g,
     ideal_mask,
@@ -415,7 +421,7 @@ def test_the_canonical_shape_beyond_the_orderings_cap_is_the_first_ordering():
     # keeps the columns in place
     edges = _permuted([tuple(int(k in (i, (i + 1) % 9)) for k in range(9)) for i in range(9)],
                       range(9))
-    assert math.factorial(9) > poset_module.ORDERINGS_CAP
+    assert math.factorial(9) > ORDERINGS_CAP
     assert canonical_shape(9, edges, ()) == (tuple(range(9)), edges, ())
     # with x5^2 added, x5 sorts last and the other 8 columns still tie, 8!
     # orderings beyond the cap: the first moves x5, and the shape it gives
