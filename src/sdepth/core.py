@@ -195,6 +195,12 @@ def lcm_closure(exps: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
     return closure
 
 
+def _check_cap(count: int, cap: int) -> None:
+    """GeneratorCapError when a product would form more than cap generators."""
+    if count > cap:
+        raise GeneratorCapError(f"product would form {count} generators (cap {cap})")
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Monomial ideal in canonical form.
@@ -259,20 +265,22 @@ class MonomialIdeal:
         self._check(other)
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.context)
-        if len(self.exps) * len(other.exps) > cap:
-            raise GeneratorCapError(
-                f"product would form {len(self.exps) * len(other.exps)} generators (cap {cap})"
-            )
+        _check_cap(len(self.exps) * len(other.exps), cap)
         return MonomialIdeal(
             self.context,
             _minimal(tuple(map(operator.add, a, b)) for a in self.exps for b in other.exps),
         )
 
     def power(self, n: int, cap: int = DEFAULT_GENERATOR_CAP) -> "MonomialIdeal":
+        """I^n by n - 1 products from I itself; I^0 is the unit ideal."""
         if n < 0:
             raise ValueError("negative ideal power")
-        result = MonomialIdeal.unit(self.context)
-        for _ in range(n):
+        if n == 0:
+            return MonomialIdeal.unit(self.context)
+        if not self.is_zero:
+            _check_cap(len(self.exps), cap)  # the product unit * I
+        result = self
+        for _ in range(n - 1):
             result = result.multiply(self, cap=cap)
         return result
 

@@ -98,10 +98,21 @@ def box_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(strides))
 
 
+def _tile(block: int, period: int, length: int) -> int:
+    """block repeated every period bits over length bits, a multiple of
+    period: the copies so far are doubled, mask |= mask << width, until
+    they span length, and the excess is cut off."""
+    width = period
+    while width < length:
+        block |= block << width
+        width *= 2
+    return block & ((1 << length) - 1)
+
+
 @functools.lru_cache(maxsize=1024)
 def _repunit(count: int, step: int) -> int:
     """sum_{i < count} 2^(i*step), count >= 1: one bit every step positions."""
-    return int(("0" * (step - 1) + "1") * count, 2)
+    return _tile(1, step, count * step)
 
 
 def box_mask(lo: tuple[int, ...], hi: tuple[int, ...], strides: tuple[int, ...]) -> int:
@@ -121,11 +132,10 @@ def _keep_masks(dims: tuple[int, ...]) -> tuple[int, ...]:
     """Per axis, the points whose coordinate on it is below d-1: one block
     of (d-1)*stride ones under stride zeros, repeated over the box."""
     volume = math.prod(dims)
-    out = []
-    for d, stride in zip(dims, box_strides(dims)):
-        block = "0" * stride + "1" * ((d - 1) * stride)
-        out.append(int(block * (volume // (d * stride)), 2) if d > 1 else 0)
-    return tuple(out)
+    return tuple(
+        _tile((1 << (d - 1) * stride) - 1, d * stride, volume)
+        for d, stride in zip(dims, box_strides(dims))
+    )
 
 
 @functools.lru_cache(maxsize=MASK_CACHE_SIZE)
@@ -192,6 +202,16 @@ def ideal_mask(ideal: MonomialIdeal, dims: tuple[int, ...]) -> int:
 def module_mask(module: QuotientModule, dims: tuple[int, ...]) -> int:
     """Bitmask of the box points that lie in the module I/J."""
     return ideal_mask(module.outer, dims) & ~ideal_mask(module.inner, dims)
+
+
+def points_mask(points, volume: int) -> int:
+    """Mask of the box indices points on a box of volume points, its bits
+    set in one bytearray, eight points a byte: one pass over the points,
+    one conversion, and no big-integer operation per point."""
+    bits = bytearray((volume + 7) >> 3)
+    for p in points:
+        bits[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(bits, "little")
 
 
 def mask_points(mask: int) -> list[int]:
@@ -278,13 +298,7 @@ class CharPoset:
     """
 
     def __init__(self, context: RingContext, g: tuple[int, ...], points: list[int]):
-        mask = 0
-        if points:
-            # the mask's binary digits, most significant first
-            digits = bytearray(b"0" * math.prod(gj + 1 for gj in g))
-            for p in points:
-                digits[-1 - p] = 49  # "1"
-            mask = int(digits, 2)
+        mask = points_mask(points, math.prod(gj + 1 for gj in g)) if points else 0
         self._setup(context, g, mask)
 
     @classmethod
@@ -792,7 +806,7 @@ def partition_to_decomposition(
             range(cj, cj + 1 if j in free else dj + 1)
             for j, (cj, dj) in enumerate(zip(iv.lo, iv.hi))
         ]
-        spaces.extend((e, free) for e in itertools.product(*ranges))
+        spaces.extend(zip(itertools.product(*ranges), itertools.repeat(free)))
     return StanleyDecomposition(poset.context, tuple(spaces))
 
 
@@ -806,9 +820,15 @@ def verify_decomposition(
 
     One step beyond G separates free from capped directions; membership in
     the module and in every space is determined by truncation at G+1, so
-    exact cover on this box certifies exact cover everywhere.  Each space is
-    one sub-box mask.  A corner must be arity non-negative ints and a free
-    set must name variables.
+    exact cover on this box certifies exact cover everywhere.  The spaces
+    are checked per free set Z.  Two spaces x^e K[Z] and x^f K[Z] meet
+    exactly when e and f agree off Z (both hold x^max(e, f) then, and
+    differ at a fixed coordinate otherwise), so Z's spaces are pairwise
+    disjoint exactly when their corners differ off Z.  Their union is the
+    mask of their corners closed upwards along Z (:func:`_up_closure`),
+    and these closures, one per Z, must cover the module's mask exactly
+    (:func:`cover_mismatches`).  A corner must be arity non-negative ints
+    and a free set must name variables.
     """
     arity = module.context.arity
     axes = frozenset(range(arity))
@@ -826,12 +846,25 @@ def verify_decomposition(
     columns = zip(degree_bound_g(module), *corners)
     dims = _capped(tuple(max(column) + 2 for column in columns), budget, "certifying box")
     strides = box_strides(dims)
-
-    def space(e, free):
-        return box_mask(e, [dims[j] - 1 if j in free else ej for j, ej in enumerate(e)], strides)
-
-    masks = (space(e, free) for e, free in spaces)
-    return cover_mismatches(masks, module_mask(module, dims)) == 0
+    volume = math.prod(dims)
+    groups: dict[frozenset[int], list[int]] = {}  # Z: box indices of its corners
+    for e, free in spaces:
+        groups.setdefault(frozenset(free), []).append(sum(map(operator.mul, e, strides)))
+    keeps = _keep_masks(dims)
+    closures = []
+    for free, group in groups.items():
+        corner_mask = points_mask(group, volume)
+        steps = [d - 1 if j in free else 0 for j, d in enumerate(dims)]
+        closure = _up_closure(corner_mask, steps, strides, keeps)
+        # the closure meets each fiber along Z that holds a corner in one
+        # point of Z's top face: one per corner when they differ off Z
+        top = closure
+        for j in free:
+            top &= ~keeps[j]
+        if top.bit_count() < len(group):
+            return False
+        closures.append(closure)
+    return cover_mismatches(closures, module_mask(module, dims)) == 0
 
 
 def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -> str:

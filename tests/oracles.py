@@ -11,15 +11,19 @@ engine uses.  lcm-lattice isomorphisms and Hasse diagrams compare every
 pair of elements, where the engine reads the lattice through its atoms.
 Canonical shapes try every permutation of the variables, with no classes
 of interchangeable columns and no pruning by their swaps, and merges are
-read off the distinct permutations of a word of run labels.
+read off the distinct permutations of a word of run labels.  A Stanley
+decomposition is checked by counting, at every point of its certifying
+box, the spaces that hold it; keep masks and repunits are parsed from
+their binary digits.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from sdepth.core import Monomial, MonomialIdeal, QuotientModule, tensor_join
-from sdepth.poset import CharPoset, degree_bound_g
+from sdepth.poset import CharPoset, StanleyDecomposition, box_strides, degree_bound_g
 from sdepth.taylor import rational_rank
 
 
@@ -232,6 +236,48 @@ def pointwise_maximal_cells(poset: CharPoset) -> "list[tuple[int, ...]]":
     cells = poset.cells
     above = lambda p, q: p != q and all(a <= b for a, b in zip(p, q))
     return [p for p in cells if not any(above(p, q) for q in cells)]
+
+
+def pointwise_decomposition_ok(decomposition: StanleyDecomposition, module: QuotientModule) -> bool:
+    """Every point of the certifying box [0, G+1] (G the componentwise max
+    of g and the corners) lies in exactly one space if it is in the module
+    and in none if not; corners must be arity non-negative ints and free
+    sets must name variables."""
+    ctx = module.context
+    spaces = decomposition.spaces
+    if decomposition.context != ctx or any(
+        len(e) != ctx.arity
+        or any(type(ej) is not int or ej < 0 for ej in e)
+        or any(j not in range(ctx.arity) for j in free)
+        for e, free in spaces
+    ):
+        return False
+    top = [max(column) + 1 for column in zip(degree_bound_g(module), *(e for e, _ in spaces))]
+    for p in itertools.product(*(range(t + 1) for t in top)):
+        count = sum(
+            all(pj >= ej if j in free else pj == ej for j, (pj, ej) in enumerate(zip(p, e)))
+            for e, free in spaces
+        )
+        if count != module.contains(Monomial(ctx, p)):
+            return False
+    return True
+
+
+def keep_masks_from_strings(dims: "tuple[int, ...]") -> "tuple[int, ...]":
+    """Per axis, the points with coordinate below d-1: one block of
+    (d-1)*stride ones under stride zeros, repeated over the box, as a
+    string of binary digits."""
+    volume = math.prod(dims)
+    out = []
+    for d, stride in zip(dims, box_strides(dims)):
+        block = "0" * stride + "1" * ((d - 1) * stride)
+        out.append(int(block * (volume // (d * stride)), 2) if d > 1 else 0)
+    return tuple(out)
+
+
+def repunit_from_string(count: int, step: int) -> int:
+    """sum_{i < count} 2^(i*step) as a string of binary digits."""
+    return int(("0" * (step - 1) + "1") * count, 2)
 
 
 def brute_candidates(

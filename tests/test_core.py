@@ -140,6 +140,21 @@ class TestIdealArithmetic:
         with pytest.raises(GeneratorCapError):
             m.power(5, cap=10)
 
+    def test_first_power_keeps_the_cap_error_of_unit_times_i(self):
+        # I^1 forms no product, but an ideal over the cap still raises, with
+        # the message of the product unit * I
+        m = ideal(X3, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(GeneratorCapError) as direct:
+            MonomialIdeal.unit(X3).multiply(m, cap=2)
+        assert str(direct.value) == "product would form 3 generators (cap 2)"
+        for n in (1, 2, 5):
+            with pytest.raises(GeneratorCapError) as raised:
+                m.power(n, cap=2)
+            assert str(raised.value) == str(direct.value)
+        assert m.power(1, cap=3) == m
+        assert m.power(0, cap=0) == MonomialIdeal.unit(X3)
+        assert MonomialIdeal.zero(X3).power(1, cap=0).is_zero
+
     def test_zero_unit_behaviour(self):
         z, u = MonomialIdeal.zero(X2), MonomialIdeal.unit(X2)
         i = ideal(X2, (1, 1))

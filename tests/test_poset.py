@@ -597,6 +597,24 @@ class TestCertificates:
         dec = StanleyDecomposition(X2, (((0, 0), frozenset()), ((0, 3), frozenset())))
         assert not verify_decomposition(dec, mod)
 
+    def test_corners_equal_off_the_free_set_overlap(self):
+        # x K[x] and x^2 K[x] close up to exactly the module (x), but both
+        # hold x^2: the closure alone would accept them
+        x = make_context("x")
+        mod = QuotientModule.of_ideal(ideal(x, (1,)))
+        dec = StanleyDecomposition(x, (((1,), frozenset({0})), ((2,), frozenset({0}))))
+        assert not verify_decomposition(dec, mod)
+        assert verify_decomposition(StanleyDecomposition(x, dec.spaces[:1]), mod)
+
+    def test_plain_set_free_sets_are_grouped_with_frozensets(self):
+        # x K[x, y] + K[y] of K[x, y], with free sets as sets and frozensets
+        mod = QuotientModule.of_ideal(MonomialIdeal.unit(X2))
+        good = StanleyDecomposition(X2, (((1, 0), {0, 1}), ((0, 0), {1})))
+        assert verify_decomposition(good, mod)
+        # K[y] twice, once under each type of free set
+        twice = StanleyDecomposition(X2, good.spaces + (((0, 0), frozenset({1})),))
+        assert not verify_decomposition(twice, mod)
+
     def test_a_free_index_must_name_a_variable(self):
         dec = StanleyDecomposition(X1, (((0,), frozenset({0, 7})),))
         assert dec.sdepth == 2

@@ -21,6 +21,7 @@ from sdepth.core import (
 from sdepth.lattice import build_lcm_lattice, lattice_iso_check
 from sdepth.poset import (
     _keep_masks,
+    _repunit,
     _up_closure,
     Budget,
     CertificateError,
@@ -132,6 +133,15 @@ def test_power_additivity(data):
     a = data.draw(st.integers(0, 3))
     b = data.draw(st.integers(0, 3))
     assert i.power(a).multiply(i.power(b)) == i.power(a + b)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_power_matches_the_oracle(data):
+    ctx = data.draw(contexts())
+    i = data.draw(kernel_ideals(ctx))
+    for n in range(5):
+        assert i.power(n).exps == oracles.monomial_power(i, n)
 
 
 @given(st.data())
@@ -682,6 +692,18 @@ def test_box_mask_matches_a_pointwise_walk(data):
         assert mask_points(box_mask(lo, hi, strides)) == inside
 
 
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple))
+@settings(max_examples=80, deadline=None)
+def test_keep_masks_match_the_string_oracle(dims):
+    assert _keep_masks(dims) == oracles.keep_masks_from_strings(dims)
+
+
+@given(st.integers(1, 40), st.integers(1, 300))
+@settings(max_examples=80, deadline=None)
+def test_repunit_matches_the_string_oracle(count, step):
+    assert _repunit(count, step) == oracles.repunit_from_string(count, step)
+
+
 @given(small_modules())
 @settings(max_examples=40, deadline=None)
 def test_poset_cells_are_the_members_of_the_box(module):
@@ -754,6 +776,65 @@ def test_interval_check_agrees_with_the_expanded_check(module, tamper, data):
         accepted = True
     assert accepted == expected
     assert accepted == (tamper == "witness")
+
+
+TAMPERS = ["exact", "plain sets", "duplicate", "gap", "non-member", "overlap across", "overlap within", "random"]
+
+
+@st.composite
+def mixed_decompositions(draw):
+    """A module, a decomposition and how it was tampered with: the witness
+    expansion with spaces split along free axes, x^e K[Z] = x^e K[Z - j] +
+    x^(e + e_j) K[Z], so that free sets mix, then one tamper."""
+    module = draw(small_modules(max_volume=60))
+    spaces = list(_certified(module).spaces)
+    arity = module.context.arity
+    bump = lambda e, j: tuple(ek + (k == j) for k, ek in enumerate(e))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(spaces) - 1))
+        e, free = spaces[i]
+        if free:
+            j = draw(st.sampled_from(sorted(free)))
+            spaces[i:i + 1] = [(e, free - {j}), (bump(e, j), free)]
+    tamper = draw(st.sampled_from(TAMPERS))
+    i = draw(st.integers(0, len(spaces) - 1))
+    e, free = spaces[i]
+    j = draw(st.integers(0, arity - 1))
+    g = degree_bound_g(module)
+    if tamper == "plain sets":
+        spaces = [(e, set(free)) for e, free in spaces]
+    elif tamper == "duplicate":
+        spaces.append(spaces[i])
+    elif tamper == "gap":
+        del spaces[i]
+    elif tamper == "non-member":
+        outside = [p for p in itertools.product(*(range(gj + 2) for gj in g))
+                   if not module.contains(Monomial(module.context, p))]
+        assume(outside)
+        spaces.append((draw(st.sampled_from(outside)), frozenset(draw(st.sets(st.integers(0, arity - 1))))))
+    elif tamper == "overlap across":
+        # a space inside x^e K[Z] or holding x^e, under the free set Z ^ {j}
+        spaces.append((bump(e, j) if j in free else e, free ^ {j}))
+    elif tamper == "overlap within":
+        # a corner equal to e off Z
+        assume(free)
+        spaces.append((bump(e, min(free)), free))
+    elif tamper == "random":
+        corners = st.tuples(*(st.integers(0, gj + 1) for gj in g))
+        free_sets = st.frozensets(st.integers(0, arity - 1))
+        spaces = draw(st.lists(st.tuples(corners, free_sets), max_size=5))
+    spaces = draw(st.permutations(spaces))
+    return module, StanleyDecomposition(module.context, tuple(spaces)), tamper
+
+
+@given(mixed_decompositions())
+@settings(max_examples=150, deadline=None)
+def test_verify_agrees_with_a_pointwise_count(case):
+    module, decomposition, tamper = case
+    accepted = verify_decomposition(decomposition, module)
+    assert accepted == oracles.pointwise_decomposition_ok(decomposition, module)
+    if tamper != "random":
+        assert accepted == (tamper in ("exact", "plain sets"))
 
 
 def _random_partition(cells, data):
