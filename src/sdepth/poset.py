@@ -273,6 +273,19 @@ def _count_classes(sets, within: int, most: int) -> list[int]:
     return classes
 
 
+class _CellTable(dict):
+    """Box index -> cell: the index's mixed-radix digits, computed on first
+    lookup and kept."""
+
+    def __init__(self, strides: tuple[int, ...], dims: tuple[int, ...]):
+        super().__init__()
+        self.radix = tuple(zip(strides, dims))
+
+    def __missing__(self, p: int) -> tuple[int, ...]:
+        cell = self[p] = tuple([p // s % d for s, d in self.radix])
+        return cell
+
+
 class CharPoset:
     """Cells of the box [0, g] whose monomials lie in outer but not inner.
 
@@ -282,13 +295,17 @@ class CharPoset:
     degree in ascending degree (the mask cut by the box's degree masks,
     :func:`_degree_masks`), ``rho_classes[r]`` the cells with rho = r and
     ``tops[k]`` those with rho >= k, for r and k from 0 to the arity.
-    ``cells`` lists the cells level by level, lex within a level
-    (graded-lex), as exponent tuples, and ``points`` their box indices;
-    ``cell_at`` maps a box index to its cell.  ``keeps`` per axis are the
-    box points below its last coordinate (the keep masks of
-    :func:`_up_closure`).  An empty list of indices gives an empty frame
-    with no work proportional to the box.  The cells of I/J form a convex
-    set, so the unit steps between cells are exactly the cover relations.
+    ``keeps`` per axis are the box points below its last coordinate (the
+    keep masks of :func:`_up_closure`).  An empty list of indices gives an
+    empty frame with no work proportional to the box.  The cells of I/J
+    form a convex set, so the unit steps between cells are exactly the
+    cover relations.
+
+    Per-cell tables cost in proportion to what is read of them: ``cell_at``
+    maps a box index to its cell, the exponent tuple, computing it on first
+    lookup; ``cells`` lists the cells level by level, lex within a level
+    (graded-lex), and ``points`` their box indices, both built on first
+    access.  The search reads a few cells by index and never the lists.
 
     The search reads the sub-boxes [c, g] of its branch cells and [0, d]
     of its tops through :meth:`upper` and :meth:`lower`: each is built on
@@ -326,14 +343,19 @@ class CharPoset:
             faces = (~keep for keep in self.keeps)
             self.rho_classes = _count_classes(faces, mask, self.arity)
             self.tops = list(itertools.accumulate(reversed(self.rho_classes), operator.or_))[::-1]
-        self.points = [p for level in self.levels for p in mask_points(level)]
-        columns = ([p // s % d for p in self.points] for s, d in zip(self.strides, self.dims))
-        self.cells = list(zip(*columns))
-        self.cell_at = dict(zip(self.points, self.cells))
+        self.cell_at = _CellTable(self.strides, self.dims)
 
     @functools.cached_property
     def keeps(self) -> tuple[int, ...]:
         return _keep_masks(self.dims)
+
+    @functools.cached_property
+    def points(self) -> list[int]:
+        return [p for level in self.levels for p in mask_points(level)]
+
+    @functools.cached_property
+    def cells(self) -> list[tuple[int, ...]]:
+        return list(map(self.cell_at.__getitem__, self.points))
 
     @property
     def arity(self) -> int:
@@ -371,7 +393,7 @@ class CharPoset:
         return len(self._upper) + len(self._lower) < MEMO_BITS // self.volume
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -592,23 +614,46 @@ def _search_phase(
             return "false", None, nodes
 
 
+def _line_runs(poset: CharPoset) -> IntervalPartition:
+    """The cells as runs along the last axis of length above one, in
+    ascending box index of their first cells.
+
+    That axis has stride 1 (every axis after it has length one), so a run
+    starts at a cell whose index minus one is no cell of its line and ends
+    at one whose index plus one is none; the axis' keep mask stops a step
+    at the end of a line.  Each run is the interval [first, last] of a
+    line of cells; on a box with no axis of length above one the keep mask
+    is 0 and the one cell is its own run.
+    """
+    mask = poset.mask
+    keep = next((keep for d, keep in zip(reversed(poset.dims), reversed(poset.keeps)) if d > 1), 0)
+    starts = mask & ~((mask & keep) << 1)
+    ends = mask & ~((mask >> 1) & keep)
+    cell_at = poset.cell_at
+    return IntervalPartition(tuple(
+        Interval(cell_at[c], cell_at[d]) for c, d in zip(mask_points(starts), mask_points(ends))
+    ))
+
+
 def sdepth_decision(poset: CharPoset, k: int, budget: Budget = DEFAULT_BUDGET) -> Decision:
     """Does some interval partition of the poset achieve rho >= k everywhere?
 
-    When every cell has rho >= k, as at k = 0, the singletons do, and the
-    answer comes with 0 nodes and no search.  An axis of length one adds
-    one to every rho, so decision k + 1 with it is decision k without it,
-    this case included.
+    When every cell has rho >= k, as at k = 0, the runs of cells along the
+    last axis of length above one do (:func:`_line_runs`), and the answer
+    comes with 0 nodes and no search: each run is an interval of cells
+    whose top is a cell, and there are no more runs than cells.  An axis
+    of length one adds one to every rho and changes no run, so decision
+    k + 1 with it is decision k without it, node for node and interval for
+    interval, this case included.
     """
     if not 0 <= k <= poset.arity:
         raise ValueError("k must lie between 0 and the number of variables")
-    if len(poset) == 0:
+    if not poset.mask:
         raise ValueError("empty poset: the module is zero")
     start = time.monotonic()
     tops = poset.tops[k]
     if tops == poset.mask:
-        intervals = tuple(Interval(c, c) for c in poset.cells)
-        return Decision("true", IntervalPartition(intervals), 0, time.monotonic() - start)
+        return Decision("true", _line_runs(poset), 0, time.monotonic() - start)
     failed: set[int] = set()
     nodes = 0
     # two-phase portfolio: restart with the frugal ordering when the greedy
@@ -680,7 +725,7 @@ def sdepth_walk(module: QuotientModule, budget: Budget = DEFAULT_BUDGET) -> Sdep
             return SdepthResult(k, hi, decision.partition, nodes, elapsed)
         if decision.status == "false":
             hi = k - 1
-    # at k = 0 every cell is a top, so the decision hands out singletons
+    # at k = 0 every cell is a top, so the decision hands out its runs
     raise AssertionError("unreachable: decision at k=0 cannot fail")
 
 
@@ -799,14 +844,13 @@ def partition_to_decomposition(
     For [c, d] with free set Z = {j : d_j = g_j}, each cell e in [c, d]
     with e_j = c_j on Z contributes the space x^e K[Z].
     """
+    g = poset.g
     spaces = []
     for iv in partition.intervals:
-        free = frozenset(j for j, (dj, gj) in enumerate(zip(iv.hi, poset.g)) if dj == gj)
-        ranges = [
-            range(cj, cj + 1 if j in free else dj + 1)
-            for j, (cj, dj) in enumerate(zip(iv.lo, iv.hi))
-        ]
-        spaces.extend(zip(itertools.product(*ranges), itertools.repeat(free)))
+        at_g = list(map(operator.eq, iv.hi, g))
+        free = frozenset(itertools.compress(itertools.count(), at_g))
+        ends = [(cj if top else dj) + 1 for cj, dj, top in zip(iv.lo, iv.hi, at_g)]
+        spaces.extend(zip(itertools.product(*map(range, iv.lo, ends)), itertools.repeat(free)))
     return StanleyDecomposition(poset.context, tuple(spaces))
 
 
@@ -815,45 +859,58 @@ def verify_decomposition(
     module: QuotientModule,
     budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
-    """Exact-cover check on the certifying box [0, G+1], G the componentwise
-    max of g and every space's corner.
+    """Exact-cover check on the box [0, G], G the componentwise max of g and
+    every space's corner.
 
-    One step beyond G separates free from capped directions; membership in
-    the module and in every space is determined by truncation at G+1, so
-    exact cover on this box certifies exact cover everywhere.  The spaces
-    are checked per free set Z.  Two spaces x^e K[Z] and x^f K[Z] meet
-    exactly when e and f agree off Z (both hold x^max(e, f) then, and
-    differ at a fixed coordinate otherwise), so Z's spaces are pairwise
-    disjoint exactly when their corners differ off Z.  Their union is the
-    mask of their corners closed upwards along Z (:func:`_up_closure`),
-    and these closures, one per Z, must cover the module's mask exactly
-    (:func:`cover_mismatches`).  A corner must be arity non-negative ints
-    and a free set must name variables.
+    Truncating a point p at G keeps its membership in the module (g <= G)
+    and in a space x^e K[Z] along every axis of Z (e_j <= G_j) and every
+    axis off Z with e_j < G_j.  So the spaces cover the module exactly once
+    exactly when (1) no corner sits at G_j on an axis j off its free set,
+    and (2) their truncations, the boxes [e, e^Z] with e^Z_j = G_j on Z and
+    e_j off Z, cover the module's cells in [0, G] exactly.  (1) is needed:
+    a point p with p_j = G_j and p + e_j are both in the module or both
+    not, and lie in the same spaces free on j, while no space capped on j
+    holds p + e_j; so none may hold p, but a corner at G_j off Z holds
+    itself.
+
+    The spaces are grouped by free set Z first.  Two spaces x^e K[Z] and
+    x^f K[Z] meet exactly when e and f agree off Z (both hold x^max(e, f)
+    then, and differ at a fixed coordinate otherwise), so Z's spaces are
+    pairwise disjoint exactly when their corners differ off Z.  Their
+    truncations are the mask of their corners closed upwards along Z
+    (:func:`_up_closure`), and these closures, one per Z, must cover the
+    module's mask exactly (:func:`cover_mismatches`).  A corner must be
+    arity non-negative ints and a free set a set of variable indices.
     """
     arity = module.context.arity
     axes = frozenset(range(arity))
-    spaces = decomposition.spaces
-    corners = [e for e, _ in spaces]
-    entries = list(itertools.chain.from_iterable(corners))
-    if (
-        decomposition.context != module.context
-        or any(not free <= axes for _, free in spaces)
-        or not set(map(len, corners)) <= {arity}
-        or not set(map(type, entries)) <= {int}
-        or min(entries, default=0) < 0
-    ):
+    groups: dict[frozenset[int], list[tuple[int, ...]]] = {}  # Z: the corners of its spaces
+    for e, free in decomposition.spaces:
+        if not isinstance(free, (set, frozenset)):
+            return False
+        groups.setdefault(frozenset(free), []).append(e)
+    if decomposition.context != module.context or not all(free <= axes for free in groups):
         return False
-    columns = zip(degree_bound_g(module), *corners)
-    dims = _capped(tuple(max(column) + 2 for column in columns), budget, "certifying box")
+    bound = degree_bound_g(module)
+    for corners in groups.values():
+        entries = list(itertools.chain.from_iterable(corners))
+        if (
+            not set(map(len, corners)) <= {arity}
+            or not set(map(type, entries)) <= {int}
+            or min(entries, default=0) < 0
+        ):
+            return False
+        bound = tuple(map(max, bound, *corners))
+    dims = _capped(tuple(gj + 1 for gj in bound), budget, "certifying box")
     strides = box_strides(dims)
     volume = math.prod(dims)
-    groups: dict[frozenset[int], list[int]] = {}  # Z: box indices of its corners
-    for e, free in spaces:
-        groups.setdefault(frozenset(free), []).append(sum(map(operator.mul, e, strides)))
     keeps = _keep_masks(dims)
     closures = []
-    for free, group in groups.items():
-        corner_mask = points_mask(group, volume)
+    for free, corners in groups.items():
+        corner_mask = points_mask([sum(map(operator.mul, e, strides)) for e in corners], volume)
+        # (1): off Z, a corner's coordinate lies below G_j
+        if any(corner_mask & ~keep for j, keep in enumerate(keeps) if j not in free):
+            return False
         steps = [d - 1 if j in free else 0 for j, d in enumerate(dims)]
         closure = _up_closure(corner_mask, steps, strides, keeps)
         # the closure meets each fiber along Z that holds a corner in one
@@ -861,7 +918,7 @@ def verify_decomposition(
         top = closure
         for j in free:
             top &= ~keeps[j]
-        if top.bit_count() < len(group):
+        if top.bit_count() < len(corners):
             return False
         closures.append(closure)
     return cover_mismatches(closures, module_mask(module, dims)) == 0
@@ -895,8 +952,7 @@ def poset_to_dot(poset: CharPoset, partition: IntervalPartition | None = None) -
     # a unit step between two cells is a cover, by convexity
     for q, p in zip(cells, poset.points):
         for qj, stride in zip(q, poset.strides):
-            below = poset.cell_at.get(p - stride) if qj > 0 else None
-            if below is not None:
-                lines.append(f"  {node_id(below)} -> {node_id(q)};")
+            if qj > 0 and poset.mask >> (p - stride) & 1:
+                lines.append(f"  {node_id(poset.cell_at[p - stride])} -> {node_id(q)};")
     lines.append("}")
     return "\n".join(lines)

@@ -246,10 +246,12 @@ def _ci_report(statement: str, ideal_b: MonomialIdeal, power: str, n: int, least
 
 
 def _powers(ideal: MonomialIdeal) -> Iterator[MonomialIdeal]:
-    """I^0, I^1, I^2, ...: each by one multiply from the one before, so the
-    powers up to I^m cost m products; a power over the generator cap raises
-    GeneratorCapError, as :meth:`MonomialIdeal.power` does."""
-    power = MonomialIdeal.unit(ideal.context)
+    """I^0, I^1, I^2, ...: I^1 is I itself, and each later power one
+    multiply from the one before, so the powers up to I^m cost m - 1
+    products; a power over the generator cap raises GeneratorCapError, as
+    :meth:`MonomialIdeal.power` does, I^1 included."""
+    yield MonomialIdeal.unit(ideal.context)
+    power = ideal.power(1)
     while True:
         yield power
         power = power.multiply(ideal)

@@ -273,8 +273,8 @@ class TestGoldenSearch:
          [((3, 2, 0), (3, 2, 0)), ((1, 3, 1), (1, 3, 1)), ((0, 3, 2), (0, 3, 2)),
           ((2, 2, 0), (2, 3, 0)), ((1, 2, 1), (3, 2, 1)), ((0, 2, 2), (3, 2, 3))]),
         # x2 is unused, so every cell has rho >= 1 and the upper bound 1
-        # is decided without a search
-        ("shell", [(2, 0, 0, 1), (1, 0, 1, 2), (1, 0, 2, 1)], 1, "exact", 1, 0, "singletons"),
+        # is decided without a search, by the runs along x4
+        ("shell", [(2, 0, 0, 1), (1, 0, 1, 2), (1, 0, 2, 1)], 1, "exact", 1, 0, "runs"),
     ]
 
     NAMES = ["m3^2", "m4", "m4^2", "cyclic", "quotient", "shell", "shell_L^2", "shell_free_axis"]
@@ -292,8 +292,8 @@ class TestGoldenSearch:
         }[kind]
         res = poset_module.sdepth_walk(mod)
         assert (res.status, res.value, res.nodes) == (status, value, nodes)
-        if witness == "singletons":
-            witness = [(c, c) for c in build_poset(mod).cells]
+        if witness == "runs":
+            witness = _line_runs(build_poset(mod))
         assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == witness
         # the cached walk of the module's canonical shape agrees, and its
         # witness, pulled back, holds on the module itself
@@ -381,7 +381,7 @@ class TestDecision:
             assert k >= 1
             d = sdepth_decision(p, k)
             assert (d.status, d.nodes) == ("true", 0)
-            assert [(iv.lo, iv.hi) for iv in d.partition.intervals] == [(c, c) for c in p.cells]
+            assert [(iv.lo, iv.hi) for iv in d.partition.intervals] == _line_runs(p)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_quotient_by_maximal_is_zero(self, n):
@@ -458,27 +458,28 @@ class TestSdepthExact:
     def test_pinned_on_the_square_of_the_pair_block(self, walks):
         # S/I^2, I = (x1*x2, x1^2) the x block of ideals/pair.ideal: x1's
         # exponents 0, 2, 3, 4 have a gap and the y block is unused, so
-        # every cell has rho >= 2, the upper bound: the compressed
-        # singletons, widened on x1, with no search
+        # every cell has rho >= 2, the upper bound: the compressed runs,
+        # widened on x1, with no search
         block_a, _ = split_blocks(parse_ideal(PAIR.read_text()))
         module = QuotientModule.of_quotient_ring(block_a.power(2))
         res = sdepth_exact(module)
         assert (res.status, res.value, res.lo, res.hi, res.nodes, res.reduction) == (
             "exact", 2, 2, 2, 0, "exponent-compression")
-        # x2 comes first in the canonical shape, so the singletons come in
-        # its graded-lex order
+        # x2 comes first in the canonical shape, so its runs go along x1,
+        # one per exponent of x2
         assert [(iv.lo, iv.hi) for iv in res.witness.intervals] == [
-            ((0, 0, 0, 0), (1, 0, 0, 0)), ((2, 0, 0, 0), (2, 0, 0, 0)),
-            ((0, 1, 0, 0), (1, 1, 0, 0)), ((3, 0, 0, 0), (3, 0, 0, 0)),
-            ((2, 1, 0, 0), (2, 1, 0, 0)), ((0, 2, 0, 0), (1, 2, 0, 0))]
+            ((0, 0, 0, 0), (3, 0, 0, 0)), ((0, 1, 0, 0), (2, 1, 0, 0)),
+            ((0, 2, 0, 0), (1, 2, 0, 0))]
         assert len(walks) == 1
         # the walk of the canonical shape, pulled back through its order
         levels, kept, outer, inner = compress(module)
         order, outer, inner = canonical_shape(len(kept), outer, inner)
         assert order == (1, 0)
-        walk = poset_module.sdepth_walk(QuotientModule(MonomialIdeal(X2, outer), MonomialIdeal(X2, inner)))
+        shape = QuotientModule(MonomialIdeal(X2, outer), MonomialIdeal(X2, inner))
+        walk = poset_module.sdepth_walk(shape)
         assert (res.status, res.value, res.lo, res.hi, res.nodes) == (
             walk.status, walk.value + 2, walk.lo + 2, walk.hi + 2, walk.nodes)
+        assert [(iv.lo, iv.hi) for iv in walk.witness.intervals] == _line_runs(build_poset(shape))
         assert res.witness == pull_back(walk.witness, levels, [kept[i] for i in order])
 
     def test_a_block_in_its_own_ring_and_in_the_joint_ring_share_one_walk(self, walks):
@@ -622,6 +623,26 @@ class TestCertificates:
         negative = StanleyDecomposition(X1, (((0,), frozenset({0, -1})),))
         assert not verify_decomposition(negative, QuotientModule.of_ideal(MonomialIdeal.unit(X1)))
 
+    @pytest.mark.parametrize("free", [[0, 1], (0,), 1, {"0"}], ids=["list", "tuple", "int", "str"])
+    def test_a_free_set_must_be_a_set_of_variable_indices(self, free):
+        # K[x1, x2] is one space, x^0 K[{0, 1}]; under any other type of
+        # free set the check rejects it and does not raise
+        mod = QuotientModule.of_ideal(MonomialIdeal.unit(X2))
+        assert verify_decomposition(StanleyDecomposition(X2, (((0, 0), frozenset({0, 1})),)), mod)
+        assert verify_decomposition(StanleyDecomposition(X2, (((0, 0), free),)), mod) is False
+
+    def test_a_capped_corner_at_the_far_edge_of_the_box(self):
+        # the box is [0, G], G the max of g and the corners: K alone for
+        # K[x] ends at G = 0 = g and misses x; K + x K[x] caps x^0 below
+        # G = 1; for (x^2), x^2 K + x^3 K[x] caps x^2 below G = 3 > g
+        x = make_context("x")
+        free = StanleyDecomposition(x, (((0,), frozenset()),))
+        assert not verify_decomposition(free, QuotientModule.of_ideal(MonomialIdeal.unit(x)))
+        split = StanleyDecomposition(x, (((0,), frozenset()), ((1,), frozenset({0}))))
+        assert verify_decomposition(split, QuotientModule.of_ideal(MonomialIdeal.unit(x)))
+        beyond = StanleyDecomposition(x, (((2,), frozenset()), ((3,), frozenset({0}))))
+        assert verify_decomposition(beyond, QuotientModule.of_ideal(ideal(x, (2,))))
+
     @pytest.mark.parametrize("corner", [(0,), (0, 0, 0), (0, -1), (0, 1.0), (0, "1"), (0, True)])
     def test_a_corner_must_be_arity_non_negative_ints(self, corner):
         # x K[x, y] + K[y] is a decomposition of K[x, y]; the second corner
@@ -633,15 +654,15 @@ class TestCertificates:
         assert not verify_decomposition(bad, mod)
 
     def test_a_far_corner_counts_against_the_cap(self):
-        # [0, g+1] has 9 points; the corner (0, 9) stretches [0, G+1] to 33
+        # [0, g] has 4 points; the corner (0, 9) stretches [0, G] to 20
         mod = QuotientModule.of_quotient_ring(ideal(X2, (1, 1)))
-        res = sdepth_exact(mod, budget=Budget(cell_cap=9))
+        res = sdepth_exact(mod, budget=Budget(cell_cap=4))
         dec = partition_to_decomposition(build_poset(mod), res.witness)
-        assert verify_decomposition(dec, mod, budget=Budget(cell_cap=9))
+        assert verify_decomposition(dec, mod, budget=Budget(cell_cap=4))
         far = StanleyDecomposition(X2, dec.spaces + (((0, 9), frozenset()),))
-        assert not verify_decomposition(far, mod, budget=Budget(cell_cap=33))
+        assert not verify_decomposition(far, mod, budget=Budget(cell_cap=20))
         with pytest.raises(ResourceCapError):
-            verify_decomposition(far, mod, budget=Budget(cell_cap=32))
+            verify_decomposition(far, mod, budget=Budget(cell_cap=19))
 
     def test_witnesses_always_verify(self):
         rng = random.Random(17)
@@ -846,6 +867,20 @@ class TestDotExport:
             )
             assert dot.count("->") == unit_steps == len(pointwise_hasse_edges(p))
             assert _dot_edges(dot) == pointwise_hasse_edges(p)
+
+
+def _line_runs(p: CharPoset) -> list:
+    """The cells as (first, last) runs along the last axis j with g_j > 0,
+    in lex order of their first cells, read off the list of cells: a cell
+    one step along j after the end of the last run extends it."""
+    j = max((i for i, gi in enumerate(p.g) if gi > 0), default=None)
+    runs = []
+    for c in sorted(p.cells):
+        if runs and j is not None and runs[-1][1] == c[:j] + (c[j] - 1,) + c[j + 1:]:
+            runs[-1] = (runs[-1][0], c)
+        else:
+            runs.append((c, c))
+    return runs
 
 
 def _tops(p: CharPoset, k: int) -> int:

@@ -837,6 +837,78 @@ def test_verify_agrees_with_a_pointwise_count(case):
         assert accepted == (tamper in ("exact", "plain sets"))
 
 
+@st.composite
+def stretched_decompositions(draw):
+    """A module, a decomposition whose corners may pass g, and how it was
+    made: one space x^e K[Z] of the witness expansion stretched along an
+    axis j of Z, x^e K[Z - j] + .. + x^(e + (t-1) e_j) K[Z - j] +
+    x^(e + t e_j) K[Z], then left exact or tampered with at the far end."""
+    module = draw(small_modules(max_volume=60))
+    spaces = list(_certified(module).spaces)
+    free_spaces = [i for i, (_, free) in enumerate(spaces) if free]
+    assume(free_spaces)
+    i = draw(st.sampled_from(free_spaces))
+    e, free = spaces[i]
+    j = draw(st.sampled_from(sorted(free)))
+    t = draw(st.integers(1, 3))
+    at = lambda s: tuple(ek + s * (k == j) for k, ek in enumerate(e))
+    stretched = [(at(s), free - {j}) for s in range(t)] + [(at(t), free)]
+    tamper = draw(st.sampled_from(["exact", "capped end", "dropped end", "past the end", "random"]))
+    if tamper == "capped end":
+        stretched[-1] = (at(t), free - {j})
+    elif tamper == "dropped end":
+        del stretched[-1]
+    elif tamper == "past the end":
+        stretched.append((at(t + 1), free - {j}))
+    spaces[i:i + 1] = stretched
+    if tamper == "random":
+        g = degree_bound_g(module)
+        corners = st.tuples(*(st.integers(0, gj + 2) for gj in g))
+        free_sets = st.frozensets(st.integers(0, module.context.arity - 1))
+        spaces = draw(st.lists(st.tuples(corners, free_sets), max_size=5))
+    spaces = draw(st.permutations(spaces))
+    return module, StanleyDecomposition(module.context, tuple(spaces)), tamper
+
+
+@given(stretched_decompositions())
+@settings(max_examples=150, deadline=None)
+def test_verify_on_the_box_of_the_corners_agrees_with_the_count_one_step_beyond(case):
+    # the check walks [0, G]; the oracle counts on [0, G+1], which one step
+    # beyond G separates free from capped directions
+    module, decomposition, tamper = case
+    accepted = verify_decomposition(decomposition, module)
+    assert accepted == oracles.pointwise_decomposition_ok(decomposition, module)
+    if tamper != "random":
+        assert accepted == (tamper == "exact")
+
+
+@st.composite
+def modules_with_an_unused_axis(draw):
+    """A small module, sometimes with one unused variable inserted."""
+    module = draw(small_modules(max_volume=60))
+    if draw(st.booleans()):
+        arity = module.context.arity + 1
+        spots = sorted(draw(st.permutations(range(arity)))[: module.context.arity])
+        module = _with_unused_variables(module, arity, spots, "t")
+    return module
+
+
+@given(modules_with_an_unused_axis())
+@settings(max_examples=60, deadline=None)
+def test_a_decision_every_cell_passes_hands_out_a_certified_witness_no_larger_than_the_cells(module):
+    poset = build_poset(module, budget=BUDGET)
+    least = next(k for k, cls in enumerate(poset.rho_classes) if cls)
+    for k in {0, least}:
+        assert poset.tops[k] == poset.mask
+        decision = sdepth_decision(poset, k, budget=BUDGET)
+        assert (decision.status, decision.nodes) == ("true", 0)
+        certify_witness(decision.partition, module, k, poset_box(module))
+        decomposition = partition_to_decomposition(poset, decision.partition)
+        assert len(decision.partition.intervals) <= len(poset)
+        assert len(decomposition.spaces) <= len(poset)
+        assert verify_decomposition(decomposition, module)
+
+
 def _random_partition(cells, data):
     """An interval partition of the cells: from the graded-lex least
     uncovered cell c, a drawn top d with [c, d] inside the uncovered set."""

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import sdepth.taylor as taylor
 import sdepth.verifier as verifier
-from sdepth.core import Monomial, MonomialIdeal, QuotientModule, RingContext, make_context, tensor_join
+from sdepth.core import (
+    GeneratorCapError,
+    Monomial,
+    MonomialIdeal,
+    QuotientModule,
+    RingContext,
+    make_context,
+    tensor_join,
+)
 from sdepth.poset import Budget, CertificateError, sdepth_exact
 from sdepth.verifier import (
     STATEMENTS,
@@ -351,6 +359,35 @@ class TestPowerFloors:
         assert run_random(statement, 0, n=floor, budget=BUDGET).items
 
 
+class TestPowerChains:
+    """The chain I^0, I^1, ... that the statements and sequences share."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_the_powers_below_the_cap_are_the_repeated_products(self, n):
+        ideal_a, ideal_b = block_pair()
+        for i in (ideal_a, ideal_b, MonomialIdeal.zero(ideal_a.context)):
+            expected = [MonomialIdeal.unit(i.context)]
+            for _ in range(n):
+                expected.append(expected[-1].multiply(i))
+            powers = verifier._powers_below_cap(i, n)
+            assert powers == expected
+            # I^1 is I itself, not the product unit * I minimalised again
+            assert n == 0 or powers[1] is i
+
+    def test_an_ideal_over_the_cap_stops_the_chain_with_the_error_of_unit_times_i(self):
+        # 5,001 generators, one over the default generator cap
+        ctx = make_context("x", "y")
+        over = MonomialIdeal(ctx, tuple((i, 5000 - i) for i in range(5001)))
+        with pytest.raises(GeneratorCapError) as direct:
+            MonomialIdeal.unit(ctx).multiply(over)
+        chain = verifier._powers(over)
+        assert next(chain) == MonomialIdeal.unit(ctx)
+        with pytest.raises(GeneratorCapError) as raised:
+            next(chain)
+        assert str(raised.value) == str(direct.value)
+        assert verifier._powers_below_cap(over, 4) == [MonomialIdeal.unit(ctx)]
+
+
 class TestSequences:
     def test_sdepth_sequence_ci(self):
         ctx = make_context("y1", "y2", "y3")
@@ -373,8 +410,9 @@ class TestSequences:
         monkeypatch.setattr(MonomialIdeal, "multiply", counting)
         j = ideal(make_context("y1", "y2", "y3"), (1, 1, 0), (0, 0, 1))
         rows = sdepth_sequence(j, 4, budget=BUDGET)
-        # I^1..I^5, one product each (from I^0..I^5 afresh for every row: 24)
-        assert len(products) <= 5
+        # I^2..I^5, one product each, and I^1 is I (from I^0..I^5 afresh for
+        # every row: 24)
+        assert len(products) <= 4
         assert [(r.ring_quotient, r.ideal_power, r.shell) for r in rows] == [(1, 2, 1)] * 4
 
     def test_a_row_is_empty_exactly_from_the_power_over_the_generator_cap(self):
