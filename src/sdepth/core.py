@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 DEFAULT_GENERATOR_CAP = 5000
@@ -271,18 +271,24 @@ class MonomialIdeal:
             _minimal(tuple(map(operator.add, a, b)) for a in self.exps for b in other.exps),
         )
 
+    def powers(self, cap: int = DEFAULT_GENERATOR_CAP) -> Iterator["MonomialIdeal"]:
+        """I^0, I^1, I^2, ..., the one place powers are built: I^0 is the
+        unit ideal, I^1 is I itself, and each later power one product from
+        the one before.  A power over the generator cap raises
+        GeneratorCapError, I^1 with the error of the product unit * I."""
+        yield MonomialIdeal.unit(self.context)
+        if not self.is_zero:
+            _check_cap(len(self.exps), cap)
+        power = self
+        while True:
+            yield power
+            power = power.multiply(self, cap=cap)
+
     def power(self, n: int, cap: int = DEFAULT_GENERATOR_CAP) -> "MonomialIdeal":
-        """I^n by n - 1 products from I itself; I^0 is the unit ideal."""
+        """I^n, the n-th element of :meth:`powers`: n - 1 products for n >= 1."""
         if n < 0:
             raise ValueError("negative ideal power")
-        if n == 0:
-            return MonomialIdeal.unit(self.context)
-        if not self.is_zero:
-            _check_cap(len(self.exps), cap)  # the product unit * I
-        result = self
-        for _ in range(n - 1):
-            result = result.multiply(self, cap=cap)
-        return result
+        return next(itertools.islice(self.powers(cap), n, None))
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
@@ -364,7 +370,8 @@ class QuotientModule:
     def __post_init__(self):
         if self.outer.context != self.inner.context:
             raise ContextMismatchError("module pieces from different contexts")
-        outside = [e for e in self.inner.exps if not self.outer._contains(e)]
+        # S holds every inner generator, so only a proper outer ideal is tested
+        outside = [] if self.outer.is_unit else [e for e in self.inner.exps if not self.outer._contains(e)]
         if outside:
             g = Monomial(self.context, outside[0])
             raise ValueError(f"inner generator {g} is not contained in the outer ideal")

@@ -15,11 +15,12 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterator
+from typing import Callable
 
 from .core import (
     CapError,
     Exponents,
+    GeneratorCapError,
     Monomial,
     MonomialIdeal,
     QuotientModule,
@@ -245,26 +246,37 @@ def _ci_report(statement: str, ideal_b: MonomialIdeal, power: str, n: int, least
     return TheoremReport(statement, {"J": format_ideal(ideal_b), power: str(n)})
 
 
-def _powers(ideal: MonomialIdeal) -> Iterator[MonomialIdeal]:
-    """I^0, I^1, I^2, ...: I^1 is I itself, and each later power one
-    multiply from the one before, so the powers up to I^m cost m - 1
-    products; a power over the generator cap raises GeneratorCapError, as
-    :meth:`MonomialIdeal.power` does, I^1 included."""
-    yield MonomialIdeal.unit(ideal.context)
-    power = ideal.power(1)
-    while True:
-        yield power
-        power = power.multiply(ideal)
+class _Powers:
+    """The powers of one ideal within one check: ``powers[n]`` is I^n, built
+    from :meth:`MonomialIdeal.powers` on its first read; a power over the
+    generator cap raises its GeneratorCapError on that read and again on
+    every later read of it or of a higher power.  ``ring(n)``, ``ideal(n)``
+    and ``shell(n)`` are the :func:`_sd` brackets of R/I^n, I^n and
+    I^n/I^(n+1)."""
 
+    def __init__(self, ideal: MonomialIdeal, budget: Budget = DEFAULT_BUDGET):
+        self._chain, self._built, self._error = ideal.powers(), [], None
+        self.budget = budget
 
-def _powers_below_cap(ideal: MonomialIdeal, top: int) -> list[MonomialIdeal]:
-    """I^0, ..., I^top from :func:`_powers`, cut before the first power over
-    the generator cap."""
-    chain = _powers(ideal)
-    powers = []
-    while len(powers) <= top and (power := _known(next, chain)) is not None:
-        powers.append(power)
-    return powers
+    def __getitem__(self, n: int) -> MonomialIdeal:
+        while len(self._built) <= n:
+            if self._error is not None:
+                raise self._error
+            try:
+                self._built.append(next(self._chain))
+            except GeneratorCapError as error:
+                self._error = error
+                raise
+        return self._built[n]
+
+    def ring(self, n: int) -> Bracket:
+        return _sd(QuotientModule.of_quotient_ring(self[n]), self.budget)
+
+    def ideal(self, n: int) -> Bracket:
+        return _sd(QuotientModule.of_ideal(self[n]), self.budget)
+
+    def shell(self, n: int) -> Bracket:
+        return _sd(QuotientModule(self[n], self[n + 1]), self.budget)
 
 
 def q_chain(
@@ -274,10 +286,10 @@ def q_chain(
     for I and J in one ring, such as the joint ring of :func:`tensor_join`."""
     if n < 1:
         raise ValueError("q_chain needs n >= 1")
-    powers_a = list(itertools.islice(_powers(ideal_a), n + 1))
+    powers_a = list(itertools.islice(ideal_a.powers(), n + 1))
     chain = []
     current = MonomialIdeal.zero(ideal_a.context)
-    for i, power_b in zip(range(n + 1), _powers(ideal_b)):
+    for i, power_b in zip(range(n + 1), ideal_b.powers()):
         current = current.add(powers_a[n - i].multiply(power_b))
         chain.append(current)
     return chain
@@ -285,7 +297,7 @@ def q_chain(
 
 def _shell_masks(ideal: MonomialIdeal, n: int, dims: tuple[int, ...]) -> list[int]:
     """Masks of the shells I^i/I^(i+1), i = 0..n, on a box."""
-    powers = [ideal_mask(p, dims) for p in itertools.islice(_powers(ideal), n + 2)]
+    powers = [ideal_mask(p, dims) for p in itertools.islice(ideal.powers(), n + 2)]
     return [powers[i] & ~powers[i + 1] for i in range(n + 1)]
 
 
@@ -382,8 +394,7 @@ def check_prop_2_3(
     tensor strata (I^i/I^(i+1)) (x) (J^j/J^(j+1)), checked on a finite box."""
     report, ia, ib = _pair_report("prop_2_3", ideal_a, ideal_b, n=n)
     _require_power(n, least=0)
-    total = ia.add(ib)
-    shell = QuotientModule(total.power(n), total.power(n + 1))
+    shell = QuotientModule(*itertools.islice(ia.add(ib).powers(), n, n + 2))
 
     def strata(dims_a, dims_b):
         shells_a = _shell_masks(ideal_a, n, dims_a)
@@ -401,13 +412,9 @@ def check_prop_2_4(
     the block shells."""
     report, ia, ib = _pair_report("prop_2_4", ideal_a, ideal_b, n=n)
     _require_power(n, least=0)
-    total = ia.add(ib)
-    lhs = _sd(QuotientModule(total.power(n), total.power(n + 1)), budget)
-    parts = [
-        _sum(_sd(QuotientModule(ideal_a.power(i), ideal_a.power(i + 1)), budget),
-             _sd(QuotientModule(ideal_b.power(n - i), ideal_b.power(n - i + 1)), budget))
-        for i in range(n + 1)
-    ]
+    lhs = _Powers(ia.add(ib), budget).shell(n)
+    powers_a, powers_b = _Powers(ideal_a, budget), _Powers(ideal_b, budget)
+    parts = [_sum(powers_a.shell(i), powers_b.shell(n - i)) for i in range(n + 1)]
     report.items.append(
         _item("sdepth((I+J)^n/(I+J)^(n+1)) >= min_{i+j=n} sums", lhs, _min(parts), ">=")
     )
@@ -421,11 +428,9 @@ def check_prop_2_5(
     dim(B/J), for m = 0..n."""
     report = _ci_report("prop_2_5", ideal_b, "n", n, least=0)
     dim = krull_dim_quotient(ideal_b)
+    powers = _Powers(ideal_b, budget)
     for m in range(n + 1):
-        shell = QuotientModule(ideal_b.power(m), ideal_b.power(m + 1))
-        report.items.append(
-            _item(f"sdepth(J^{m}/J^{m + 1}) == dim(B/J)", _sd(shell, budget), dim, "==")
-        )
+        report.items.append(_item(f"sdepth(J^{m}/J^{m + 1}) == dim(B/J)", powers.shell(m), dim, "=="))
     return report
 
 
@@ -435,11 +440,11 @@ def check_prop_2_6(
     """sdepth((I+J)^n) against the minimum over the filtration factors."""
     report, ia, ib = _pair_report("prop_2_6", ideal_a, ideal_b, n=n)
     _require_power(n)
-    total = ia.add(ib)
-    lhs = _sd(QuotientModule.of_ideal(total.power(n)), budget)
-    factors = [_sd(QuotientModule.of_ideal(ia.power(n)), budget)]
+    lhs = _sd(QuotientModule.of_ideal(ia.add(ib).power(n)), budget)
+    powers_a, powers_b = _Powers(ia, budget), _Powers(ib, budget)
+    factors = [powers_a.ideal(n)]
     for i in range(1, n + 1):
-        outer = ia.power(n - i).multiply(ib.power(i))
+        outer = powers_a[n - i].multiply(powers_b[i])
         factors.append(_sd(QuotientModule(outer, outer.multiply(ia)), budget))
     report.items.append(_item("sdepth((I+J)^n) >= min over factors", lhs, _min(factors), ">="))
     return report
@@ -452,8 +457,7 @@ def check_prop_2_7(
     their shell."""
     report, ia, ib = _pair_report("prop_2_7", ideal_a, ideal_b, n=n)
     _require_power(n)
-    total = ia.add(ib)
-    p_n, p_n1 = total.power(n), total.power(n + 1)
+    p_n, p_n1 = itertools.islice(ia.add(ib).powers(), n, n + 2)
     sd_pn = _sd(QuotientModule.of_ideal(p_n), budget)
     sd_pn1 = _sd(QuotientModule.of_ideal(p_n1), budget)
     sd_shell = _sd(QuotientModule(p_n, p_n1), budget)
@@ -477,6 +481,7 @@ def check_obs_2_8(
     report, ia, ib = _pair_report("obs_2_8", ideal_a, ideal_b, n=n)
     _require_power(n)
     chain = q_chain(ia, ib, n)
+    powers_a, powers_b = _Powers(ia, budget), _Powers(ib, budget)
     for i in range(1, n + 1):
         sd_factor = _sd(QuotientModule(chain[i], chain[i - 1]), budget)
         lhs = _sd(QuotientModule.of_quotient_ring(chain[i - 1]), budget)
@@ -485,8 +490,8 @@ def check_obs_2_8(
             _item(f"sdepth(R/Q_{i - 1}) >= min{{sdepth(R/Q_{i}), sdepth(Q_{i}/Q_{i - 1})}}",
                   lhs, rhs, ">=")
         )
-        big = ia.power(n - i + 1).multiply(ib.power(i))
-        small = ia.power(n - i).multiply(ib.power(i))
+        big = powers_a[n - i + 1].multiply(powers_b[i])
+        small = powers_a[n - i].multiply(powers_b[i])
         lhs2 = _sd(QuotientModule.of_quotient_ring(big), budget)
         rhs2 = _min([_sd(QuotientModule.of_quotient_ring(small), budget), sd_factor])
         report.items.append(
@@ -503,7 +508,8 @@ def check_prop_2_9(
     """Conditional upper bounds for sdepth(R/(I+J)^2); hypotheses are
     evaluated first and failures reported as vacuous."""
     report, ia, ib = _pair_report("prop_2_9", ideal_a, ideal_b)
-    mixed = ia.power(2).add(ia.multiply(ib))
+    powers_ia, powers_a = _Powers(ia, budget), _Powers(ideal_a, budget)
+    mixed = powers_ia[2].add(ia.multiply(ib))
     sd_mixed = _sd(QuotientModule.of_quotient_ring(mixed), budget)
     sd_ai = _sd(QuotientModule.of_quotient_ring(ideal_a), budget)
     sd_bj2 = _sd(QuotientModule.of_ideal(ideal_b.power(2)), budget)
@@ -511,13 +517,12 @@ def check_prop_2_9(
         _item("(1) sdepth(R/(I+J)^2) <= sdepth_A(A/I)+sdepth_B(J^2)",
               _sd(QuotientModule.of_quotient_ring(ia.add(ib).power(2)), budget), _sum(sd_ai, sd_bj2), "<=")
     ])
-    sd_ri2 = _sd(QuotientModule.of_quotient_ring(ia.power(2)), budget)
-    sd_shell_a = _sd(QuotientModule(ideal_a, ideal_a.power(2)), budget)
+    sd_ri2 = powers_ia.ring(2)
+    sd_shell_a = powers_a.shell(1)
     sd_j = _sd(QuotientModule.of_ideal(ideal_b), budget)
     report.items += _if_below("(2)", sd_ri2, _sum(sd_shell_a, sd_j), lambda: [
         _item("(2a) sdepth(R/(I^2+IJ)) <= sdepth(R/I^2)", sd_mixed, sd_ri2, "<="),
-        _item("(2b) sdepth_A(A/I) <= sdepth_A(A/I^2)",
-              sd_ai, _sd(QuotientModule.of_quotient_ring(ideal_a.power(2)), budget), "<="),
+        _item("(2b) sdepth_A(A/I) <= sdepth_A(A/I^2)", sd_ai, powers_a.ring(2), "<="),
     ])
     return report
 
@@ -530,23 +535,22 @@ def check_thm_2_11(
     report, ia, ib = _pair_report("thm_2_11", ideal_a, ideal_b, n_max=n_max)
     _require_ci(ideal_b)
     _require_power(n_max, "n_max")
-    total = ia.add(ib)
+    powers_ij, powers_a = _Powers(ia.add(ib), budget), _Powers(ideal_a, budget)
     dim_bj = krull_dim_quotient(ideal_b)
     r = ideal_a.context.arity
-    depth_ai = [_depth_q(ideal_a.power(i)) for i in range(1, n_max + 1)]
-    sd_ai = [_sd(QuotientModule.of_quotient_ring(ideal_a.power(i)), budget) for i in range(1, n_max + 1)]
+    depth_ai = [_depth_q(powers_a[i]) for i in range(1, n_max + 1)]
+    sd_ai = [powers_a.ring(i) for i in range(1, n_max + 1)]
     sd_rq = {}
     sd_pow = {}
     # shell n is (I+J)^n/(I+J)^(n+1); only the items (4) read them
     shells = range(1, n_max + 1) if n_max >= 2 else ()
-    sd_shell = {n: _sd(QuotientModule(total.power(n), total.power(n + 1)), budget) for n in shells}
+    sd_shell = {n: powers_ij.shell(n) for n in shells}
     for n in range(1, n_max + 1):
-        p_n = total.power(n)
-        sd_rq[n] = _sd(QuotientModule.of_quotient_ring(p_n), budget)
-        sd_pow[n] = _sd(QuotientModule.of_ideal(p_n), budget)
+        sd_rq[n] = powers_ij.ring(n)
+        sd_pow[n] = powers_ij.ideal(n)
         rhs = _sum(_min(depth_ai[:n]), dim_bj)
         report.items.append(
-            _item(f"(1) depth(R/(I+J)^{n}) == min_i depth(A/I^i)+dim(B/J)", _depth_q(p_n), rhs, "==")
+            _item(f"(1) depth(R/(I+J)^{n}) == min_i depth(A/I^i)+dim(B/J)", _depth_q(powers_ij[n]), rhs, "==")
         )
         report.items.append(
             _item(f"(2a) sdepth(R/(I+J)^{n}) <= r+dim(B/J)", sd_rq[n], r + dim_bj, "<=")
@@ -583,9 +587,9 @@ def check_thm_2_11_decomposition(
         # stratum alpha: v^alpha || w (block B) and w/v^alpha outside
         # I^(n-alpha), which only block A decides
         valuations = _shell_masks(principal, n - 1, dims_b)
+        powers_a = _Powers(ideal_a)
         return [
-            (module_mask(QuotientModule.of_quotient_ring(ideal_a.power(n - alpha)), dims_a),
-             valuations[alpha])
+            (module_mask(QuotientModule.of_quotient_ring(powers_a[n - alpha]), dims_a), valuations[alpha])
             for alpha in range(n)
         ]
 
@@ -600,13 +604,10 @@ def check_cor_2_12(
     report = _ci_report("cor_2_12", ideal_b, "n_max", n_max, least=1)
     s = ideal_b.context.arity
     t = len(ideal_b.exps)
+    powers = _Powers(ideal_b, budget)
     for n in range(1, n_max + 1):
-        p = ideal_b.power(n)
-        report.items.append(
-            _item(f"sdepth(B/J^{n}) == s-t",
-                  _sd(QuotientModule.of_quotient_ring(p), budget), s - t, "==")
-        )
-        report.items.append(_item(f"depth(B/J^{n}) == s-t", _depth_q(p), s - t, "=="))
+        report.items.append(_item(f"sdepth(B/J^{n}) == s-t", powers.ring(n), s - t, "=="))
+        report.items.append(_item(f"depth(B/J^{n}) == s-t", _depth_q(powers[n]), s - t, "=="))
     return report
 
 
@@ -642,7 +643,7 @@ def check_cor_2_13(
     report = TheoremReport(
         "cor_2_13", {"L": format_ideal(ideal), "v": str(v), "n_max": str(n_max)}
     )
-    depths = [_depth_q(ideal.power(n)) for n in range(1, n_max + 2)]
+    depths = [_depth_q(power) for power in itertools.islice(ideal.powers(), 1, n_max + 2)]
     for n in range(1, n_max + 1):
         report.items.append(
             _item(f"depth(R/L^{n}) <= depth(R/L^{n + 1})", depths[n - 1], depths[n], "<=")
@@ -682,8 +683,9 @@ def check_prop_2_14(
     report = _ci_report("prop_2_14", ideal_b, "k_max", k_max, least=1)
     s = ideal_b.context.arity
     t = len(ideal_b.exps)
+    powers = _Powers(ideal_b, budget)
     for k in range(1, k_max + 1):
-        direct = _sd(QuotientModule.of_ideal(ideal_b.power(k)), budget)
+        direct = powers.ideal(k)
         report.items.append(_item(f"sdepth(J^{k}) >= s-t+1", direct, s - t + 1, ">="))
         report.items.append(
             _item(f"sdepth(J^{k}) <= s-t+ceil(t/(k+1))", direct, s - t + math.ceil(t / (k + 1)), "<=")
@@ -704,21 +706,13 @@ def check_thm_2_15(
     report = _ci_report("thm_2_15", ideal_b, "n_max", n_max, least=0)
     dim = krull_dim_quotient(ideal_b)
     t = len(ideal_b.exps)
+    powers = _Powers(ideal_b, budget)
     for n in range(n_max + 1):
-        shell = QuotientModule(ideal_b.power(n), ideal_b.power(n + 1))
-        report.items.append(
-            _item(f"(1) sdepth(J^{n}/J^{n + 1}) == dim(B/J)", _sd(shell, budget), dim, "==")
-        )
+        report.items.append(_item(f"(1) sdepth(J^{n}/J^{n + 1}) == dim(B/J)", powers.shell(n), dim, "=="))
         if n >= 1:
-            quotient = QuotientModule.of_quotient_ring(ideal_b.power(n))
-            report.items.append(
-                _item(f"(1) sdepth(B/J^{n}) == dim(B/J)", _sd(quotient, budget), dim, "==")
-            )
+            report.items.append(_item(f"(1) sdepth(B/J^{n}) == dim(B/J)", powers.ring(n), dim, "=="))
         if n >= max(1, t - 1):
-            power = QuotientModule.of_ideal(ideal_b.power(n))
-            report.items.append(
-                _item(f"(2) sdepth(J^{n}) == dim(B/J)+1", _sd(power, budget), dim + 1, "==")
-            )
+            report.items.append(_item(f"(2) sdepth(J^{n}) == dim(B/J)+1", powers.ideal(n), dim + 1, "=="))
     return report
 
 
@@ -741,21 +735,14 @@ def sdepth_sequence(
 ) -> list[SequenceRow]:
     """Rows (n, sdepth(R/L^n), sdepth(L^n), sdepth(L^n/L^(n+1)))."""
     _require_power(n_max, "n_max")
-    powers = _powers_below_cap(ideal, n_max + 1)
+    powers = _Powers(ideal, budget)
     rows = []
     for n in range(1, n_max + 1):
-        if n + 1 >= len(powers):
+        if _known(lambda: powers[n + 1]) is None:
             rows.append(SequenceRow(n, None, None, None))
-            continue
-        p, p1 = powers[n], powers[n + 1]
-        rows.append(
-            SequenceRow(
-                n,
-                _value(_sd(QuotientModule.of_quotient_ring(p), budget)),
-                _value(_sd(QuotientModule.of_ideal(p), budget)),
-                _value(_sd(QuotientModule(p, p1), budget)),
-            )
-        )
+        else:
+            values = powers.ring(n), powers.ideal(n), powers.shell(n)
+            rows.append(SequenceRow(n, *map(_value, values)))
     return rows
 
 
@@ -767,10 +754,11 @@ def depth_sequence(ideal: MonomialIdeal, n_max: int) -> list[SequenceRow]:
     Stanley-depth decision, and the generator and lcm-lattice caps bound it.
     """
     _require_power(n_max, "n_max")
-    powers = _powers_below_cap(ideal, n_max)
+    powers = _Powers(ideal)
     rows = []
     for n in range(1, n_max + 1):
-        dq, di = map(_value, _depths(powers[n])) if n < len(powers) else (None, None)
+        power = _known(lambda: powers[n])
+        dq, di = (None, None) if power is None else map(_value, _depths(power))
         rows.append(SequenceRow(n, dq, di, None))
     return rows
 

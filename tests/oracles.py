@@ -242,12 +242,13 @@ def pointwise_decomposition_ok(decomposition: StanleyDecomposition, module: Quot
     """Every point of the certifying box [0, G+1] (G the componentwise max
     of g and the corners) lies in exactly one space if it is in the module
     and in none if not; corners must be arity non-negative ints and free
-    sets must name variables."""
+    sets must be sets (or frozensets) that name variables."""
     ctx = module.context
     spaces = decomposition.spaces
     if decomposition.context != ctx or any(
         len(e) != ctx.arity
         or any(type(ej) is not int or ej < 0 for ej in e)
+        or not isinstance(free, (set, frozenset))
         or any(j not in range(ctx.arity) for j in free)
         for e, free in spaces
     ):

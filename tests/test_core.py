@@ -166,6 +166,35 @@ class TestIdealArithmetic:
         assert i.intersect(u) == i
 
 
+class TestPowerChains:
+    """MonomialIdeal.powers(), the one chain I^0, I^1, ... that power(n)
+    and every check read."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_the_powers_are_the_repeated_products(self, n):
+        for i in (ideal(X2, (1, 1), (2, 0)), ideal(X3, (0, 2, 0), (1, 0, 1)), MonomialIdeal.zero(X2)):
+            expected = [MonomialIdeal.unit(i.context)]
+            for _ in range(n):
+                expected.append(expected[-1].multiply(i))
+            chain = i.powers()
+            powers = [next(chain) for _ in range(n + 1)]
+            assert powers == expected
+            assert i.power(n) == expected[n]
+            # I^1 is I itself, not the product unit * I minimalised again
+            assert n == 0 or powers[1] is i
+
+    def test_an_ideal_over_the_cap_raises_the_error_of_unit_times_i_at_the_first_power(self):
+        # 5,001 generators, one over the default generator cap
+        over = MonomialIdeal(X2, tuple((i, 5000 - i) for i in range(5001)))
+        with pytest.raises(GeneratorCapError) as direct:
+            MonomialIdeal.unit(X2).multiply(over)
+        chain = over.powers()
+        assert next(chain) == MonomialIdeal.unit(X2)
+        with pytest.raises(GeneratorCapError) as raised:
+            next(chain)
+        assert str(raised.value) == str(direct.value)
+
+
 class TestCapFamily:
     """Every budget cap is a CapError, which callers turn into 'unknown';
     a failed certificate or an unverified transfer is a bug, never that."""

@@ -778,7 +778,8 @@ def test_interval_check_agrees_with_the_expanded_check(module, tamper, data):
     assert accepted == (tamper == "witness")
 
 
-TAMPERS = ["exact", "plain sets", "duplicate", "gap", "non-member", "overlap across", "overlap within", "random"]
+TAMPERS = ["exact", "plain sets", "listed free set", "duplicate", "gap", "non-member", "overlap across",
+           "overlap within", "random"]
 
 
 @st.composite
@@ -803,6 +804,8 @@ def mixed_decompositions(draw):
     g = degree_bound_g(module)
     if tamper == "plain sets":
         spaces = [(e, set(free)) for e, free in spaces]
+    elif tamper == "listed free set":
+        spaces[i] = (e, draw(st.sampled_from([list, tuple]))(sorted(free)))
     elif tamper == "duplicate":
         spaces.append(spaces[i])
     elif tamper == "gap":

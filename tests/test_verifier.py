@@ -47,6 +47,11 @@ def ideal(ctx, *gens):
     return MonomialIdeal.from_gens(ctx, [Monomial(ctx, g) for g in gens])
 
 
+# complete intersections: (y1*y2, y3), and (y1*y2) in block B
+_CI = ideal(make_context("y1", "y2", "y3"), (1, 1, 0), (0, 0, 1))
+_CI_B = ideal(make_context("y1", "y2"), (1, 1))
+
+
 def block_pair():
     ca = make_context("x1", "x2")
     cb = make_context("y1", "y2")
@@ -360,7 +365,8 @@ class TestPowerFloors:
 
 
 class TestPowerChains:
-    """The chain I^0, I^1, ... that the statements and sequences share."""
+    """The verifier's powers of one ideal within one check (``_Powers``):
+    read from MonomialIdeal.powers(), each power built once."""
 
     @pytest.mark.parametrize("n", range(5))
     def test_the_powers_below_the_cap_are_the_repeated_products(self, n):
@@ -369,8 +375,8 @@ class TestPowerChains:
             expected = [MonomialIdeal.unit(i.context)]
             for _ in range(n):
                 expected.append(expected[-1].multiply(i))
-            powers = verifier._powers_below_cap(i, n)
-            assert powers == expected
+            powers = verifier._Powers(i)
+            assert [powers[k] for k in reversed(range(n + 1))] == expected[::-1]
             # I^1 is I itself, not the product unit * I minimalised again
             assert n == 0 or powers[1] is i
 
@@ -380,12 +386,33 @@ class TestPowerChains:
         over = MonomialIdeal(ctx, tuple((i, 5000 - i) for i in range(5001)))
         with pytest.raises(GeneratorCapError) as direct:
             MonomialIdeal.unit(ctx).multiply(over)
-        chain = verifier._powers(over)
-        assert next(chain) == MonomialIdeal.unit(ctx)
-        with pytest.raises(GeneratorCapError) as raised:
-            next(chain)
-        assert str(raised.value) == str(direct.value)
-        assert verifier._powers_below_cap(over, 4) == [MonomialIdeal.unit(ctx)]
+        powers = verifier._Powers(over)
+        assert powers[0] == MonomialIdeal.unit(ctx)
+        # the chain ends at the error, but every later read of I^1 or of a
+        # higher power raises it again, not StopIteration
+        for n in (1, 1, 4, 2):
+            with pytest.raises(GeneratorCapError) as raised:
+                powers[n]
+            assert str(raised.value) == str(direct.value)
+
+    @pytest.mark.parametrize("check, args", [
+        (verifier.check_prop_2_4, block_pair()),
+        (verifier.check_prop_2_5, (_CI,)),
+        (verifier.check_thm_2_11, (block_pair()[0], _CI_B)),
+        (verifier.check_thm_2_15, (_CI,)),
+        (verifier.check_cor_2_12, (_CI,)),
+    ])
+    def test_no_check_forms_a_product_twice(self, monkeypatch, check, args):
+        products = []
+        multiply = MonomialIdeal.multiply
+
+        def recording(self, other, *rest, **kwargs):
+            products.append((self.exps, other.exps))
+            return multiply(self, other, *rest, **kwargs)
+
+        monkeypatch.setattr(MonomialIdeal, "multiply", recording)
+        assert check(*args, 3, budget=BUDGET).verdict == "holds"
+        assert products and len(products) == len(set(products))
 
 
 class TestSequences:
